@@ -135,7 +135,7 @@ inline int UsableCpus() {
 struct JsonRecord {
   std::string experiment;  ///< e.g. "P-A" or "Figure 1.B"
   std::string query;       ///< the OQL text
-  std::string engine;      ///< baseline | env-pipeline | slot | slot-parallel...
+  std::string engine;      ///< baseline | unnested-* | slot | slot-parallel
   int scale = 0;
   int threads = 1;
   long rows = 0;           ///< result cardinality (1 for scalar results)
@@ -314,16 +314,14 @@ inline long ResultRows(const Value& v) {
   }
 }
 
-/// Executor-engine comparison on one already-unnested query: the legacy
-/// string-Env pipeline vs the slot-frame engine (same physical plan), plus
-/// the slot engine at several thread counts. The plan is compiled once;
-/// timings cover execution only, which is what the engines differ in.
+/// Executor timing on one already-unnested query: the slot-frame engine
+/// serial and at several thread counts. The plan is compiled once; timings
+/// cover execution only.
 struct EngineTimes {
-  double env_ms = 0;      ///< Env pipeline (use_slot_frames = false)
   double slot_ms = 0;     ///< slot frames, serial
   std::vector<std::pair<int, double>> parallel_ms;  ///< (threads, ms)
   long rows = 0;
-  bool agree = false;     ///< every engine produced the identical Value
+  bool agree = false;     ///< every run produced the identical Value
   std::string profile_json;        ///< per-operator stats of one profiled
                                    ///< serial slot run (ProfileToJson)
   std::string compile_trace_json;  ///< per-stage compile times
@@ -338,11 +336,10 @@ inline EngineTimes RunEngines(const Database& db, const std::string& oql,
   CompiledQuery cq = opt.Compile(ParseOQL(oql));
   PhysPtr phys = PlanPhysical(cq.simplified, db);
 
-  // Best-of-3: the first execution of either engine pays first-touch page
-  // faults on the freshly generated extents, which on a shared host can
-  // double the reading. The minimum of three runs is the least-noise
-  // estimate of each engine's true cost, and both engines get the same
-  // treatment.
+  // Best-of-3: the first execution pays first-touch page faults on the
+  // freshly generated extents, which on a shared host can double the
+  // reading. The minimum of three runs is the least-noise estimate of the
+  // true cost, and every thread count gets the same treatment.
   auto best_of = [](int reps, auto&& body) {
     double best = 0;
     for (int i = 0; i < reps; ++i) {
@@ -352,16 +349,11 @@ inline EngineTimes RunEngines(const Database& db, const std::string& oql,
     return best;
   };
 
-  ExecOptions env_opts;
-  env_opts.use_slot_frames = false;
-  Value env_v;
-  t.env_ms = best_of(3, [&] { env_v = ExecutePipelined(phys, db, env_opts); });
-
   SlotPlan slots = CompileSlotPlan(phys, db);
   Value slot_v;
   t.slot_ms = best_of(3, [&] { slot_v = ExecuteSlotPlan(slots, db); });
   t.rows = ResultRows(slot_v);
-  t.agree = (env_v == slot_v);
+  t.agree = true;
 
   for (int n : thread_counts) {
     ExecOptions par;
@@ -389,8 +381,7 @@ inline EngineTimes RunEngines(const Database& db, const std::string& oql,
 }
 
 inline void PrintEngineRowHeader() {
-  std::printf("%-28s %12s %12s %9s", "workload/scale", "env(ms)", "slot(ms)",
-              "speedup");
+  std::printf("%-28s %12s", "workload/scale", "slot(ms)");
   for (const char* h : {"par x2", "par x4", "par x8"}) {
     std::printf(" %9s", h);
   }
@@ -398,8 +389,7 @@ inline void PrintEngineRowHeader() {
 }
 
 inline void PrintEngineRow(const std::string& label, const EngineTimes& t) {
-  std::printf("%-28s %12.2f %12.2f %8.1fx", label.c_str(), t.env_ms, t.slot_ms,
-              t.slot_ms > 0 ? t.env_ms / t.slot_ms : 0.0);
+  std::printf("%-28s %12.2f", label.c_str(), t.slot_ms);
   for (const auto& [n, ms] : t.parallel_ms) {
     (void)n;
     std::printf(" %9.2f", ms);

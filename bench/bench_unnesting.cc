@@ -66,8 +66,8 @@ const Experiment kForAll{
 // comparison-heavy predicate touching every range variable. There is no
 // group table here, so per-row cost is almost entirely expression
 // evaluation over the full scope — the configuration slot compilation
-// targets: the Env engine rebuilds a string-keyed scope per joined row and
-// resolves every variable reference by string comparison, while the slot
+// targets: a string-keyed environment would be rebuilt per joined row and
+// every variable reference resolved by string comparison, while the slot
 // engine does one vector load per reference.
 const Experiment kDeep{
     "P-DEEP", "deep scopes (3-generator join, navigation-heavy predicate)",
@@ -147,9 +147,8 @@ void RunExperiment(const Experiment& exp, MakeDb make_db,
   }
 }
 
-// The executor-engine comparison the strategy table cannot show: the same
-// unnested hash plan run through the legacy string-Env pipeline vs the
-// slot-frame engine, and the slot engine across thread counts. Thread
+// The executor table the strategy table cannot show: the same unnested
+// hash plan run through the slot-frame engine across thread counts. Thread
 // scaling is only meaningful up to the usable-CPU count recorded in the
 // JSON report (containers often pin benchmarks to one core).
 template <typename MakeDb>
@@ -185,7 +184,6 @@ void RunEngineExperiment(const Experiment& exp, MakeDb make_db,
       }
       bench::JsonReporter::Get().Add(std::move(r));
     };
-    record("env-pipeline", 1, t.env_ms);
     record("slot", 1, t.slot_ms, /*with_profile=*/true);
     for (const auto& [n, ms] : t.parallel_ms) record("slot-parallel", n, ms);
   }

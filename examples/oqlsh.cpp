@@ -16,7 +16,8 @@
 //   .baseline <oql>      evaluate with the nested-loop baseline
 //   .time <oql>          compare baseline vs unnested timings
 //   .prepare <name> <oql> register a (possibly parameterized) statement
-//   .exec <name> [args]  run a prepared statement; args bind $1, $2, ...
+//   .exec <name> [args]  run a prepared statement; args bind $1, $2, ...;
+//                        the first run binds its plan, later runs reuse it
 //   .timeout <ms>        per-query deadline for this session (0 = none)
 //   .cache [clear]       plan-cache counters / drop all cached plans
 //   .metrics             dump the service metrics (Prometheus text format)
@@ -39,9 +40,10 @@
 //   <oql>                execute through the query service + print
 //
 // Reads one query per line (no multi-line continuation). Ad-hoc queries and
-// prepared statements both run through a QueryService, so repeated queries
-// hit the plan cache and `.timeout` applies to everything — including remote
-// execution, where it is sent as the per-request deadline.
+// prepared statements both run through a QueryService, so repeated ad-hoc
+// queries hit the plan cache, prepared ones keep their bound plan, and
+// `.timeout` applies to everything — including remote execution, where it
+// is sent as the per-request deadline.
 
 #include <chrono>
 #include <cstdio>
@@ -317,6 +319,7 @@ int main(int argc, char** argv) {
   // through the wire protocol instead of the in-process service.
   net::Client remote;
   std::map<std::string, uint64_t> remote_prepared;
+  std::map<std::string, Statement> prepared;  // in-process handles
   auto remote_deadline = [&session] {
     return static_cast<uint64_t>(session->options().deadline_ms);
   };
@@ -373,7 +376,7 @@ int main(int argc, char** argv) {
           std::printf("prepared '%s' (remote handle %llu)\n", name.c_str(),
                       static_cast<unsigned long long>(remote_prepared[name]));
         } else {
-          service.Prepare(name, oql.substr(start));
+          prepared[name] = QueryService::Prepare(oql.substr(start));
           std::printf("prepared '%s'\n", name.c_str());
         }
       } else if (line.rfind(".exec ", 0) == 0) {
@@ -396,11 +399,13 @@ int main(int argc, char** argv) {
             PrintRemoteResult(
                 remote.ExecutePrepared(it->second, remote_deadline()));
           }
+        } else if (auto it = prepared.find(name); it == prepared.end()) {
+          std::printf("error: no prepared statement '%s'\n", name.c_str());
         } else {
           session->ClearBindings();
           for (const auto& [pname, pval] : args) session->Bind(pname, pval);
           QueryStats stats;
-          PrintResult(service.ExecutePrepared(*session, name, &stats));
+          PrintResult(service.Execute(*session, it->second, &stats));
           PrintQueryStats(stats);
         }
       } else if (line.rfind(".timeout ", 0) == 0) {

@@ -186,16 +186,14 @@ Value Optimizer::Execute(const CompiledQuery& q, const Database& db) const {
     PhysPtr physical = TimeStage(q.trace.get(), "physical", [&] {
       return PlanPhysical(q.simplified, db, options_.physical);
     });
-    if (options_.verify_plans && options_.exec.use_slot_frames) {
-      // Compile the slot plan here so it can be verified before running;
-      // ExecuteSlotPlan then reuses it (no second compilation).
-      SlotPlan slots = CompileSlotPlan(physical, db);
+    // Compile the slot plan here so it can be verified before running.
+    SlotPlan slots = CompileSlotPlan(physical, db);
+    if (options_.verify_plans) {
       VerifyReport report = VerifySlotPlan(slots);
       RecordVerifyStage(q.trace.get(), report);
       report.ThrowIfFailed();
-      return ExecuteSlotPlan(slots, db, options_.exec);
     }
-    return ExecutePipelined(physical, db, options_.exec);
+    return ExecuteSlotPlan(slots, db, options_.exec);
   }
   return ExecutePlan(q.simplified, db, options_.physical);
 }

@@ -36,12 +36,11 @@ std::string PlanShape(const AlgPtr& op);
 /// EXPLAIN ANALYZE rendering: the physical plan tree annotated per operator
 /// with the measured counters from `profiler` (rows out, build/group sizes,
 /// cumulative time) in one aligned column. Operators are matched to stats by
-/// the pre-order id numbering shared with CompileSlotPlan, so the same
-/// profiler works for both engines. When `catalog` is non-null, the Section 6
-/// cost model's estimated cardinality prints next to the measured rows
-/// (est= vs rows=). A header line reports the execution mode, thread count,
-/// and wall time; under parallel execution per-worker utilization lines
-/// follow the tree.
+/// the pre-order id numbering shared with CompileSlotPlan. When `catalog` is
+/// non-null, the Section 6 cost model's estimated cardinality prints next to
+/// the measured rows (est= vs rows=). A header line reports the execution
+/// mode, thread count, and wall time; under parallel execution per-worker
+/// utilization lines follow the tree.
 std::string ExplainAnalyze(const PhysPtr& plan, const QueryProfiler& profiler,
                            const Catalog* catalog = nullptr);
 

@@ -17,7 +17,6 @@
 #include "src/net/net_util.h"
 #include "src/obs/introspect.h"
 #include "src/obs/resource.h"
-#include "src/oql/parser.h"
 #include "src/runtime/serialize.h"
 #include "src/verify/verify.h"
 
@@ -110,7 +109,7 @@ struct Server::Conn {
   // the connection at a time (the `busy` flag is set/cleared under `mu`,
   // whose acquire/release edges order these fields between workers).
   bool hello_done = false;
-  std::map<uint64_t, std::string> prepared;  ///< handle -> OQL text
+  std::map<uint64_t, Statement> prepared;  ///< handle -> bound statement
   uint64_t next_handle = 0;
   /// Connection-default trace context from a PREPARE extension: later
   /// EXECUTEs without their own context inherit parent/flags with a fresh
@@ -718,7 +717,6 @@ void Server::DoHello(const std::shared_ptr<Conn>& c, const Frame& f) {
   }
   if (req.n_threads != 0) so.n_threads = static_cast<int>(req.n_threads);
   if (req.morsel_size != 0) so.morsel_size = req.morsel_size;
-  so.use_slot_frames = req.use_slot_frames != 0;
 
   std::shared_ptr<Session> session = svc_.OpenSession(so);
   session->set_peer(c->peer);
@@ -738,11 +736,18 @@ void Server::DoHello(const std::shared_ptr<Conn>& c, const Frame& f) {
 
 void Server::DoPrepare(const std::shared_ptr<Conn>& c, const Frame& f) {
   PrepareRequest req = PrepareRequest::Parse(f.payload);
-  // Parse eagerly so syntax errors surface at PREPARE time; compilation is
-  // deferred to execution and shared through the service plan cache.
-  oql::Parse(req.oql);
+  if (c->prepared.size() >= kMaxPreparedPerConn) {
+    EnqueueError(c, ErrorCode::kState,
+                 "prepared-statement limit reached (" +
+                     std::to_string(kMaxPreparedPerConn) +
+                     " handles per connection)");
+    return;
+  }
+  // Syntax errors surface at PREPARE time; the plan is resolved at the
+  // first EXECUTE and stays bound to the handle after that.
+  Statement stmt = QueryService::Prepare(req.oql);
   uint64_t handle = ++c->next_handle;
-  c->prepared[handle] = req.oql;
+  c->prepared[handle] = std::move(stmt);
   if (req.trace_id != 0) {
     c->default_trace.trace_id = req.trace_id;
     c->default_trace.parent_span_id = req.parent_span_id;
@@ -774,7 +779,8 @@ void Server::DoExecute(const std::shared_ptr<Conn>& c, const Frame& f,
     EnqueueError(c, ErrorCode::kShuttingDown, "server is draining");
     return;
   }
-  std::string oql;
+  Statement adhoc;
+  Statement* stmt = &adhoc;
   if (req.mode == ExecuteRequest::kPrepared) {
     auto it = c->prepared.find(req.handle);
     if (it == c->prepared.end()) {
@@ -783,9 +789,9 @@ void Server::DoExecute(const std::shared_ptr<Conn>& c, const Frame& f,
                        std::to_string(req.handle));
       return;
     }
-    oql = it->second;
+    stmt = &it->second;
   } else {
-    oql = std::move(req.oql);
+    adhoc.oql = std::move(req.oql);
   }
 
   std::shared_ptr<Session> session;
@@ -822,7 +828,7 @@ void Server::DoExecute(const std::shared_ptr<Conn>& c, const Frame& f,
   QueryStats stats;
   Value result;
   try {
-    result = svc_.Execute(*session, oql, &stats);
+    result = svc_.Execute(*session, *stmt, &stats);
   } catch (...) {
     session->options().deadline_ms = saved_deadline;
     throw;

@@ -59,6 +59,12 @@
 namespace ldb {
 namespace net {
 
+/// Prepared-statement handles one connection may hold. Each handle keeps
+/// its compiled plan alive (even past plan-cache eviction), so the table is
+/// bounded: a PREPARE past the cap gets ERROR(STATE) and the connection and
+/// its earlier handles keep working.
+constexpr size_t kMaxPreparedPerConn = 1024;
+
 struct ServerOptions {
   std::string host = "127.0.0.1";
   /// 0 = ephemeral; bound_port() reports the kernel's choice (tests use

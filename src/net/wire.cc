@@ -196,7 +196,7 @@ std::string HelloRequest::Encode() const {
   w.U64(memory_budget_bytes);
   w.U32(n_threads);
   w.U32(morsel_size);
-  w.U8(use_slot_frames);
+  w.U8(1);  // reserved
   return EncodeFrame(Opcode::kHello, w.Take());
 }
 
@@ -208,7 +208,7 @@ HelloRequest HelloRequest::Parse(const std::string& payload) {
   m.memory_budget_bytes = r.U64();
   m.n_threads = r.U32();
   m.morsel_size = r.U32();
-  m.use_slot_frames = r.U8();
+  r.U8();  // reserved
   return m;
 }
 

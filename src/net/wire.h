@@ -207,7 +207,8 @@ struct HelloRequest {
   uint64_t memory_budget_bytes = 0;  ///< per-query budget (0 = default)
   uint32_t n_threads = 0;            ///< engine threads (0 = default)
   uint32_t morsel_size = 0;          ///< morsel rows (0 = default)
-  uint8_t use_slot_frames = 1;       ///< engine choice (1 = slot engine)
+  // One reserved byte follows: Encode writes 1, the value older v2 servers
+  // read as "slot engine"; Parse reads and ignores it.
 
   std::string Encode() const;
   static HelloRequest Parse(const std::string& payload);

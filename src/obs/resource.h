@@ -9,8 +9,8 @@
 //    counter and the session's memory budget. Shared by every thread that
 //    works on the query (serial executor, prebuild pass, morsel workers,
 //    serial tail).
-//  * MemoryTracker — one per evaluator (ExprEvaluator / FrameEvaluator),
-//    i.e. one per executing thread. Charges and releases accumulate in
+//  * MemoryTracker — one per FrameEvaluator, i.e. one per executing
+//    thread. Charges and releases accumulate in
 //    plain thread-local fields and flush to the context in batches, so the
 //    per-row cost is an add and a compare, not an atomic RMW. A flush that
 //    pushes the query over its budget throws QueryMemoryExceeded — the same

@@ -50,8 +50,8 @@ class EvalError : public Error {
 /// Raised when a running query is aborted cooperatively — an explicit
 /// Cancel() on its session or an expired deadline. The executors check the
 /// token at morsel boundaries and inside blocking (hash-build / nest /
-/// buffer) loops, so both engines abort deterministically with all worker
-/// threads joined and no partial result escaping.
+/// buffer) loops, so a run aborts deterministically with all worker threads
+/// joined and no partial result escaping.
 class QueryCancelled : public Error {
  public:
   explicit QueryCancelled(const std::string& msg)

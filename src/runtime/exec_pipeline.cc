@@ -37,14 +37,6 @@ inline void PollCancel(const CancelToken* cancel) {
 // sizing is gated on `tracker.armed() || stats != nullptr` at every site —
 // untracked unprofiled runs never walk a value.
 
-size_t EnvRowBytes(const Env& env) {
-  size_t b = 0;
-  for (const auto& [name, v] : env.bindings()) {
-    b += name.size() + EstimateValueBytes(v);
-  }
-  return b;
-}
-
 // Publishes root-fold rows into the resource context in batches of 1024
 // (the live rows-so-far of the active-query view; docs/OBSERVABILITY.md)
 // and flushes the remainder on scope exit, including unwinds.
@@ -110,658 +102,6 @@ std::string ProfLabel(PhysKind kind, const std::string& extent) {
     out += ')';
   }
   return out;
-}
-
-// ===========================================================================
-// Legacy Env engine (reference implementation; see header).
-// ===========================================================================
-
-// Counting/timing decorator around any Env iterator.
-class ProfiledRowIter : public RowIterator {
- public:
-  ProfiledRowIter(std::unique_ptr<RowIterator> inner, OperatorStats* stats)
-      : inner_(std::move(inner)), stats_(stats) {}
-
-  void Open() override {
-    ++stats_->opens;
-    auto t0 = ProfClock::now();
-    inner_->Open();
-    stats_->open_ns += NsSince(t0);
-  }
-  bool Next(Env* out) override {
-    ++stats_->next_calls;
-    auto t0 = ProfClock::now();
-    bool ok = inner_->Next(out);
-    stats_->next_ns += NsSince(t0);
-    if (ok) ++stats_->rows_out;
-    return ok;
-  }
-  void Close() override { inner_->Close(); }
-
- private:
-  std::unique_ptr<RowIterator> inner_;
-  OperatorStats* stats_;
-};
-
-// -- leaf iterators ----------------------------------------------------------
-
-class UnitRowIter : public RowIterator {
- public:
-  void Open() override { done_ = false; }
-  bool Next(Env* out) override {
-    if (done_) return false;
-    done_ = true;
-    *out = Env();
-    return true;
-  }
-
- private:
-  bool done_ = true;
-};
-
-class TableScanIter : public RowIterator {
- public:
-  TableScanIter(const PhysOp& op, ExprEvaluator* ev) : op_(op), ev_(ev) {}
-
-  void Open() override {
-    extent_ = &ev_->db().Extent(op_.extent);
-    pos_ = 0;
-  }
-  bool Next(Env* out) override {
-    while (pos_ < extent_->size()) {
-      PollCancel(ev_->cancel());
-      Env env;
-      env.Bind(op_.var, (*extent_)[pos_++]);
-      if (ev_->EvalPred(op_.pred, env)) {
-        *out = std::move(env);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  const PhysOp& op_;
-  ExprEvaluator* ev_;
-  const std::vector<Value>* extent_ = nullptr;
-  size_t pos_ = 0;
-};
-
-class IndexScanIter : public RowIterator {
- public:
-  IndexScanIter(const PhysOp& op, ExprEvaluator* ev) : op_(op), ev_(ev) {}
-
-  void Open() override {
-    pos_ = 0;
-    Value key = ev_->Eval(op_.index_key, Env());
-    bucket_ = key.is_null()
-                  ? nullptr  // = NULL never matches
-                  : &ev_->db().IndexLookup(op_.extent, op_.index_attr, key);
-  }
-  bool Next(Env* out) override {
-    if (bucket_ == nullptr) return false;
-    while (pos_ < bucket_->size()) {
-      Env env;
-      env.Bind(op_.var, (*bucket_)[pos_++]);
-      if (ev_->EvalPred(op_.pred, env)) {
-        *out = std::move(env);
-        return true;
-      }
-    }
-    return false;
-  }
-
- private:
-  const PhysOp& op_;
-  ExprEvaluator* ev_;
-  const std::vector<Value>* bucket_ = nullptr;
-  size_t pos_ = 0;
-};
-
-// -- streaming unary iterators ----------------------------------------------
-
-class FilterIter : public RowIterator {
- public:
-  FilterIter(const PhysOp& op, std::unique_ptr<RowIterator> child,
-             ExprEvaluator* ev)
-      : op_(op), child_(std::move(child)), ev_(ev) {}
-
-  void Open() override { child_->Open(); }
-  bool Next(Env* out) override {
-    Env env;
-    while (child_->Next(&env)) {
-      if (ev_->EvalPred(op_.pred, env)) {
-        *out = std::move(env);
-        return true;
-      }
-    }
-    return false;
-  }
-  void Close() override { child_->Close(); }
-
- private:
-  const PhysOp& op_;
-  std::unique_ptr<RowIterator> child_;
-  ExprEvaluator* ev_;
-};
-
-class UnnestIter : public RowIterator {
- public:
-  UnnestIter(const PhysOp& op, std::unique_ptr<RowIterator> child,
-             ExprEvaluator* ev)
-      : op_(op), outer_(op.kind == PhysKind::kOuterUnnest),
-        child_(std::move(child)), ev_(ev) {}
-
-  void Open() override {
-    child_->Open();
-    have_row_ = false;
-  }
-
-  bool Next(Env* out) override {
-    while (true) {
-      if (!have_row_) {
-        if (!child_->Next(&current_)) return false;
-        // Keep the collection Value alive and walk its elements in place
-        // (a shared_ptr hop) instead of deep-copying them per outer row.
-        coll_ = ev_->Eval(op_.path, current_);
-        elems_ = coll_.is_null() ? nullptr : &coll_.AsElems();
-        pos_ = 0;
-        emitted_ = false;
-        have_row_ = true;
-      }
-      if (elems_ != nullptr) {
-        while (pos_ < elems_->size()) {
-          Env env = current_.With(op_.var, (*elems_)[pos_++]);
-          if (ev_->EvalPred(op_.pred, env)) {
-            emitted_ = true;
-            *out = std::move(env);
-            return true;
-          }
-        }
-      }
-      have_row_ = false;
-      if (outer_ && !emitted_) {
-        *out = current_.With(op_.var, Value::Null());
-        return true;
-      }
-    }
-  }
-  void Close() override { child_->Close(); }
-
- private:
-  const PhysOp& op_;
-  bool outer_;
-  std::unique_ptr<RowIterator> child_;
-  ExprEvaluator* ev_;
-  Env current_;
-  Value coll_;
-  const Elems* elems_ = nullptr;
-  size_t pos_ = 0;
-  bool have_row_ = false;
-  bool emitted_ = false;
-};
-
-// -- joins -------------------------------------------------------------------
-
-Env Concat(const Env& a, const Env& b) {
-  Env out = a;
-  for (const auto& [v, val] : b.bindings()) out.Bind(v, val);
-  return out;
-}
-
-Env PadNulls(const Env& a, const std::vector<std::string>& vars) {
-  Env out = a;
-  for (const std::string& v : vars) out.Bind(v, Value::Null());
-  return out;
-}
-
-// Buffers the right child on Open; iterates it per left row.
-class NLJoinIter : public RowIterator {
- public:
-  NLJoinIter(const PhysOp& op, std::unique_ptr<RowIterator> left,
-             std::unique_ptr<RowIterator> right, ExprEvaluator* ev)
-      : op_(op), outer_(op.kind == PhysKind::kNLOuterJoin),
-        left_(std::move(left)), right_(std::move(right)), ev_(ev) {}
-
-  ~NLJoinIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    left_->Open();
-    right_->Open();
-    buffer_.clear();
-    Env env;
-    const bool sized = ev_->mem().armed() || stats_ != nullptr;
-    while (right_->Next(&env)) {
-      PollCancel(ev_->cancel());
-      if (sized) {
-        size_t b = EnvRowBytes(env);
-        if (stats_) stats_->mem_bytes += b;
-        charged_ += b;
-        ev_->mem().Charge(static_cast<int>(op_.kind), b);
-      }
-      buffer_.push_back(env);
-    }
-    right_->Close();
-    if (stats_) stats_->build_rows += buffer_.size();
-    have_row_ = false;
-  }
-
-  bool Next(Env* out) override {
-    while (true) {
-      if (!have_row_) {
-        if (!left_->Next(&current_)) return false;
-        pos_ = 0;
-        matched_ = false;
-        have_row_ = true;
-      }
-      while (pos_ < buffer_.size()) {
-        Env merged = Concat(current_, buffer_[pos_++]);
-        if (ev_->EvalPred(op_.pred, merged)) {
-          matched_ = true;
-          *out = std::move(merged);
-          return true;
-        }
-      }
-      have_row_ = false;
-      if (outer_ && !matched_) {
-        *out = PadNulls(current_, op_.pad_vars);
-        return true;
-      }
-    }
-  }
-  void Close() override {
-    left_->Close();
-    buffer_.clear();
-    ReleaseCharge();
-  }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      ev_->mem().Release(static_cast<int>(op_.kind), charged_);
-      charged_ = 0;
-    }
-  }
-
-  const PhysOp& op_;
-  bool outer_;
-  std::unique_ptr<RowIterator> left_, right_;
-  ExprEvaluator* ev_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  std::vector<Env> buffer_;
-  Env current_;
-  size_t pos_ = 0;
-  bool have_row_ = false;
-  bool matched_ = false;
-};
-
-// Builds a hash table from the build side on Open; streams the probe side.
-class HashJoinIter : public RowIterator {
- public:
-  HashJoinIter(const PhysOp& op, std::unique_ptr<RowIterator> left,
-               std::unique_ptr<RowIterator> right, ExprEvaluator* ev)
-      : op_(op), outer_(op.kind == PhysKind::kHashOuterJoin),
-        left_(std::move(left)), right_(std::move(right)), ev_(ev) {}
-
-  ~HashJoinIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    // Probe side streams: for an outer join it is always the left child; for
-    // inner joins the planner may have flipped the build side.
-    RowIterator* build = op_.build_is_left ? left_.get() : right_.get();
-    probe_ = op_.build_is_left ? right_.get() : left_.get();
-    build->Open();
-    probe_->Open();
-    table_.clear();
-    Env env;
-    size_t built = 0;
-    const bool sized = ev_->mem().armed() || stats_ != nullptr;
-    while (build->Next(&env)) {
-      PollCancel(ev_->cancel());
-      Value key = EvalKey(op_.build_keys, env);
-      if (!key.is_null()) {
-        if (sized) {
-          size_t b = EnvRowBytes(env);
-          if (stats_) stats_->mem_bytes += b;
-          charged_ += b;
-          ev_->mem().Charge(static_cast<int>(op_.kind), b);
-        }
-        table_[key].push_back(env);
-        ++built;
-      }
-    }
-    build->Close();
-    if (stats_) stats_->build_rows += built;
-    have_row_ = false;
-  }
-
-  bool Next(Env* out) override {
-    while (true) {
-      if (!have_row_) {
-        if (!probe_->Next(&current_)) return false;
-        Value key = EvalKey(op_.probe_keys, current_);
-        bucket_ = nullptr;
-        if (!key.is_null()) {
-          auto it = table_.find(key);
-          if (it != table_.end()) bucket_ = &it->second;
-        }
-        pos_ = 0;
-        matched_ = false;
-        have_row_ = true;
-      }
-      if (bucket_ != nullptr) {
-        while (pos_ < bucket_->size()) {
-          // Keep left-side bindings first regardless of build side.
-          const Env& build_env = (*bucket_)[pos_++];
-          Env merged = op_.build_is_left ? Concat(build_env, current_)
-                                         : Concat(current_, build_env);
-          if (ev_->EvalPred(op_.pred, merged)) {
-            matched_ = true;
-            *out = std::move(merged);
-            return true;
-          }
-        }
-      }
-      have_row_ = false;
-      if (outer_ && !matched_) {
-        *out = PadNulls(current_, op_.pad_vars);
-        return true;
-      }
-    }
-  }
-  void Close() override {
-    left_->Close();
-    right_->Close();
-    table_.clear();
-    ReleaseCharge();
-  }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      ev_->mem().Release(static_cast<int>(op_.kind), charged_);
-      charged_ = 0;
-    }
-  }
-
-  Value EvalKey(const std::vector<ExprPtr>& keys, const Env& env) {
-    Elems parts;
-    parts.reserve(keys.size());
-    for (const ExprPtr& k : keys) {
-      Value v = ev_->Eval(k, env);
-      if (v.is_null()) return Value::Null();  // = NULL never matches
-      parts.push_back(std::move(v));
-    }
-    return Value::List(std::move(parts));
-  }
-
-  const PhysOp& op_;
-  bool outer_;
-  std::unique_ptr<RowIterator> left_, right_;
-  RowIterator* probe_ = nullptr;
-  ExprEvaluator* ev_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  std::unordered_map<Value, std::vector<Env>, ValueHash> table_;
-  Env current_;
-  const std::vector<Env>* bucket_ = nullptr;
-  size_t pos_ = 0;
-  bool have_row_ = false;
-  bool matched_ = false;
-};
-
-// -- grouping (blocking) ------------------------------------------------------
-
-class HashNestIter : public RowIterator {
- public:
-  HashNestIter(const PhysOp& op, std::unique_ptr<RowIterator> child,
-               ExprEvaluator* ev)
-      : op_(op), child_(std::move(child)), ev_(ev) {}
-
-  ~HashNestIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    child_->Open();
-    groups_.clear();
-    index_.clear();
-    Env env;
-    const bool sized = ev_->mem().armed() || stats_ != nullptr;
-    const bool coll = IsCollectionMonoid(op_.monoid);
-    const int cls = static_cast<int>(op_.kind);
-    while (child_->Next(&env)) {
-      PollCancel(ev_->cancel());
-      Elems key;
-      key.reserve(op_.group_by.size());
-      for (const auto& [name, expr] : op_.group_by) {
-        key.push_back(ev_->Eval(expr, env));
-      }
-      Value key_value = Value::List(key);
-      auto [it, inserted] = index_.emplace(key_value, groups_.size());
-      if (inserted) {
-        groups_.push_back(Group{std::move(key), Accumulator(op_.monoid)});
-        if (sized) {
-          size_t b = EstimateValueBytes(it->first);
-          if (stats_) stats_->mem_bytes += b;
-          charged_ += b;
-          ev_->mem().Charge(cls, b);
-        }
-      }
-      Group& g = groups_[it->second];
-      bool padded = false;
-      for (const std::string& v : op_.null_vars) {
-        const Value* val = env.Lookup(v);
-        LDB_INTERNAL_CHECK(val != nullptr, "nest null-var not bound");
-        if (val->is_null()) {
-          padded = true;
-          break;
-        }
-      }
-      if (!padded && ev_->EvalPred(op_.pred, env)) {
-        Value hv = ev_->Eval(op_.head, env);
-        // Scalar monoids fold into O(1) state; only collection monoids
-        // retain each head value, so only those bytes count as buffered.
-        if (sized && coll) {
-          size_t b = EstimateValueBytes(hv);
-          if (stats_) stats_->mem_bytes += b;
-          charged_ += b;
-          ev_->mem().Charge(cls, b);
-        }
-        g.acc.Add(std::move(hv));
-      }
-    }
-    child_->Close();
-    // Scalar aggregation (no keys) always yields one row (see eval_algebra).
-    if (op_.group_by.empty() && groups_.empty()) {
-      groups_.push_back(Group{{}, Accumulator(op_.monoid)});
-    }
-    if (stats_) stats_->groups += groups_.size();
-    pos_ = 0;
-  }
-
-  bool Next(Env* out) override {
-    if (pos_ >= groups_.size()) return false;
-    Group& g = groups_[pos_++];
-    Env env;
-    for (size_t i = 0; i < op_.group_by.size(); ++i) {
-      env.Bind(op_.group_by[i].first, g.key[i]);
-    }
-    env.Bind(op_.var, g.acc.Finish());
-    *out = std::move(env);
-    return true;
-  }
-  void Close() override {
-    groups_.clear();
-    index_.clear();
-    ReleaseCharge();
-  }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      ev_->mem().Release(static_cast<int>(op_.kind), charged_);
-      charged_ = 0;
-    }
-  }
-
-  struct Group {
-    Elems key;
-    Accumulator acc;
-  };
-  const PhysOp& op_;
-  std::unique_ptr<RowIterator> child_;
-  ExprEvaluator* ev_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  std::vector<Group> groups_;
-  std::unordered_map<Value, size_t, ValueHash> index_;
-  size_t pos_ = 0;
-};
-
-// Builds the Env iterator tree with every operator wrapped in a profiling
-// decorator. Ids are assigned in pre-order (left subtree before right), the
-// exact numbering CompileSlotPlan uses, so Env and slot profiles of the same
-// plan line up operator by operator. *next_id enters as this subtree's id.
-std::unique_ptr<RowIterator> MakeProfiledEnvIter(const PhysPtr& op,
-                                                 ExprEvaluator* ev,
-                                                 QueryProfiler* prof,
-                                                 int* next_id) {
-  LDB_INTERNAL_CHECK(op != nullptr, "null physical operator");
-  const int id = (*next_id)++;
-  OperatorStats* stats =
-      prof->Register(id, op->kind, ProfLabel(op->kind, op->extent));
-  std::unique_ptr<RowIterator> inner;
-  switch (op->kind) {
-    case PhysKind::kUnitRow:
-      inner = std::make_unique<UnitRowIter>();
-      break;
-    case PhysKind::kTableScan:
-      inner = std::make_unique<TableScanIter>(*op, ev);
-      break;
-    case PhysKind::kIndexScan:
-      inner = std::make_unique<IndexScanIter>(*op, ev);
-      break;
-    case PhysKind::kFilter:
-      inner = std::make_unique<FilterIter>(
-          *op, MakeProfiledEnvIter(op->left, ev, prof, next_id), ev);
-      break;
-    case PhysKind::kUnnest:
-    case PhysKind::kOuterUnnest:
-      inner = std::make_unique<UnnestIter>(
-          *op, MakeProfiledEnvIter(op->left, ev, prof, next_id), ev);
-      break;
-    case PhysKind::kNLJoin:
-    case PhysKind::kNLOuterJoin: {
-      auto left = MakeProfiledEnvIter(op->left, ev, prof, next_id);
-      auto right = MakeProfiledEnvIter(op->right, ev, prof, next_id);
-      auto join = std::make_unique<NLJoinIter>(*op, std::move(left),
-                                               std::move(right), ev);
-      join->set_stats(stats);
-      inner = std::move(join);
-      break;
-    }
-    case PhysKind::kHashJoin:
-    case PhysKind::kHashOuterJoin: {
-      auto left = MakeProfiledEnvIter(op->left, ev, prof, next_id);
-      auto right = MakeProfiledEnvIter(op->right, ev, prof, next_id);
-      auto join = std::make_unique<HashJoinIter>(*op, std::move(left),
-                                                 std::move(right), ev);
-      join->set_stats(stats);
-      inner = std::move(join);
-      break;
-    }
-    case PhysKind::kHashNest: {
-      auto nest = std::make_unique<HashNestIter>(
-          *op, MakeProfiledEnvIter(op->left, ev, prof, next_id), ev);
-      nest->set_stats(stats);
-      inner = std::move(nest);
-      break;
-    }
-    case PhysKind::kReduce:
-      throw InternalError("reduce is driven by ExecuteEnvPipeline, not pulled");
-  }
-  return std::make_unique<ProfiledRowIter>(std::move(inner), stats);
-}
-
-Value ExecuteEnvPipeline(const PhysPtr& plan, const Database& db,
-                         const ExecOptions& options) {
-  QueryProfiler* prof = options.profiler;
-  ExprEvaluator ev(db);
-  ev.SetParams(options.params);
-  ev.SetCancel(options.cancel);
-  ev.SetResource(options.resource);
-  Accumulator acc(plan->monoid);
-  Env env;
-  uint64_t folded = 0;
-  SerialTotalsGuard totals_guard{options.totals, &folded};
-  RowPulse pulse{options.resource};
-  const bool fold_sized = ev.mem().armed() && IsCollectionMonoid(plan->monoid);
-  size_t fold_charged = 0;
-  FoldChargeGuard fold_guard{&ev.mem(), &fold_charged};
-  if (prof == nullptr) {
-    std::unique_ptr<RowIterator> input = MakeIterator(plan->left, &ev);
-    input->Open();
-    while (input->Next(&env)) {
-      PollCancel(options.cancel);
-      if (!ev.EvalPred(plan->pred, env)) continue;
-      Value hv = ev.Eval(plan->head, env);
-      if (fold_sized) {
-        size_t b = EstimateValueBytes(hv);
-        fold_charged += b;
-        ev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-      }
-      acc.Add(std::move(hv));
-      ++folded;
-      pulse.Tick();
-      if (acc.Saturated()) break;  // the pipeline stops pulling here
-    }
-    input->Close();
-    return acc.Finish();
-  }
-  auto wall0 = ProfClock::now();
-  prof->parallel_mode = "serial";
-  int next_id = 0;
-  OperatorStats* rstats =
-      prof->Register(next_id++, PhysKind::kReduce, "Reduce");
-  std::unique_ptr<RowIterator> input =
-      MakeProfiledEnvIter(plan->left, &ev, prof, &next_id);
-  input->Open();
-  ++rstats->opens;
-  auto t0 = ProfClock::now();
-  while (input->Next(&env)) {
-    PollCancel(options.cancel);
-    ++rstats->next_calls;
-    if (!ev.EvalPred(plan->pred, env)) continue;
-    Value hv = ev.Eval(plan->head, env);
-    if (fold_sized) {
-      size_t b = EstimateValueBytes(hv);
-      rstats->mem_bytes += b;
-      fold_charged += b;
-      ev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-    }
-    acc.Add(std::move(hv));
-    ++rstats->rows_out;
-    ++folded;
-    pulse.Tick();
-    if (acc.Saturated()) {
-      ++rstats->short_circuits;
-      break;
-    }
-  }
-  rstats->next_ns += NsSince(t0);
-  input->Close();
-  Value result = acc.Finish();
-  prof->wall_ns += NsSince(wall0);
-  return result;
 }
 
 // ===========================================================================
@@ -2241,36 +1581,6 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
 
 }  // namespace
 
-std::unique_ptr<RowIterator> MakeIterator(const PhysPtr& op, ExprEvaluator* ev) {
-  LDB_INTERNAL_CHECK(op != nullptr, "null physical operator");
-  switch (op->kind) {
-    case PhysKind::kUnitRow:
-      return std::make_unique<UnitRowIter>();
-    case PhysKind::kTableScan:
-      return std::make_unique<TableScanIter>(*op, ev);
-    case PhysKind::kIndexScan:
-      return std::make_unique<IndexScanIter>(*op, ev);
-    case PhysKind::kFilter:
-      return std::make_unique<FilterIter>(*op, MakeIterator(op->left, ev), ev);
-    case PhysKind::kUnnest:
-    case PhysKind::kOuterUnnest:
-      return std::make_unique<UnnestIter>(*op, MakeIterator(op->left, ev), ev);
-    case PhysKind::kNLJoin:
-    case PhysKind::kNLOuterJoin:
-      return std::make_unique<NLJoinIter>(*op, MakeIterator(op->left, ev),
-                                          MakeIterator(op->right, ev), ev);
-    case PhysKind::kHashJoin:
-    case PhysKind::kHashOuterJoin:
-      return std::make_unique<HashJoinIter>(*op, MakeIterator(op->left, ev),
-                                            MakeIterator(op->right, ev), ev);
-    case PhysKind::kHashNest:
-      return std::make_unique<HashNestIter>(*op, MakeIterator(op->left, ev), ev);
-    case PhysKind::kReduce:
-      throw InternalError("reduce is driven by ExecutePipelined, not pulled");
-  }
-  throw InternalError("unhandled physical operator");
-}
-
 Value ExecuteSlotPlan(const SlotPlan& plan, const Database& db,
                       const ExecOptions& options) {
   LDB_INTERNAL_CHECK(plan.root && plan.root->kind == PhysKind::kReduce,
@@ -2304,9 +1614,6 @@ Value ExecutePipelined(const PhysPtr& plan, const Database& db,
                        const ExecOptions& options) {
   LDB_INTERNAL_CHECK(plan && plan->kind == PhysKind::kReduce,
                      "pipelined execution expects a Reduce root");
-  if (!options.use_slot_frames) {
-    return ExecuteEnvPipeline(plan, db, options);
-  }
   return ExecuteSlotPlan(CompileSlotPlan(plan, db), db, options);
 }
 

@@ -1,22 +1,18 @@
-// Pipelined execution of physical plans.
+// Pipelined execution of physical plans: the production (slot-frame) engine.
 //
-// Two engines live here:
+// The plan is first slot-compiled (slot_plan.h) so rows are flat Value
+// frames and variable references are integer slots; iterators implement the
+// Volcano open/next/close protocol and communicate through a shared
+// per-thread frame. With ExecOptions::n_threads > 1 the engine runs
+// morsel-driven parallel: the driving table scan is split into morsels,
+// workers execute the streaming spine against shared read-only hash/join
+// build tables, and per-morsel partial accumulators (or partial group tables
+// for a spine HashNest) are merged in morsel order — results are identical to
+// the serial path (see docs/EXECUTOR.md for why).
 //
-//  * The SLOT-FRAME engine (the default): the plan is first slot-compiled
-//    (slot_plan.h) so rows are flat Value frames and variable references are
-//    integer slots; iterators implement the same Volcano open/next/close
-//    protocol but communicate through a shared per-thread frame instead of
-//    passing Env objects. With ExecOptions::n_threads > 1 the engine runs
-//    morsel-driven parallel: the driving table scan is split into morsels,
-//    workers execute the streaming spine against shared read-only hash/join
-//    build tables, and per-morsel partial accumulators (or partial group
-//    tables for a spine HashNest) are merged in morsel order — results are
-//    identical to the serial path (see docs/EXECUTOR.md for why).
-//
-//  * The legacy ENV engine (RowIterator/MakeIterator): string-keyed
-//    environments, kept as a reference implementation and for tests that
-//    inspect bindings by name. ExecOptions::use_slot_frames = false routes
-//    through it.
+// The two reference evaluators the paper's theorems are checked against live
+// elsewhere: eval_calculus (D1–D7 nested loops) and eval_algebra (Figure 5
+// materializing semantics).
 //
 // Blocking points are exactly the hash builds (join build sides, grouping
 // tables) — everything else streams, and the root reduce stops pulling the
@@ -25,33 +21,14 @@
 #ifndef LAMBDADB_RUNTIME_EXEC_PIPELINE_H_
 #define LAMBDADB_RUNTIME_EXEC_PIPELINE_H_
 
-#include <memory>
-
-#include "src/runtime/expr_eval.h"
 #include "src/runtime/physical_plan.h"
 #include "src/runtime/slot_plan.h"
 
 namespace ldb {
 
-/// A pull-based row iterator over environments (legacy Env engine).
-class RowIterator {
- public:
-  virtual ~RowIterator() = default;
-  /// Acquires resources / builds hash tables. Must be called before Next.
-  virtual void Open() = 0;
-  /// Produces the next row into *out; returns false at end of stream.
-  virtual bool Next(Env* out) = 0;
-  /// Releases buffered state. Idempotent.
-  virtual void Close() {}
-};
-
-/// Builds the legacy Env iterator tree for a (non-Reduce) physical subtree.
-/// Exposed for tests; `ev` must outlive the returned iterator.
-std::unique_ptr<RowIterator> MakeIterator(const PhysPtr& op, ExprEvaluator* ev);
-
-/// Executes a Reduce-rooted physical plan by pulling rows through the
-/// pipeline; short-circuits saturated quantifier roots. `options` selects
-/// the engine (slot frames vs legacy Env) and the degree of parallelism.
+/// Executes a Reduce-rooted physical plan: slot-compiles it, then runs
+/// ExecuteSlotPlan. Short-circuits saturated quantifier roots; `options`
+/// selects the degree of parallelism.
 Value ExecutePipelined(const PhysPtr& plan, const Database& db,
                        const ExecOptions& options = {});
 

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "src/core/expr.h"
-#include "src/obs/resource.h"
 #include "src/runtime/database.h"
 
 namespace ldb {
@@ -90,25 +89,16 @@ class ExprEvaluator {
   bool EvalPred(const ExprPtr& pred, const Env& env);
 
   /// Binding source for kParam nodes ($1 / $name). Parameters are execution
-  /// state rather than environment state (scan iterators build fresh Envs
-  /// per row), so they live on the evaluator. The map must outlive every
+  /// state rather than environment state (evaluation builds fresh Envs per
+  /// row), so they live on the evaluator. The map must outlive every
   /// Eval call; nullptr (the default) makes any kParam an EvalError.
   void SetParams(const std::map<std::string, Value>* params) {
     params_ = params;
   }
-  const std::map<std::string, Value>* params() const { return params_; }
 
   /// Cooperative-cancellation token polled by the evaluator's generator
-  /// loops and by the pipelined iterators that share this evaluator. Null
-  /// (the default) disables the checks.
+  /// loops. Null (the default) disables the checks.
   void SetCancel(const CancelToken* cancel) { cancel_ = cancel; }
-  const CancelToken* cancel() const { return cancel_; }
-
-  /// Arms the evaluator's memory tracker against a query's resource context
-  /// (nullptr, the default, disarms it). The pipelined iterators that share
-  /// this evaluator charge their buffered state through mem().
-  void SetResource(obs::QueryResourceContext* rc) { mem_.Arm(rc); }
-  obs::MemoryTracker& mem() { return mem_; }
 
   const Database& db() const { return db_; }
 
@@ -120,7 +110,6 @@ class ExprEvaluator {
   const Database& db_;
   const std::map<std::string, Value>* params_ = nullptr;
   const CancelToken* cancel_ = nullptr;
-  obs::MemoryTracker mem_;
   std::map<std::string, Value> extent_cache_;
 };
 

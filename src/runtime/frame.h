@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/core/expr.h"
+#include "src/obs/resource.h"
 #include "src/runtime/database.h"
 #include "src/runtime/expr_eval.h"
 

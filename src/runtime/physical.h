@@ -40,7 +40,7 @@ struct PhysicalOptions {
 
 class QueryProfiler;  // fwd (src/runtime/profile.h)
 
-/// Always-on execution totals, filled by both engines regardless of whether
+/// Always-on execution totals, filled by the executor regardless of whether
 /// a profiler is attached. The counters are kept by each run with plain
 /// locals (one increment per root row; no atomics, no per-operator state)
 /// and written out once at pipeline end, so they are cheap enough for the
@@ -64,9 +64,6 @@ struct ExecOptions {
   int n_threads = 1;
   /// Rows per morsel handed to a worker at a time.
   size_t morsel_size = 2048;
-  /// Execute through slot-compiled frames (plan-time variable resolution,
-  /// flat row representation). Off = legacy string-keyed Env iterators.
-  bool use_slot_frames = true;
   /// Per-operator runtime profiling sink (docs/OBSERVABILITY.md). Null (the
   /// default) disables profiling entirely: the executor builds exactly the
   /// uninstrumented iterator tree, so the off cost is one pointer test per
@@ -76,21 +73,21 @@ struct ExecOptions {
   /// parallelism each worker keeps private counters merged at pipeline end.
   QueryProfiler* profiler = nullptr;
   /// Cooperative cancellation token (src/runtime/cancel.h). Null (the
-  /// default) disables the checks entirely. Non-null: both engines poll it
+  /// default) disables the checks entirely. Non-null: the executor polls it
   /// at morsel boundaries and inside hash-build/nest/buffer loops and abort
   /// by throwing QueryCancelled with every worker thread joined.
   const CancelToken* cancel = nullptr;
   /// Bindings for $1/$name query parameters. Null when the plan has none;
   /// executing a parameterized plan without its bindings is an EvalError.
-  /// The slot engine writes these into reserved frame slots before rows
-  /// flow; the Env engine resolves them through the interpreter.
+  /// The executor writes these into reserved frame slots before rows flow;
+  /// kFallback subtrees resolve them through the interpreter.
   const std::map<std::string, Value>* params = nullptr;
   /// Always-on execution totals sink. Null (the default) skips the writes;
   /// non-null: filled at pipeline end, including on a QueryCancelled unwind
   /// (partial totals), so service metrics count cancelled work too.
   ExecTotals* totals = nullptr;
   /// Per-query resource context (src/obs/resource.h). Null (the default)
-  /// disarms the memory trackers entirely. Non-null: the engines charge
+  /// disarms the memory trackers entirely. Non-null: the executor charges
   /// buffered operator state (join builds, nest groups, collection folds)
   /// and publish rows-so-far against it, and abort with QueryMemoryExceeded
   /// when a charge pushes the query past the context's budget. The context

@@ -2,9 +2,8 @@
 //
 // A QueryProfiler collects one OperatorStats per physical operator, keyed by
 // the operator's stable pre-order id — the numbering CompileSlotPlan assigns
-// (root Reduce = 0, then left subtree, then right), which the legacy Env
-// engine and the EXPLAIN ANALYZE printer reproduce by walking the PhysOp
-// tree in the same order. Profiling is opt-in through
+// (root Reduce = 0, then left subtree, then right), which the EXPLAIN
+// ANALYZE printer reproduces by walking the PhysOp tree in the same order. Profiling is opt-in through
 // ExecOptions::profiler: when the pointer is null the executor builds the
 // exact uninstrumented iterator tree, so disabled profiling costs one
 // branch per operator at pipeline construction and nothing per row.

@@ -15,9 +15,10 @@
 // Scratch slots for kLet (compiled lambda applications) are allocated after
 // all operator slots; SlotPlan::n_slots sizes the whole frame.
 //
-// Scoping mirrors the Env executor exactly: later bindings shadow earlier
-// ones, a join's output scope is left-then-right, a HashNest replaces its
-// child's scope with the group-by names plus the accumulated variable.
+// Scoping mirrors the materializing executor's Env exactly (eval_algebra.h):
+// later bindings shadow earlier ones, a join's output scope is
+// left-then-right, a HashNest replaces its child's scope with the group-by
+// names plus the accumulated variable.
 
 #ifndef LAMBDADB_RUNTIME_SLOT_PLAN_H_
 #define LAMBDADB_RUNTIME_SLOT_PLAN_H_

@@ -10,9 +10,11 @@
 //
 // Cached plans are immutable and handed out as shared_ptr<const ...>: an
 // eviction never invalidates a plan that a concurrent execution still
-// holds. All counters are cache-wide totals, surfaced through the profiler
-// JSON (plan_cached / cache_hits / cache_misses / cache_evictions) and
-// `EXPLAIN ANALYZE`.
+// holds (or that a Statement handle is bound to). All counters are
+// cache-wide totals of lookups, surfaced through the profiler JSON
+// (plan_cached / cache_hits / cache_misses / cache_evictions) and
+// `EXPLAIN ANALYZE`; executing a bound, current Statement performs no
+// lookup and moves none of them.
 
 #ifndef LAMBDADB_SERVICE_PLAN_CACHE_H_
 #define LAMBDADB_SERVICE_PLAN_CACHE_H_
@@ -34,13 +36,14 @@
 namespace ldb {
 
 /// A fully compiled, engine-ready query. Built once per distinct normalized
-/// form and shared read-only by every execution (both engines, any number
-/// of concurrent sessions).
+/// form and shared read-only by every execution (any number of concurrent
+/// sessions, and every Statement handle bound to it).
 struct PreparedPlan {
   std::string cache_key;      ///< the key this plan is stored under
+  std::string stamp;          ///< version stamp it was compiled under
   CompiledQuery compiled;     ///< calculus .. simplified algebra
-  PhysPtr physical;           ///< physical plan (Env engine entry point)
-  SlotPlan slots;             ///< slot-compiled plan (slot engine entry point)
+  PhysPtr physical;           ///< physical plan (slow-query plan text)
+  SlotPlan slots;             ///< slot-compiled plan (what executes)
   bool ordered = false;       ///< top-level `order by`: sort after execution
   std::vector<bool> descending;
 

@@ -127,8 +127,9 @@ QueryService::QueryService(const Database& db, ServiceOptions options)
                                           options_.slow_query_ms,
                                           options_.trace_head_every}) {
   if (options_.max_concurrent < 1) options_.max_concurrent = 1;
-  optimizer_ = options_.optimizer;
-  version_stamp_ = ComputeVersionStamp(db_.schema(), optimizer_);
+  config_ = std::make_shared<const PlanningConfig>(PlanningConfig{
+      options_.optimizer,
+      ComputeVersionStamp(db_.schema(), options_.optimizer)});
   InitInstruments();
 }
 
@@ -246,34 +247,20 @@ std::shared_ptr<Session> QueryService::OpenSession(SessionOptions options) {
       std::move(options), next_session_id_.fetch_add(1) + 1);
 }
 
-void QueryService::Prepare(const std::string& name, const std::string& oql) {
+Statement QueryService::Prepare(const std::string& oql) {
   oql::Parse(oql);  // surface syntax errors at prepare time
-  MutexLock lock(&prepared_mu_);
-  prepared_[name] = oql;
+  return Statement{oql, nullptr};
 }
 
-bool QueryService::HasPrepared(const std::string& name) const {
-  MutexLock lock(&prepared_mu_);
-  return prepared_.count(name) > 0;
-}
-
-Value QueryService::ExecutePrepared(Session& session, const std::string& name,
-                                    QueryStats* stats,
-                                    QueryProfiler* profiler) {
-  std::string oql;
-  {
-    MutexLock lock(&prepared_mu_);
-    auto it = prepared_.find(name);
-    if (it == prepared_.end())
-      throw EvalError("unknown prepared statement '" + name + "'");
-    oql = it->second;
-  }
-  return Run(session, oql, stats, profiler);
+Value QueryService::Execute(Session& session, Statement& stmt,
+                            QueryStats* stats, QueryProfiler* profiler) {
+  return Run(session, stmt, stats, profiler);
 }
 
 Value QueryService::Execute(Session& session, const std::string& oql,
                             QueryStats* stats, QueryProfiler* profiler) {
-  return Run(session, oql, stats, profiler);
+  Statement adhoc{oql, nullptr};
+  return Run(session, adhoc, stats, profiler);
 }
 
 int QueryService::running() const {
@@ -294,18 +281,21 @@ void QueryService::RecordSerialize(uint64_t log_id, uint64_t trace_id,
   }
 }
 
-QueryService::PlanningConfig QueryService::PlanningSnapshot() const {
+std::shared_ptr<const QueryService::PlanningConfig>
+QueryService::PlanningSnapshot() const {
   MutexLock lock(&config_mu_);
-  return PlanningConfig{optimizer_, version_stamp_};
+  return config_;
 }
 
 void QueryService::UpdateCatalog(const Catalog& catalog) {
   std::string stamp;
   {
     MutexLock lock(&config_mu_);
-    optimizer_.catalog = catalog;
-    version_stamp_ = ComputeVersionStamp(db_.schema(), optimizer_);
-    stamp = version_stamp_;
+    auto next = std::make_shared<PlanningConfig>(*config_);
+    next->optimizer.catalog = catalog;
+    next->stamp = ComputeVersionStamp(db_.schema(), next->optimizer);
+    stamp = next->stamp;
+    config_ = std::move(next);
   }
   // Plans compiled under the old stamp can never be looked up again (every
   // new key carries the new stamp) — drop them now so the eviction is
@@ -317,8 +307,7 @@ void QueryService::UpdateCatalog(const Catalog& catalog) {
 }
 
 std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
-    const std::string& oql, bool* cached) {
-  const PlanningConfig cfg = PlanningSnapshot();
+    const std::string& oql, const PlanningConfig& cfg, bool* cached) {
   oql::OrderedQuery q = oql::TranslateWithOrdering(oql::Parse(oql));
   // Normalization is strongly normalizing, so the printed normal form is a
   // canonical name for the query; two texts with the same normal form share
@@ -343,9 +332,10 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
 
   auto plan = std::make_shared<PreparedPlan>();
   plan->cache_key = key;
+  plan->stamp = cfg.stamp;
   plan->ordered = q.ordered;
   plan->descending = q.descending;
-  OptimizerOptions compile_opts = options_.optimizer;
+  OptimizerOptions compile_opts = cfg.optimizer;
   // Stage wall times become "compile:<stage>" child spans in request traces.
   // Compiles happen once per distinct plan, so the counting rewriter's
   // overhead stays off the cached (steady-state) path.
@@ -354,14 +344,14 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   try {
     plan->compiled = opt.Compile(q.comp);
     plan->physical =
-        PlanPhysical(plan->compiled.simplified, db_, options_.optimizer.physical);
+        PlanPhysical(plan->compiled.simplified, db_, cfg.optimizer.physical);
     plan->slots = CompileSlotPlan(plan->physical, db_);
     // A cached plan is served to every future session with this key, so a
     // miscompiled frame layout would corrupt them all: when verification is
     // on, the slot plan must pass the dataflow analysis before it may enter
     // the cache (Compile already verified the calculus/algebra IRs;
     // VerifyError propagates — it is not an UnsupportedError).
-    if (options_.optimizer.verify_plans) {
+    if (cfg.optimizer.verify_plans) {
       VerifySlotPlan(plan->slots).ThrowIfFailed();
     }
   } catch (const UnsupportedError&) {
@@ -378,8 +368,8 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   return plan;
 }
 
-Value QueryService::Run(Session& session, const std::string& oql,
-                        QueryStats* stats, QueryProfiler* profiler) {
+Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
+                        QueryProfiler* profiler) {
   CancelToken& token = session.token();
   token.Reset();
   if (session.options().deadline_ms > 0)
@@ -390,9 +380,9 @@ Value QueryService::Run(Session& session, const std::string& oql,
   obs::QueryLogRecord rec;
   rec.session = session.id();
   rec.remote = session.peer();
-  rec.query_hash = std::hash<std::string>{}(oql);
+  rec.query_hash = std::hash<std::string>{}(stmt.oql);
   rec.threads = session.options().n_threads;
-  rec.engine = session.options().use_slot_frames ? "slot" : "env";
+  rec.engine = "slot";
 
   // Adopt the wire-propagated trace context — or mint an id, so slow and
   // failing requests land in the trace ring (and histogram exemplars) even
@@ -543,8 +533,8 @@ Value QueryService::Run(Session& session, const std::string& oql,
   };
 
   try {
-    Value result = RunAdmitted(session, oql, stats, profiler, t0, &rec, &plan,
-                               resource.get(), active_id);
+    Value result = RunAdmitted(session, stmt, stats, profiler, t0, &rec,
+                               &plan, resource.get(), active_id);
     if (ins_.enabled) ins_.queries_ok->Inc();
     finalize("ok", "");
     return result;
@@ -571,7 +561,7 @@ Value QueryService::Run(Session& session, const std::string& oql,
   }
 }
 
-Value QueryService::RunAdmitted(Session& session, const std::string& oql,
+Value QueryService::RunAdmitted(Session& session, Statement& stmt,
                                 QueryStats* stats, QueryProfiler* profiler,
                                 Clock::time_point t0, obs::QueryLogRecord* rec,
                                 std::shared_ptr<const PreparedPlan>* plan_out,
@@ -585,22 +575,27 @@ Value QueryService::RunAdmitted(Session& session, const std::string& oql,
   rec->queue_ms = MsBetween(t0, t1);
   if (ins_.enabled) ins_.admission_wait_ms->Observe(rec->queue_ms, rec->trace_id);
 
-  bool cached = false;
-  std::shared_ptr<const PreparedPlan> plan = GetOrCompile(oql, &cached);
-  *plan_out = plan;
+  // A bound handle whose plan carries the current stamp runs it as is: no
+  // parse, no cache lookup. Anything else resolves through the cache.
+  const std::shared_ptr<const PlanningConfig> cfg = PlanningSnapshot();
+  bool cached = true;
+  if (stmt.plan == nullptr || stmt.plan->stamp != cfg->stamp) {
+    stmt.plan = GetOrCompile(stmt.oql, *cfg, &cached);
+  }
+  *plan_out = stmt.plan;
+  const PreparedPlan& plan = *stmt.plan;
   Clock::time_point t2 = Clock::now();
   rec->compile_ms = MsBetween(t1, t2);
   rec->plan_cached = cached;
-  rec->cache_key = plan->cache_key;
-  if (plan->fallback_run) rec->engine = "fallback";
-  if (!cached && options_.optimizer.verify_plans && !plan->fallback_run)
+  rec->cache_key = plan.cache_key;
+  if (plan.fallback_run) rec->engine = "fallback";
+  if (!cached && cfg->optimizer.verify_plans && !plan.fallback_run)
     rec->verify = "ok";  // a verifier rejection would have thrown above
   if (ins_.enabled) ins_.compile_ms->Observe(rec->compile_ms, rec->trace_id);
 
   ExecOptions eo;
   eo.n_threads = session.options().n_threads;
   eo.morsel_size = session.options().morsel_size;
-  eo.use_slot_frames = session.options().use_slot_frames;
   eo.profiler = profiler;
   eo.cancel = &token;
   eo.params = &session.bindings();
@@ -608,7 +603,7 @@ Value QueryService::RunAdmitted(Session& session, const std::string& oql,
   ExecTotals totals;
   if (ins_.enabled) eo.totals = &totals;
 
-  // The engines fill *eo.totals even on a cancellation unwind, so the
+  // The executor fills *eo.totals even on a cancellation unwind, so the
   // always-on counters see partial work from aborted queries too.
   auto flush_totals = [&] {
     if (!ins_.enabled) return;
@@ -621,25 +616,23 @@ Value QueryService::RunAdmitted(Session& session, const std::string& oql,
   Value result;
   active_.SetPhase(active_id, "executing");
   try {
-    if (plan->fallback_run) {
-      OptimizerOptions oo = options_.optimizer;
+    if (plan.fallback_run) {
+      OptimizerOptions oo = cfg->optimizer;
       oo.exec = eo;
       Optimizer opt(db_.schema(), oo);
-      result = opt.Run(plan->compiled.calculus, db_);
-    } else if (eo.use_slot_frames) {
+      result = opt.Run(plan.compiled.calculus, db_);
+    } else {
       // The cached SlotPlan is immutable and executes with per-call frames,
       // so sharing it across concurrent sessions is safe — and skipping
       // CompileSlotPlan here is most of what a cache hit buys.
-      result = ExecuteSlotPlan(plan->slots, db_, eo);
-    } else {
-      result = ExecutePipelined(plan->physical, db_, eo);
+      result = ExecuteSlotPlan(plan.slots, db_, eo);
     }
   } catch (...) {
     flush_totals();
     throw;
   }
-  if (plan->ordered)
-    result = internal::SortOrderedResult(result, plan->descending);
+  if (plan.ordered)
+    result = internal::SortOrderedResult(result, plan.descending);
   Clock::time_point t3 = Clock::now();
   rec->exec_ms = MsBetween(t2, t3);
   rec->rows = ResultRowCount(result);

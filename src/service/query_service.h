@@ -7,8 +7,10 @@
 //   * a parameterized plan cache — queries are compiled once per distinct
 //     normalized calculus form and the compiled plan (physical + slot) is
 //     reused across bindings and sessions;
+//   * prepared statements — caller-owned Statement handles bound to their
+//     compiled plan, so a repeat execution skips parse and cache lookup;
 //   * sessions — per-client bindings, deadline, memory budget, and the
-//     CancelToken both engines poll;
+//     CancelToken the executor polls;
 //   * admission — at most `max_concurrent` queries execute at once; up to
 //     `max_queue` more wait on a condition variable (deadline-aware), and
 //     anything beyond that is rejected with AdmissionError;
@@ -78,13 +80,25 @@ struct ServiceOptions {
   uint32_t trace_head_every = 128;
 };
 
+/// A prepared statement: OQL text plus the compiled plan it last resolved
+/// to (null until its first execution). Caller-owned and used by one caller
+/// at a time. QueryService::Execute runs a bound handle's plan directly and
+/// re-resolves it through the plan cache only when the plan's version stamp
+/// is no longer the service's current one (UpdateCatalog moved it).
+struct Statement {
+  std::string oql;
+  std::shared_ptr<const PreparedPlan> plan;
+};
+
 /// Per-query service-level timings and cache outcome. Complements the
 /// per-operator QueryProfiler (which the service also fills with the cache
 /// counters, so they reach the profile JSON and EXPLAIN ANALYZE).
 struct QueryStats {
-  bool plan_cached = false;  ///< plan came from the cache (no compile)
+  bool plan_cached = false;  ///< this request compiled nothing
   double queue_ms = 0;       ///< time spent waiting for admission
-  double compile_ms = 0;     ///< parse + key build (+ compile on a miss)
+  double compile_ms = 0;     ///< plan resolution: a stamp compare for a
+                             ///< bound handle, else parse + key build
+                             ///< (+ compile on a miss)
   double exec_ms = 0;        ///< execution proper (incl. ordered-sort)
   PlanCacheStats cache;      ///< cache-wide counters after this query
   uint64_t trace_id = 0;     ///< trace identity (client-sent or minted)
@@ -106,20 +120,22 @@ class QueryService {
   /// except Cancel(), which is safe from any thread).
   std::shared_ptr<Session> OpenSession(SessionOptions options = {});
 
-  /// Registers `oql` under `name` for ExecutePrepared. Parses eagerly (so
-  /// syntax errors surface here); compilation happens on first execution
-  /// and is shared through the plan cache. Re-preparing a name replaces it.
-  void Prepare(const std::string& name, const std::string& oql);
-  bool HasPrepared(const std::string& name) const;
+  /// Parses `oql` eagerly (so syntax errors surface here) and returns an
+  /// unbound Statement. Its first execution resolves the plan through the
+  /// plan cache (compiling on a miss) and binds it to the handle.
+  static Statement Prepare(const std::string& oql);
 
-  /// Executes a previously Prepare()d statement with the session's current
-  /// bindings. Throws EvalError for an unknown name.
-  Value ExecutePrepared(Session& session, const std::string& name,
-                        QueryStats* stats = nullptr,
-                        QueryProfiler* profiler = nullptr);
+  /// Executes `stmt` with the session's current bindings/deadline/cancel
+  /// token: admission -> plan resolution -> execute. A bound handle whose
+  /// plan carries the current version stamp runs that plan with no parse
+  /// and no cache lookup; an unbound or stale one goes through the plan
+  /// cache and is rebound to the result.
+  Value Execute(Session& session, Statement& stmt,
+                QueryStats* stats = nullptr,
+                QueryProfiler* profiler = nullptr);
 
-  /// One-shot: admission -> plan cache (compile on miss) -> execute on the
-  /// session's engine with its bindings/deadline/cancel token.
+  /// One-shot: runs `oql` as an unbound temporary Statement (one parse, one
+  /// cache lookup, a compile on a miss).
   Value Execute(Session& session, const std::string& oql,
                 QueryStats* stats = nullptr,
                 QueryProfiler* profiler = nullptr);
@@ -133,7 +149,8 @@ class QueryService {
   /// concurrent Execute calls: each query snapshots the planning config
   /// (catalog + stamp) under config_mu_, so an in-flight compile finishes
   /// under the world it started in and its plan simply becomes
-  /// unreachable under the new stamp.
+  /// unreachable under the new stamp. Bound Statements notice the new
+  /// stamp on their next execution and re-resolve once.
   void UpdateCatalog(const Catalog& catalog) LDB_EXCLUDES(config_mu_);
 
   /// Service-wide metrics (docs/OBSERVABILITY.md has the catalog). The
@@ -214,31 +231,33 @@ class QueryService {
   };
   void InitInstruments();
 
-  /// Point-in-time copy of the mutable planning state: the optimizer
-  /// options whose catalog UpdateCatalog swaps, plus the version stamp
-  /// derived from them. Every query takes one snapshot and plans entirely
-  /// against it.
+  /// The mutable planning state: the optimizer options whose catalog
+  /// UpdateCatalog swaps, plus the version stamp derived from them.
+  /// Immutable once published; UpdateCatalog publishes a new one. Every
+  /// query takes one snapshot and plans entirely against it.
   struct PlanningConfig {
     OptimizerOptions optimizer;
     std::string stamp;
   };
-  PlanningConfig PlanningSnapshot() const LDB_EXCLUDES(config_mu_);
+  std::shared_ptr<const PlanningConfig> PlanningSnapshot() const
+      LDB_EXCLUDES(config_mu_);
 
-  /// Cache lookup by normalized-form key; compiles and inserts on a miss.
-  /// Sets *cached to whether the lookup hit.
+  /// Cache lookup by normalized-form key; compiles under `cfg` and inserts
+  /// on a miss. Sets *cached to whether the lookup hit.
   std::shared_ptr<const PreparedPlan> GetOrCompile(const std::string& oql,
+                                                   const PlanningConfig& cfg,
                                                    bool* cached);
 
-  /// Admission + engine dispatch + ordered-sort + budget check; classifies
-  /// the outcome into metrics and the query log (status ok / failed /
-  /// cancelled / rejected, slow-query plan + profile capture).
-  Value Run(Session& session, const std::string& oql, QueryStats* stats,
+  /// Admission + plan resolution + execution + ordered-sort + budget check;
+  /// classifies the outcome into metrics and the query log (status ok /
+  /// failed / cancelled / rejected, slow-query plan + profile capture).
+  Value Run(Session& session, Statement& stmt, QueryStats* stats,
             QueryProfiler* profiler);
 
   /// The admitted part of Run (everything inside the admission slot).
   /// `*plan_out` receives the plan as soon as it is known so the caller can
   /// render it for the slow-query log even when execution throws.
-  Value RunAdmitted(Session& session, const std::string& oql,
+  Value RunAdmitted(Session& session, Statement& stmt,
                     QueryStats* stats, QueryProfiler* profiler,
                     std::chrono::steady_clock::time_point t0,
                     obs::QueryLogRecord* rec,
@@ -249,12 +268,10 @@ class QueryService {
   ServiceOptions options_;  ///< immutable after construction
   mutable PlanCache cache_;
 
-  /// Guards the mutable planning state. Never held across a compile or an
-  /// execution — only long enough to copy the config in or out.
+  /// Guards the planning-config pointer. Never held across a compile or an
+  /// execution — only long enough to copy or swap the shared_ptr.
   mutable Mutex config_mu_;
-  OptimizerOptions optimizer_ LDB_GUARDED_BY(config_mu_);
-  /// Schema/catalog/flags fingerprint derived from optimizer_.
-  std::string version_stamp_ LDB_GUARDED_BY(config_mu_);
+  std::shared_ptr<const PlanningConfig> config_ LDB_GUARDED_BY(config_mu_);
 
   mutable obs::MetricsRegistry metrics_;
   mutable obs::QueryLog query_log_;
@@ -267,10 +284,6 @@ class QueryService {
   CondVar admission_cv_;
   int running_ LDB_GUARDED_BY(admission_mu_) = 0;
   size_t waiting_ LDB_GUARDED_BY(admission_mu_) = 0;
-
-  mutable Mutex prepared_mu_;
-  std::map<std::string, std::string> prepared_
-      LDB_GUARDED_BY(prepared_mu_);  ///< name -> OQL text
 };
 
 }  // namespace ldb

@@ -28,7 +28,7 @@ struct SessionOptions {
   /// CancelToken when each execution starts, so queueing time counts.
   int64_t deadline_ms = 0;
   /// Per-query memory budget in bytes; 0 = unlimited. Enforced at runtime:
-  /// the engines charge their tracked allocations (hash/nest build tables,
+  /// the executor charges its tracked allocations (hash/nest build tables,
   /// nested-loop buffers, collection folds) against the query's resource
   /// context and a charge that crosses the budget aborts the query
   /// mid-build with QueryMemoryExceeded (query-log status "over_budget") —
@@ -42,7 +42,6 @@ struct SessionOptions {
   /// Engine knobs, forwarded into ExecOptions per query.
   int n_threads = 1;
   size_t morsel_size = 2048;
-  bool use_slot_frames = true;
 };
 
 class Session {

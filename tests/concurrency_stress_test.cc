@@ -285,6 +285,51 @@ TEST(ConcurrencyStress, ExecuteRacesUpdateCatalog) {
   EXPECT_LE(s.entries, s.capacity);
 }
 
+// The same storm through prepared handles, one Statement per thread: a
+// handle bound under a stamp the swapper has since moved re-resolves on its
+// next execution, and its results never go wrong meanwhile.
+TEST(ConcurrencyStress, PreparedHandlesRaceUpdateCatalog) {
+  Database db = testing::TinyCompany();
+  ServiceOptions so;
+  so.max_concurrent = kThreads;
+  so.plan_cache_capacity = 8;
+  QueryService svc(db, so);
+
+  const std::string query =
+      "count(select e.name from e in Employees where e.salary > $1)";
+  const Value expected = RunOQL(
+      db, "count(select e.name from e in Employees where e.salary > 0)");
+
+  std::atomic<bool> stop{false};
+  std::thread swapper([&] {
+    std::mt19937 rng(kSeed);
+    std::uniform_int_distribution<int> card(1, 1000000);
+    while (!stop.load(std::memory_order_relaxed)) {
+      Catalog cat = Catalog::FromDatabase(db);
+      cat.SetExtentCardinality("Employees", double(card(rng)));
+      svc.UpdateCatalog(cat);
+    }
+  });
+
+  std::atomic<int> failures{0};
+  RunThreads(kThreads, [&](int /*t*/) {
+    auto session = svc.OpenSession();
+    session->Bind("1", Value::Int(0));
+    Statement stmt = QueryService::Prepare(query);
+    for (int i = 0; i < 200; ++i) {
+      Value v = svc.Execute(*session, stmt);
+      if (!(v == expected) || stmt.plan == nullptr) failures.fetch_add(1);
+    }
+  });
+  stop.store(true);
+  swapper.join();
+
+  EXPECT_EQ(failures.load(), 0);
+  PlanCacheStats s = svc.cache_stats();
+  EXPECT_EQ(s.evictions, s.evictions_capacity + s.evictions_invalidated);
+  EXPECT_LE(s.entries, s.capacity);
+}
+
 // Admission bookkeeping under churn: running() never exceeds the configured
 // ceiling and returns to zero when the storm ends.
 TEST(ConcurrencyStress, AdmissionCountersStayWithinCeiling) {

@@ -15,6 +15,18 @@
 namespace ldb {
 namespace {
 
+// Wraps a single operator in a root Reduce folding `head`, so operator
+// contracts run through the engine's public entry points.
+PhysPtr Reduce(PhysPtr input, MonoidKind monoid, ExprPtr head) {
+  auto root = std::make_shared<PhysOp>();
+  root->kind = PhysKind::kReduce;
+  root->left = std::move(input);
+  root->monoid = monoid;
+  root->head = std::move(head);
+  root->pred = Expr::True();
+  return root;
+}
+
 class PipelineTest : public ::testing::Test {
  protected:
   Database db_ = testing::TinyCompany();
@@ -136,39 +148,33 @@ TEST_F(PipelineTest, OuterJoinsAlwaysProbeWithLeft) {
 }
 
 TEST_F(PipelineTest, IteratorContractBasics) {
-  ExprEvaluator ev(db_);
   auto scan = std::make_shared<PhysOp>();
   scan->kind = PhysKind::kTableScan;
   scan->extent = "Employees";
   scan->var = "e";
   scan->pred = Expr::True();
-  std::unique_ptr<RowIterator> it = MakeIterator(scan, &ev);
-  it->Open();
-  Env env;
-  int rows = 0;
-  while (it->Next(&env)) {
-    ++rows;
-    EXPECT_NE(env.Lookup("e"), nullptr);
-  }
-  EXPECT_EQ(rows, 4);
-  EXPECT_FALSE(it->Next(&env));  // stays exhausted
-  it->Close();
+  // Every extent row comes out exactly once, bound to the scan variable.
+  EXPECT_EQ(ExecutePipelined(Reduce(scan, MonoidKind::kSum, Expr::Int(1)), db_),
+            Value::Int(4));
+  Value all = Value::Bag(db_.Extent("Employees"));
+  SlotPlan plan =
+      CompileSlotPlan(Reduce(scan, MonoidKind::kBag, Expr::Var("e")), db_);
+  EXPECT_EQ(ExecuteSlotPlan(plan, db_), all);
+  // Open resets: a second run of the same plan sees the same rows.
+  EXPECT_EQ(ExecuteSlotPlan(plan, db_), all);
 }
 
 TEST_F(PipelineTest, UnitRowEmitsExactlyOnce) {
-  ExprEvaluator ev(db_);
   auto unit = std::make_shared<PhysOp>();
   unit->kind = PhysKind::kUnitRow;
   unit->pred = Expr::True();
-  auto it = MakeIterator(unit, &ev);
-  it->Open();
-  Env env;
-  EXPECT_TRUE(it->Next(&env));
-  EXPECT_FALSE(it->Next(&env));
+  EXPECT_EQ(ExecutePipelined(Reduce(unit, MonoidKind::kSum, Expr::Int(1)), db_),
+            Value::Int(1));
 }
 
 TEST_F(PipelineTest, ScalarNestEmitsZeroRowOnEmptyInput) {
-  // The regression from random_query_test must hold in this engine too.
+  // The regression from random_query_test: a key-less nest over an empty
+  // input still emits one row carrying the monoid's zero.
   auto scan = std::make_shared<PhysOp>();
   scan->kind = PhysKind::kTableScan;
   scan->extent = "Employees";
@@ -181,13 +187,9 @@ TEST_F(PipelineTest, ScalarNestEmitsZeroRowOnEmptyInput) {
   nest->head = Expr::True();
   nest->var = "v";
   nest->pred = Expr::True();
-  ExprEvaluator ev(db_);
-  auto it = MakeIterator(nest, &ev);
-  it->Open();
-  Env env;
-  ASSERT_TRUE(it->Next(&env));
-  EXPECT_EQ(*env.Lookup("v"), Value::Bool(true));  // zero of all
-  EXPECT_FALSE(it->Next(&env));
+  EXPECT_EQ(
+      ExecutePipelined(Reduce(nest, MonoidKind::kBag, Expr::Var("v")), db_),
+      Value::Bag({Value::Bool(true)}));  // exactly one row: zero of all
 }
 
 TEST_F(PipelineTest, OptimizerUsesPipelineByDefault) {

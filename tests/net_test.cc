@@ -1,7 +1,8 @@
 // Tests for the network front end (src/net/): the wire codec byte-for-byte
 // (framing, torn reads, hostile lengths, fuzzed input) and the server
-// end-to-end over real sockets (concurrent clients, paging, cancellation,
-// deadlines, admission backpressure, graceful drain).
+// end-to-end over real sockets (concurrent clients, prepared handles and
+// their plan-cache traffic, paging, cancellation, deadlines, admission
+// backpressure, graceful drain).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -55,7 +56,6 @@ TEST(NetWireTest, FrameRoundTripEveryMessageType) {
   hello.memory_budget_bytes = 1u << 30;
   hello.n_threads = 3;
   hello.morsel_size = 512;
-  hello.use_slot_frames = 0;
 
   HelloReply hello_ok;
   hello_ok.version = 1;
@@ -120,7 +120,10 @@ TEST(NetWireTest, FrameRoundTripEveryMessageType) {
   EXPECT_EQ(h2.memory_budget_bytes, hello.memory_budget_bytes);
   EXPECT_EQ(h2.n_threads, hello.n_threads);
   EXPECT_EQ(h2.morsel_size, hello.morsel_size);
-  EXPECT_EQ(h2.use_slot_frames, hello.use_slot_frames);
+  // The reserved trailing byte goes out as 1, the value older v2 servers
+  // read as "slot engine".
+  ASSERT_EQ(frames[0].payload.size(), 29u);
+  EXPECT_EQ(frames[0].payload.back(), '\x01');
 
   HelloReply ho2 = HelloReply::Parse(frames[1].payload);
   EXPECT_EQ(ho2.version, hello_ok.version);
@@ -400,6 +403,122 @@ TEST_F(NetServerTest, ScalarResultTravelsAsOneRow) {
   EXPECT_TRUE(r.scalar());
   ASSERT_EQ(r.rows.size(), 1u);
   EXPECT_EQ(r.rows[0], Value::Int(200));
+}
+
+// Plan-cache lookups as the service counts them, plus the exported
+// ldb_plan_cache_{hits,misses}_total series when metrics are compiled in.
+struct LookupCounts {
+  uint64_t hits = 0, misses = 0, metric_hits = 0, metric_misses = 0;
+};
+
+LookupCounts Lookups(QueryService& svc) {
+  LookupCounts n;
+  const PlanCacheStats cs = svc.cache_stats();
+  n.hits = cs.hits;
+  n.misses = cs.misses;
+  n.metric_hits = svc.metrics()
+                      .GetCounter("ldb_plan_cache_hits_total",
+                                  "Plan-cache lookup hits")
+                      ->Value();
+  n.metric_misses = svc.metrics()
+                        .GetCounter("ldb_plan_cache_misses_total",
+                                    "Plan-cache lookup misses (compiles)")
+                        ->Value();
+  return n;
+}
+
+// Expects exactly `hits` / `misses` more lookups than `before`.
+void ExpectLookupDelta(QueryService& svc, const LookupCounts& before,
+                       uint64_t hits, uint64_t misses) {
+  const LookupCounts now = Lookups(svc);
+  EXPECT_EQ(now.hits, before.hits + hits);
+  EXPECT_EQ(now.misses, before.misses + misses);
+  if (obs::MetricsRegistry::Enabled()) {
+    EXPECT_EQ(now.metric_hits, before.metric_hits + hits);
+    EXPECT_EQ(now.metric_misses, before.metric_misses + misses);
+  }
+}
+
+TEST_F(NetServerTest, PreparedHandlesLookUpThePlanCacheOnlyOnce) {
+  Harness h;
+  const std::string by_dno =
+      "select distinct e.name from e in Employees where e.dno = $1";
+  const std::string total = "sum(select e.salary from e in Employees)";
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  const uint64_t a = client.Prepare(by_dno);
+  const uint64_t b = client.Prepare(total);
+  client.Bind({{"1", Value::Int(1)}});
+
+  LookupCounts before = Lookups(h.svc);
+  EXPECT_EQ(client.ExecutePrepared(a).exec.plan_cached, 0);  // miss, compile
+  EXPECT_EQ(client.ExecutePrepared(b).exec.plan_cached, 0);
+  ExpectLookupDelta(h.svc, before, 0, 2);
+
+  before = Lookups(h.svc);
+  for (int i = 0; i < 3; ++i) {
+    EXPECT_EQ(client.ExecutePrepared(a).exec.plan_cached, 1);
+    EXPECT_EQ(client.ExecutePrepared(b).exec.plan_cached, 1);
+  }
+  ExpectLookupDelta(h.svc, before, 0, 0);  // bound: no lookups at all
+
+  // Another connection's handle for the same text: one hit, then none.
+  net::Client other;
+  other.Connect("127.0.0.1", h.port());
+  const uint64_t a2 = other.Prepare(by_dno);
+  other.Bind({{"1", Value::Int(1)}});
+  before = Lookups(h.svc);
+  net::ClientResult first = other.ExecutePrepared(a2);
+  EXPECT_EQ(first.exec.plan_cached, 1);
+  other.ExecutePrepared(a2);
+  ExpectLookupDelta(h.svc, before, 1, 0);
+
+  // A catalog update moves the stamp: each handle re-resolves once.
+  Catalog cat = Catalog::FromDatabase(h.db);
+  cat.SetExtentCardinality("Employees", 4321);
+  h.svc.UpdateCatalog(cat);
+  before = Lookups(h.svc);
+  net::ClientResult after = client.ExecutePrepared(a);
+  EXPECT_EQ(after.exec.plan_cached, 0);
+  EXPECT_EQ(client.ExecutePrepared(a).exec.plan_cached, 1);
+  ExpectLookupDelta(h.svc, before, 0, 1);
+  EXPECT_EQ(after.rows, first.rows);
+
+  auto session = h.svc.OpenSession();
+  session->Bind("1", Value::Int(1));
+  const Value local = h.svc.Execute(*session, by_dno);
+  ASSERT_EQ(after.rows.size(), local.AsElems().size());
+  for (size_t i = 0; i < after.rows.size(); ++i) {
+    EXPECT_EQ(after.rows[i], local.AsElems()[i]);
+  }
+}
+
+TEST_F(NetServerTest, PreparedHandleTableIsCapped) {
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  std::vector<uint64_t> handles;
+  for (size_t i = 0; i < net::kMaxPreparedPerConn; ++i) {
+    handles.push_back(client.Prepare(
+        "count(select e from e in Employees where e.age > " +
+        std::to_string(i) + ")"));
+  }
+  EXPECT_THROW(
+      {
+        try {
+          client.Prepare("count(select e from e in Employees)");
+        } catch (const net::RemoteError& e) {
+          EXPECT_EQ(e.code(), ErrorCode::kState);
+          throw;
+        }
+      },
+      net::RemoteError);
+  // The connection and its earlier handles keep working.
+  EXPECT_EQ(client.ExecutePrepared(handles.front()).rows,
+            client.Execute("count(select e from e in Employees "
+                           "where e.age > 0)")
+                .rows);
+  EXPECT_EQ(client.ExecutePrepared(handles.back()).rows.size(), 1u);
 }
 
 TEST_F(NetServerTest, PreparedStatementsWithBindings) {
@@ -698,37 +817,92 @@ TEST_F(NetServerTest, GarbageLengthPrefixPoisonsOnlyThatConnection) {
             Value::Int(200));
 }
 
+// A bare TCP connection with no client-side handshake, for sending frames
+// the reference client never would.
+class RawConn {
+ public:
+  explicit RawConn(uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
+    connected_ = fd_ >= 0 && ::connect(fd_, reinterpret_cast<sockaddr*>(&addr),
+                                       sizeof(addr)) == 0;
+  }
+  ~RawConn() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+  bool connected() const { return connected_; }
+  bool Send(const std::string& frame) {
+    return ::send(fd_, frame.data(), frame.size(), 0) ==
+           static_cast<ssize_t>(frame.size());
+  }
+  // The next whole frame; false if the server closed or never answered.
+  bool Read(Frame* f) {
+    char buf[4096];
+    while (!dec_.Next(f)) {
+      ssize_t n = ::recv(fd_, buf, sizeof(buf), 0);
+      if (n <= 0) return false;
+      dec_.Feed(buf, static_cast<size_t>(n));
+    }
+    return true;
+  }
+
+ private:
+  int fd_ = -1;
+  bool connected_ = false;
+  FrameDecoder dec_;
+};
+
 TEST_F(NetServerTest, HelloMustBeTheFirstFrame) {
   Harness h;
   // Raw socket: skip the handshake and send PREPARE straight away.
-  int fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(fd, 0);
-  sockaddr_in addr{};
-  addr.sin_family = AF_INET;
-  addr.sin_port = htons(h.port());
-  ::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr);
-  ASSERT_EQ(::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
-            0);
+  RawConn conn(h.port());
+  ASSERT_TRUE(conn.connected());
   PrepareRequest prep;
   prep.oql = "select e from e in Employees";
-  std::string frame = prep.Encode();
-  ASSERT_EQ(::send(fd, frame.data(), frame.size(), 0),
-            static_cast<ssize_t>(frame.size()));
-
-  FrameDecoder dec;
+  ASSERT_TRUE(conn.Send(prep.Encode()));
   Frame f;
-  char buf[4096];
-  bool got_frame = false;
-  for (int i = 0; i < 100 && !got_frame; ++i) {
-    ssize_t n = ::recv(fd, buf, sizeof(buf), 0);
-    if (n <= 0) break;
-    dec.Feed(buf, static_cast<size_t>(n));
-    got_frame = dec.Next(&f);
-  }
-  ASSERT_TRUE(got_frame);
+  ASSERT_TRUE(conn.Read(&f));
   EXPECT_EQ(f.opcode, Opcode::kError);
   EXPECT_EQ(ErrorReply::Parse(f.payload).code, ErrorCode::kProtocol);
-  ::close(fd);
+}
+
+TEST_F(NetServerTest, ReservedHelloByteIsIgnored) {
+  Harness h;
+  RawConn conn(h.port());
+  ASSERT_TRUE(conn.connected());
+  // HELLO's last byte is reserved (it once chose the engine): a client that
+  // sends 0 there still gets the one engine and the in-process results.
+  std::string hello = HelloRequest().Encode();
+  hello.back() = '\0';
+  ASSERT_TRUE(conn.Send(hello));
+  Frame f;
+  ASSERT_TRUE(conn.Read(&f));
+  ASSERT_EQ(f.opcode, Opcode::kHelloOk);
+
+  const std::string oql =
+      "select distinct struct(D: d.name, total: sum(select e.salary "
+      "from e in Employees where e.dno = d.dno)) from d in Departments";
+  ExecuteRequest req;
+  req.mode = ExecuteRequest::kAdhoc;
+  req.oql = oql;
+  req.fetch_hint = 1u << 20;
+  ASSERT_TRUE(conn.Send(req.Encode()));
+  ASSERT_TRUE(conn.Read(&f));
+  ASSERT_EQ(f.opcode, Opcode::kExecOk);
+  ASSERT_TRUE(conn.Read(&f));
+  ASSERT_EQ(f.opcode, Opcode::kRows);
+  RowsReply rows = RowsReply::Parse(f.payload);
+
+  auto session = h.svc.OpenSession();
+  const Value local = h.svc.Execute(*session, oql);
+  ASSERT_EQ(rows.rows.size(), local.AsElems().size());
+  EXPECT_EQ(rows.has_more, 0);
+  for (size_t i = 0; i < rows.rows.size(); ++i) {
+    EXPECT_EQ(ValueFromText(rows.rows[i]), local.AsElems()[i]) << "row " << i;
+  }
 }
 
 TEST_F(NetServerTest, TornWritesReachTheServerIntact) {

@@ -1,9 +1,8 @@
 // Exactness tests for the EXPLAIN ANALYZE substrate (runtime/profile.*):
 // per-operator row counts on fixed plans over the hand-computable
 // TinyCompany, serial == parallel row totals at several thread/morsel
-// settings, Env-engine / slot-engine profile parity, JSON round-trips, the
-// optimizer CompileTrace, and the byte-identical-results guarantee when
-// profiling is disabled.
+// settings, JSON round-trips, the optimizer CompileTrace, and the
+// byte-identical-results guarantee when profiling is disabled.
 
 #include "src/runtime/profile.h"
 
@@ -46,8 +45,7 @@ struct ProfiledRun {
 // Compiles `oql` through the full pipeline and executes it with a profiler
 // attached, returning the result, the profile, and the physical plan.
 ProfiledRun RunProfiled(const Database& db, const std::string& oql,
-                        int threads = 1, size_t morsel = 2048,
-                        bool slot_frames = true) {
+                        int threads = 1, size_t morsel = 2048) {
   OptimizerOptions options;
   Optimizer opt(db.schema(), options);
   CompiledQuery q = opt.Compile(ParseOQL(oql));
@@ -56,7 +54,6 @@ ProfiledRun RunProfiled(const Database& db, const std::string& oql,
   ExecOptions exec;
   exec.n_threads = threads;
   exec.morsel_size = morsel;
-  exec.use_slot_frames = slot_frames;
   exec.profiler = &r.prof;
   r.value = ExecutePipelined(r.phys, db, exec);
   return r;
@@ -131,32 +128,6 @@ TEST_F(ProfileTest, QuantifierShortCircuitCounted) {
   ASSERT_GE(scan, 0);
   EXPECT_EQ(r.prof.Find(0)->short_circuits, 1u);
   EXPECT_EQ(r.prof.Find(scan)->rows_out, 1u);
-}
-
-TEST_F(ProfileTest, EnvEngineProfileMatchesSlotEngine) {
-  const char* queries[] = {
-      "select distinct struct(D: d.name, n: count(select e from e in "
-      "Employees where e.dno = d.dno)) from d in Departments",
-      "select distinct struct(E: e.name, C: c.name) "
-      "from e in Employees, c in e.children",
-      "sum(select e.salary from e in Employees where e.age > 30)",
-  };
-  for (const char* q : queries) {
-    SCOPED_TRACE(q);
-    ProfiledRun slot = RunProfiled(db_, q, 1, 2048, /*slot_frames=*/true);
-    ProfiledRun env = RunProfiled(db_, q, 1, 2048, /*slot_frames=*/false);
-    EXPECT_EQ(slot.value, env.value);
-    auto slot_ops = slot.prof.Operators();
-    auto env_ops = env.prof.Operators();
-    ASSERT_EQ(slot_ops.size(), env_ops.size());
-    for (size_t i = 0; i < slot_ops.size(); ++i) {
-      EXPECT_EQ(slot_ops[i]->op_id, env_ops[i]->op_id);
-      EXPECT_EQ(slot_ops[i]->kind, env_ops[i]->kind) << "op " << i;
-      EXPECT_EQ(slot_ops[i]->rows_out, env_ops[i]->rows_out) << "op " << i;
-      EXPECT_EQ(slot_ops[i]->build_rows, env_ops[i]->build_rows) << "op " << i;
-      EXPECT_EQ(slot_ops[i]->groups, env_ops[i]->groups) << "op " << i;
-    }
-  }
 }
 
 TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
@@ -258,8 +229,6 @@ TEST_F(ProfileTest, DisabledProfilingResultsIdentical) {
     SCOPED_TRACE(q);
     Value plain = RunOQL(db_, q);  // profiler == nullptr
     EXPECT_EQ(RunProfiled(db_, q).value, plain);
-    EXPECT_EQ(RunProfiled(db_, q, 1, 2048, /*slot_frames=*/false).value,
-              plain);
     EXPECT_EQ(RunProfiled(db_, q, 4, 2).value, plain);
   }
 }

@@ -7,9 +7,10 @@
 // under quantifiers under aggregates, constant predicates, empty results).
 //
 // The primary optimizer runs with verify_plans on, making this a three-way
-// property check per query: the Env engines' result, the slot engine's
-// result, and the static verifier's verdict over every IR the pipeline
-// produced (docs/VERIFIER.md) must all agree that the plan is correct.
+// property check per query: the two oracles' results (the nested-loop
+// baseline and the materializing executor), the slot engine's result, and
+// the static verifier's verdict over every IR the pipeline produced
+// (docs/VERIFIER.md) must all agree that the plan is correct.
 // Each accepted query also exercises the pretty-printer round-trip that
 // backs plan-cache keys: print(normalized) must re-parse, re-typecheck, and
 // be a fixpoint of print∘normalize∘parse.
@@ -236,21 +237,18 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
   params.seed = GetParam() * 1337 + 17;
   Database db = workload::MakeCompanyDatabase(params);
   OptimizerOptions verify_opts;
-  verify_opts.verify_plans = true;  // static verdict alongside both engines
+  verify_opts.verify_plans = true;  // static verdict alongside the engines
   Optimizer opt(db.schema(), verify_opts);
 
   // Differential executor harness: the same compiled plan must agree across
-  // every execution engine. `opt` above is the default (serial slot-frame
-  // pipeline); these cover the materializing algebra executor, the legacy
-  // string-Env pipeline, and the parallel slot engine. A tiny morsel size
+  // every executor. `opt` above is the default (serial slot-frame
+  // pipeline); these cover the materializing algebra executor and the
+  // parallel slot engine. A tiny morsel size
   // forces many morsels even on this 30-employee extent, so the parallel
   // merge paths (per-morsel accumulators, partial group tables) really run.
   OptimizerOptions algebra_opts;
   algebra_opts.pipelined_execution = false;
   Optimizer opt_algebra(db.schema(), algebra_opts);
-  OptimizerOptions env_opts;
-  env_opts.exec.use_slot_frames = false;
-  Optimizer opt_env(db.schema(), env_opts);
   OptimizerOptions par_opts;
   par_opts.exec.n_threads = 4;
   par_opts.exec.morsel_size = 4;
@@ -294,13 +292,12 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
     EXPECT_EQ(PrintExpr(Normalize(reparsed)), cache_key)
         << "cache key is not a normalization fixpoint";
     ASSERT_NO_THROW(TypeCheck(reparsed, db.schema()));
-    // serial slot pipeline == materializing executor == Env pipeline ==
-    // parallel slot pipeline, on every plan the optimizer accepts. The
+    // serial slot pipeline == materializing executor == parallel slot
+    // pipeline == baseline, on every plan the optimizer accepts. The
     // parallel result must be byte-identical (ExactSum makes kSum/kAvg
     // order-independent; group merges preserve morsel order).
     EXPECT_EQ(opt_algebra.Execute(compiled, db), baseline)
         << "materializing algebra executor";
-    EXPECT_EQ(opt_env.Execute(compiled, db), baseline) << "Env pipeline";
     EXPECT_EQ(opt_par.Execute(compiled, db), baseline)
         << "parallel slot pipeline";
     // Path materialization must also be meaning-preserving on every fuzzed

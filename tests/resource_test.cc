@@ -46,8 +46,7 @@ Database MediumOO7() {
 // Compiles and executes `oql` against `db` with `resource` armed.
 Value RunWithResource(const Database& db, const std::string& oql,
                       obs::QueryResourceContext* resource, int threads = 1,
-                      size_t morsel = 2048, bool slot_frames = true,
-                      QueryProfiler* profiler = nullptr) {
+                      size_t morsel = 2048, QueryProfiler* profiler = nullptr) {
   OptimizerOptions options;
   Optimizer opt(db.schema(), options);
   CompiledQuery q = opt.Compile(ParseOQL(oql));
@@ -55,13 +54,8 @@ Value RunWithResource(const Database& db, const std::string& oql,
   ExecOptions exec;
   exec.n_threads = threads;
   exec.morsel_size = morsel;
-  exec.use_slot_frames = slot_frames;
   exec.resource = resource;
   exec.profiler = profiler;
-  if (slot_frames) {
-    SlotPlan plan = CompileSlotPlan(phys, db);
-    return ExecuteSlotPlan(plan, db, exec);
-  }
   return ExecutePipelined(phys, db, exec);
 }
 
@@ -169,29 +163,11 @@ TEST(ResourceEngineTest, ParallelExecutionReleasesEverything) {
   EXPECT_EQ(ctx.InUseBytes(), 0u) << "leaked reservations";
 }
 
-TEST(ResourceEngineTest, EnginesAgreeOnDominantOperator) {
-  Database db = MediumOO7();
-  obs::QueryResourceContext slot_ctx, env_ctx;
-  Value slot = RunWithResource(db, kNestQuery, &slot_ctx);
-  Value env = RunWithResource(db, kNestQuery, &env_ctx, 1, 2048,
-                              /*slot_frames=*/false);
-  EXPECT_EQ(slot, env);
-  obs::MemoryTracker probe;
-  probe.Arm(&slot_ctx);
-  if (!probe.armed()) GTEST_SKIP() << "metrics compiled out";
-  EXPECT_EQ(env_ctx.InUseBytes(), 0u);
-  EXPECT_EQ(slot_ctx.InUseBytes(), 0u);
-  // Both engines buffer the same logical state (the same build tables and
-  // group heads), so the operator class holding the largest peak agrees
-  // even though the byte estimates differ (Env rows carry binding names).
-  EXPECT_EQ(slot_ctx.DominantOp(), env_ctx.DominantOp());
-}
-
 TEST(ResourceEngineTest, ProfilerAttributesBytesToOperators) {
   Database db = MediumOO7();
   obs::QueryResourceContext ctx;
   QueryProfiler prof;
-  RunWithResource(db, kNestQuery, &ctx, 1, 2048, true, &prof);
+  RunWithResource(db, kNestQuery, &ctx, 1, 2048, &prof);
   uint64_t total = 0;
   for (const OperatorStats* s : prof.Operators()) total += s->mem_bytes;
   EXPECT_GT(total, 0u);
@@ -207,17 +183,11 @@ TEST(ResourceEngineTest, BudgetAbortsMidBuildWithoutLeak) {
     probe.Arm(&unlimited);
     if (!probe.armed()) GTEST_SKIP() << "metrics compiled out";
   }
-  for (bool slot_frames : {true, false}) {
-    obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
-    EXPECT_THROW(
-        RunWithResource(db, kNestQuery, &ctx, 1, 2048, slot_frames),
-        obs::QueryMemoryExceeded)
-        << (slot_frames ? "slot" : "env");
-    EXPECT_TRUE(ctx.OverBudget());
-    EXPECT_EQ(ctx.InUseBytes(), 0u)
-        << "abort unwind leaked reservations ("
-        << (slot_frames ? "slot" : "env") << ")";
-  }
+  obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
+  EXPECT_THROW(RunWithResource(db, kNestQuery, &ctx),
+               obs::QueryMemoryExceeded);
+  EXPECT_TRUE(ctx.OverBudget());
+  EXPECT_EQ(ctx.InUseBytes(), 0u) << "abort unwind leaked reservations";
 }
 
 TEST(ResourceEngineTest, ParallelBudgetAbortDoesNotLeak) {

@@ -1,7 +1,7 @@
-// Query service tests: parameterized prepared statements, the plan cache
-// (hits, eviction, key soundness), cooperative cancellation under both
-// engines serial and morsel-parallel, admission control, memory budgets,
-// and index rebuild on load (docs/SERVICE.md).
+// Query service tests: parameterized prepared statements and their bound
+// plans, the plan cache (hits, eviction, key soundness, catalog updates),
+// cooperative cancellation serial and morsel-parallel, admission control,
+// memory budgets, and index rebuild on load (docs/SERVICE.md).
 
 #include "src/service/query_service.h"
 
@@ -56,18 +56,18 @@ class ServiceTest : public ::testing::Test {
 
 TEST_F(ServiceTest, PositionalParameterBindsAndRebinds) {
   QueryService svc(db_);
-  svc.Prepare("by_id",
-              "select distinct p.x from p in AtomicParts where p.id = $1");
+  Statement by_id = QueryService::Prepare(
+      "select distinct p.x from p in AtomicParts where p.id = $1");
   auto session = svc.OpenSession();
 
   session->Bind("1", Value::Int(7));
-  Value r7 = svc.ExecutePrepared(*session, "by_id");
+  Value r7 = svc.Execute(*session, by_id);
   EXPECT_EQ(r7, RunOQL(db_,
                        "select distinct p.x from p in AtomicParts "
                        "where p.id = 7"));
 
   session->Bind("1", Value::Int(13));
-  Value r13 = svc.ExecutePrepared(*session, "by_id");
+  Value r13 = svc.Execute(*session, by_id);
   EXPECT_EQ(r13, RunOQL(db_,
                         "select distinct p.x from p in AtomicParts "
                         "where p.id = 13"));
@@ -84,19 +84,6 @@ TEST_F(ServiceTest, NamedParameter) {
   EXPECT_EQ(r, RunOQL(db_,
                       "count(select p from p in AtomicParts "
                       "where p.build_date < 1500)"));
-}
-
-TEST_F(ServiceTest, ParameterWorksUnderEnvEngine) {
-  QueryService svc(db_);
-  SessionOptions so;
-  so.use_slot_frames = false;
-  auto session = svc.OpenSession(so);
-  session->Bind("1", Value::Int(7));
-  Value r = svc.Execute(
-      *session, "select distinct p.x from p in AtomicParts where p.id = $1");
-  EXPECT_EQ(r, RunOQL(db_,
-                      "select distinct p.x from p in AtomicParts "
-                      "where p.id = 7"));
 }
 
 TEST_F(ServiceTest, UnboundParameterIsEvalError) {
@@ -133,38 +120,135 @@ TEST_F(ServiceTest, SecondExecutionHitsCacheWithIdenticalResult) {
   EXPECT_NE(json.find("\"cache_hits\": "), std::string::npos) << json;
 }
 
-TEST_F(ServiceTest, CachedPlanIdenticalUnderBothEngines) {
-  QueryService svc(db_);
-  auto slot = svc.OpenSession();
-  SessionOptions env_opts;
-  env_opts.use_slot_frames = false;
-  auto env = svc.OpenSession(env_opts);
-
-  // One compiled plan (same cache key) serves both engines.
-  QueryStats s1, s2;
-  Value via_slot = svc.Execute(*slot, kNestQuery, &s1);
-  Value via_env = svc.Execute(*env, kNestQuery, &s2);
-  EXPECT_FALSE(s1.plan_cached);
-  EXPECT_TRUE(s2.plan_cached);
-  EXPECT_EQ(via_slot, via_env);
-  EXPECT_EQ(via_slot, RunOQL(db_, kNestQuery));
-}
-
 TEST_F(ServiceTest, PreparedStatementSecondExecutionHitsCache) {
   QueryService svc(db_);
-  svc.Prepare("q", kNestQuery);
-  EXPECT_TRUE(svc.HasPrepared("q"));
-  EXPECT_FALSE(svc.HasPrepared("nope"));
+  Statement q = QueryService::Prepare(kNestQuery);
+  EXPECT_EQ(q.plan, nullptr);  // unbound until its first execution
+  EXPECT_THROW(QueryService::Prepare("select from where"), ParseError);
   auto session = svc.OpenSession();
 
   QueryStats s1, s2;
-  Value r1 = svc.ExecutePrepared(*session, "q", &s1);
-  Value r2 = svc.ExecutePrepared(*session, "q", &s2);
+  Value r1 = svc.Execute(*session, q, &s1);
+  ASSERT_NE(q.plan, nullptr);
+  Value r2 = svc.Execute(*session, q, &s2);
   EXPECT_FALSE(s1.plan_cached);
   EXPECT_TRUE(s2.plan_cached);
   EXPECT_EQ(r1, r2);
+  EXPECT_EQ(r1, RunOQL(db_, kNestQuery));
 
-  EXPECT_THROW(svc.ExecutePrepared(*session, "nope"), EvalError);
+  // An ad-hoc text with the same normal form finds the handle's plan.
+  QueryStats s3;
+  svc.Execute(*session, kNestQuery, &s3);
+  EXPECT_TRUE(s3.plan_cached);
+}
+
+// ------------------------------------------------------------- plan handles
+
+TEST_F(ServiceTest, BoundHandleRepeatDoesNoCacheLookup) {
+  QueryService svc(db_);
+  auto session = svc.OpenSession();
+  Statement q = QueryService::Prepare(kHashJoinQuery);
+  svc.Execute(*session, q);  // binds: one lookup (a miss) and a compile
+  const PlanCacheStats before = svc.cache_stats();
+  EXPECT_EQ(before.hits + before.misses, 1u);
+  const auto bound = q.plan;
+
+  QueryStats s;
+  QueryProfiler prof;
+  Value r = svc.Execute(*session, q, &s, &prof);
+  const PlanCacheStats after = svc.cache_stats();
+  EXPECT_EQ(after.hits, before.hits);
+  EXPECT_EQ(after.misses, before.misses);
+  EXPECT_TRUE(s.plan_cached);
+  EXPECT_EQ(prof.plan_cached, 1u);
+  EXPECT_EQ(q.plan, bound);  // still the same plan object
+  EXPECT_EQ(r, RunOQL(db_, kHashJoinQuery));
+
+  // The handle keeps its plan alive even after the cache drops it.
+  svc.ClearCache();
+  QueryStats s2;
+  EXPECT_EQ(svc.Execute(*session, q, &s2), r);
+  EXPECT_TRUE(s2.plan_cached);
+  EXPECT_EQ(svc.cache_stats().misses, before.misses);
+}
+
+TEST_F(ServiceTest, BoundHandleReresolvesOnceAfterUpdateCatalog) {
+  QueryService svc(db_);
+  auto session = svc.OpenSession();
+  Statement q = QueryService::Prepare(
+      "select distinct p.x from p in AtomicParts where p.id = $1");
+  session->Bind("1", Value::Int(7));
+  const Value expected = RunOQL(
+      db_, "select distinct p.x from p in AtomicParts where p.id = 7");
+  EXPECT_EQ(svc.Execute(*session, q), expected);
+  const auto old_plan = q.plan;
+
+  Catalog cat = Catalog::FromDatabase(db_);
+  cat.SetExtentCardinality("AtomicParts", 12345);
+  svc.UpdateCatalog(cat);
+  const PlanCacheStats before = svc.cache_stats();
+
+  QueryStats s1, s2;
+  EXPECT_EQ(svc.Execute(*session, q, &s1), expected);
+  EXPECT_FALSE(s1.plan_cached);  // re-resolved: recompiled under the new stamp
+  EXPECT_NE(q.plan, old_plan);
+  EXPECT_NE(q.plan->stamp, old_plan->stamp);
+  EXPECT_EQ(svc.Execute(*session, q, &s2), expected);
+  EXPECT_TRUE(s2.plan_cached);
+  const PlanCacheStats after = svc.cache_stats();
+  EXPECT_EQ(after.misses, before.misses + 1);  // exactly one re-resolve
+  EXPECT_EQ(after.hits, before.hits);
+}
+
+// Statistics for the three extents the join below reads.
+Catalog CatalogOf(double employees, double departments, double managers) {
+  Catalog cat;
+  cat.SetExtentCardinality("Employees", employees);
+  cat.SetExtentCardinality("Departments", departments);
+  cat.SetExtentCardinality("Managers", managers);
+  return cat;
+}
+
+TEST(ServiceCatalogTest, UpdateCatalogReachesCompiledPlans) {
+  const Database db = testing::TinyCompany();
+  const char* q =
+      "select distinct e.name from e in Employees, d in Departments, "
+      "m in Managers where e.dno = d.dno and e.manager = m";
+  // Catalog A makes Employees the big extent and B the small one, so the
+  // cost-based join order differs between them.
+  ServiceOptions so;
+  so.optimizer.reorder_joins = true;
+  so.optimizer.catalog = CatalogOf(1000, 10, 5);
+  so.slow_query_ms = 1e-9;  // every query logs its plan text
+  QueryService svc(db, so);
+
+  // What a direct compile produces under a given catalog.
+  auto direct_plan = [&](const Catalog& cat) {
+    OptimizerOptions oo = so.optimizer;
+    oo.catalog = cat;
+    CompiledQuery cq = Optimizer(db.schema(), oo).Compile(ParseOQL(q));
+    return PrintPhysicalPlan(PlanPhysical(cq.simplified, db, oo.physical));
+  };
+  const Catalog b = CatalogOf(1, 100000, 100000);
+  const std::string plan_a = direct_plan(so.optimizer.catalog);
+  const std::string plan_b = direct_plan(b);
+  ASSERT_NE(plan_a, plan_b) << "the catalogs must lead to different plans";
+
+  auto session = svc.OpenSession();
+  auto logged_plan = [&] {
+    std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
+    return tail.empty() ? std::string() : tail.back().plan_text;
+  };
+  const Value expected = RunOQL(db, q);
+  Statement handle = QueryService::Prepare(q);
+  EXPECT_EQ(svc.Execute(*session, handle), expected);
+  EXPECT_EQ(logged_plan(), plan_a);
+
+  svc.UpdateCatalog(b);
+  EXPECT_EQ(svc.Execute(*session, q), expected);  // ad-hoc: compiles under B
+  EXPECT_EQ(logged_plan(), plan_b);
+  EXPECT_EQ(svc.Execute(*session, handle), expected);  // handle re-resolves
+  EXPECT_EQ(logged_plan(), plan_b);
 }
 
 TEST_F(ServiceTest, OrderDirectionIsPartOfTheCacheKey) {
@@ -249,16 +333,6 @@ TEST_F(ServiceTest, DeadlineAbortsNestSerialAndParallel) {
     session->options().deadline_ms = 0;
     EXPECT_EQ(svc.Execute(*session, kNestQuery), RunOQL(big, kNestQuery));
   }
-}
-
-TEST_F(ServiceTest, DeadlineAbortsEnvEngine) {
-  Database big = LargeOO7();
-  QueryService svc(big);
-  SessionOptions so;
-  so.deadline_ms = 1;
-  so.use_slot_frames = false;
-  auto session = svc.OpenSession(so);
-  EXPECT_THROW(svc.Execute(*session, kHashJoinQuery), QueryCancelled);
 }
 
 TEST_F(ServiceTest, ExplicitCancelFromAnotherThread) {

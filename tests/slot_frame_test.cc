@@ -25,17 +25,18 @@ class SlotFrameTest : public ::testing::Test {
  protected:
   Database db_ = testing::TinyCompany();
 
-  // Runs `oql` through the serial slot engine, the legacy Env engine, and
-  // the parallel slot engine (tiny morsels so several really form), and
+  // Runs `oql` through the serial slot engine, the materializing executor,
+  // and the parallel slot engine (tiny morsels so several really form), and
   // expects all three to equal the nested-loop baseline. Returns the serial
   // slot result for exact-value assertions.
   Value CheckEngines(const Database& db, const std::string& oql) {
     Value baseline = RunOQLBaseline(db, oql);
     Value slot_serial = RunOQL(db, oql);  // default: slot frames, 1 thread
     EXPECT_EQ(slot_serial, baseline) << oql;
-    OptimizerOptions env;
-    env.exec.use_slot_frames = false;
-    EXPECT_EQ(RunOQL(db, oql, env), baseline) << "Env engine: " << oql;
+    OptimizerOptions materializing;
+    materializing.pipelined_execution = false;
+    EXPECT_EQ(RunOQL(db, oql, materializing), baseline)
+        << "materializing: " << oql;
     OptimizerOptions par;
     par.exec.n_threads = 4;
     par.exec.morsel_size = 2;
@@ -49,7 +50,7 @@ TEST_F(SlotFrameTest, ShadowedVariableInSubquery) {
   // OUTER e. The plan typechecker rejects rebinding along a scope chain, so
   // this is only reachable with typecheck off — and then slot compilation
   // must give the two e's distinct slots with the later binding shadowing
-  // the earlier (reverse scope lookup), matching the Env engines.
+  // the earlier (reverse scope lookup), matching the Env-scoped oracles.
   const std::string oql =
       "select distinct e.name from e in Employees "
       "where e.age > sum(select e.age from e in e.children)";
@@ -72,18 +73,16 @@ TEST_F(SlotFrameTest, ShadowedVariableInSubquery) {
 
   // With the check off, the unnester name-captures during splicing (that is
   // WHY rebinding is rejected), so the plan's meaning drifts from the
-  // calculus — but the plan itself still contains a rebound `e`, and all
-  // three plan engines must interpret it identically: slot compilation's
-  // reverse scope lookup must shadow exactly like the Env engines do.
+  // calculus — but the plan itself still contains a rebound `e`, and the
+  // plan executors must interpret it identically: slot compilation's
+  // reverse scope lookup must shadow exactly like the materializing
+  // executor's Env scoping does.
   OptimizerOptions unchecked;
   unchecked.typecheck = false;
   // The verifier re-runs the plan typecheck as its Fig6-typing rule, so it
   // must come off with the checker (it is on by default in Debug builds).
   unchecked.verify_plans = false;
   Value slot_serial = RunOQL(db_, oql, unchecked);
-  unchecked.exec.use_slot_frames = false;
-  EXPECT_EQ(RunOQL(db_, oql, unchecked), slot_serial) << "Env pipeline";
-  unchecked.exec.use_slot_frames = true;
   unchecked.exec.n_threads = 4;
   unchecked.exec.morsel_size = 2;
   EXPECT_EQ(RunOQL(db_, oql, unchecked), slot_serial) << "parallel";

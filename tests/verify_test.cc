@@ -419,7 +419,7 @@ TEST(VerifyPipelineTest, CompileRecordsVerifyStagesInTrace) {
             stages.end());
   EXPECT_NE(std::find(stages.begin(), stages.end(), "algebra-unnested"),
             stages.end());
-  // Execution adds the slot-plan layer (use_slot_frames defaults on).
+  // Execution adds the slot-plan layer.
   opt.Execute(q, db);
   bool saw_slots = false;
   for (const VerifyStageSummary& s : q.trace->verify_stages) {

@@ -1,7 +1,7 @@
 // ldb_loadgen — open-loop load harness for ldb_server (docs/WIRE.md).
 //
-//   $ ./tools/ldb_loadgen --port 4994 --rate 100 --duration-s 10 \
-//         --connections 8 --json serving.json
+//   $ ./tools/ldb_loadgen --port 4994 --rate 100 --duration-s 10 --connections 8
+//       --json serving.json
 //
 // Open-loop means fixed arrival rate: every request has a precomputed
 // arrival time (i / rate seconds after start) and its latency is measured
