@@ -59,8 +59,10 @@ void ActiveQueryRegistry::Unregister(uint64_t id) {
 }
 
 std::vector<ActiveQueryInfo> ActiveQueryRegistry::Snapshot() const {
-  auto now = std::chrono::steady_clock::now();
   MutexLock lock(&mu_);
+  // Read the clock under mu_: every entry's start was stamped under mu_
+  // earlier, so on the monotonic clock no elapsed_ms can come out negative.
+  auto now = std::chrono::steady_clock::now();
   std::vector<ActiveQueryInfo> out;
   out.reserve(entries_.size());
   for (const auto& [id, e] : entries_) {

@@ -276,7 +276,8 @@ struct ActiveQueryInfo {
                             ///< sessions; "" for in-process ones
   uint64_t query_hash = 0;  ///< std::hash of the raw OQL text
   std::string phase;        ///< "queued" | "compiling" | "executing"
-  double elapsed_ms = 0;    ///< since the service accepted the query
+  double elapsed_ms = 0;    ///< since the service accepted the query;
+                            ///< never negative (see Snapshot())
   uint64_t rows = 0;        ///< root rows folded so far
   uint64_t mem_in_use_bytes = 0;
   uint64_t mem_peak_bytes = 0;
@@ -301,6 +302,9 @@ class ActiveQueryRegistry {
   void SetPhase(uint64_t id, const char* phase) LDB_EXCLUDES(mu_);
   void Unregister(uint64_t id) LDB_EXCLUDES(mu_);
 
+  /// One entry per registered query. The snapshot reads steady_clock under
+  /// mu_, after every returned entry was stamped under mu_ by Register(),
+  /// so each elapsed_ms is >= 0.
   std::vector<ActiveQueryInfo> Snapshot() const LDB_EXCLUDES(mu_);
   /// Sum of in-use bytes across every registered query (the service's
   /// ldb_mem_in_use_bytes gauge).

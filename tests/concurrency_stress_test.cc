@@ -196,6 +196,11 @@ TEST(ConcurrencyStress, ActiveQueryRegistryRegisterSnapshotUnregister) {
       if (op_dist(rng) < 3) {
         std::vector<obs::ActiveQueryInfo> snap = reg.Snapshot();
         EXPECT_GE(snap.size(), 1u);  // at least our own entry
+        // Entries registered while this snapshot waited on the registry
+        // lock must still show a non-negative age.
+        for (const obs::ActiveQueryInfo& q : snap) {
+          EXPECT_GE(q.elapsed_ms, 0.0) << "query " << q.query_id;
+        }
         (void)reg.SumInUseBytes();
       }
       reg.SetPhase(id, "executing");

@@ -255,6 +255,8 @@ def check_bench(path):
                 fail(f"{path}: active_queries entry missing {key!r}: {q}")
         if q["phase"] not in ("queued", "compiling", "executing"):
             fail(f"{path}: active_queries entry has bad phase: {q['phase']}")
+        if q["elapsed_ms"] < 0:
+            fail(f"{path}: active_queries entry has negative elapsed_ms: {q}")
         # In-process bench queries have no peer; over TCP this is "ip:port".
         if not isinstance(q["remote"], str):
             fail(f"{path}: active_queries 'remote' is not a string: {q}")
