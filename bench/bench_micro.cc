@@ -68,8 +68,10 @@ BENCHMARK(BM_FullCompile);
 std::string NestedQuery(int depth) {
   std::string inner = "0";
   for (int i = depth; i >= 1; --i) {
-    std::string v = "e" + std::to_string(i);
-    std::string outer_var = i == 1 ? std::string("e0") : "e" + std::to_string(i - 1);
+    std::string v = "e";
+    v += std::to_string(i);
+    std::string outer_var = "e";
+    outer_var += std::to_string(i - 1);
     inner = "count(select " + v + " from " + v + " in Employees where " + v +
             ".dno = " + outer_var + ".dno and " + inner + " >= 0)";
   }

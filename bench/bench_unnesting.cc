@@ -387,10 +387,10 @@ int main(int argc, char** argv) {
       "cost-neutral); 'unnested-hash' adds the join-algorithm choice that\n"
       "unnesting ENABLES — this is where the speedup comes from, and it\n"
       "grows with scale because the baseline is quadratic.\n"
-      "The engine tables compare the two pipelined executors on the same\n"
-      "hash plan: 'env' interprets string-keyed environments, 'slot' runs\n"
-      "the slot-compiled frame engine, 'par xN' adds morsel parallelism\n"
-      "(wall-clock gains require > 1 usable CPU; results stay identical).\n");
+      "The engine tables run the same hash plan on the slot-compiled frame\n"
+      "engine: 'slot' on one thread, 'par xN' with morsel parallelism on N\n"
+      "threads (wall-clock gains require > 1 usable CPU; results stay\n"
+      "identical).\n");
   if (!bench::JsonReporter::Get().Write("bench_unnesting")) return 1;
   return 0;
 }

@@ -99,21 +99,15 @@ void ShowSchema(const Schema& schema) {
 void ShowPlan(const Database& db, const std::string& oql) {
   ExprPtr calculus = ParseOQL(oql);
   std::printf("calculus:   %s\n", PrintExpr(calculus).c_str());
-  ExprPtr normalized = Normalize(calculus);
-  std::printf("normalized: %s\n", PrintExpr(normalized).c_str());
-  if (normalized->kind != ExprKind::kComp) {
-    std::printf("(top level is not a comprehension; subqueries compile "
-                "individually)\n");
-    return;
-  }
-  std::vector<UnnestStep> steps;
-  UnnestCompTraced(normalized, db.schema(), &steps);
+  std::printf("normalized: %s\n", PrintExpr(Normalize(calculus)).c_str());
+  OptimizerOptions options;
+  options.trace = true;  // records the derivation
+  Optimizer opt(db.schema(), options);
+  CompiledQuery q = opt.Compile(calculus);
   std::printf("derivation (Figure 7 rules):\n");
-  for (const UnnestStep& s : steps) {
+  for (const UnnestStep& s : q.trace->unnest_steps) {
     std::printf("  (%s) %s\n", s.rule.c_str(), s.description.c_str());
   }
-  Optimizer opt(db.schema());
-  CompiledQuery q = opt.Compile(calculus);
   std::printf("algebra plan:\n%s", PrintPlan(q.plan).c_str());
   if (!AlgEqual(q.plan, q.simplified)) {
     std::printf("simplified:\n%s", PrintPlan(q.simplified).c_str());

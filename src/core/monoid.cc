@@ -20,13 +20,16 @@ bool IsIdempotentMonoid(MonoidKind k) {
     case MonoidKind::kMin:
     case MonoidKind::kSome:
     case MonoidKind::kAll:
+    case MonoidKind::kFirst:
       return true;
     default:
       return false;
   }
 }
 
-bool IsCommutativeMonoid(MonoidKind k) { return k != MonoidKind::kList; }
+bool IsCommutativeMonoid(MonoidKind k) {
+  return k != MonoidKind::kList && k != MonoidKind::kFirst;
+}
 
 const char* MonoidName(MonoidKind k) {
   switch (k) {
@@ -40,6 +43,7 @@ const char* MonoidName(MonoidKind k) {
     case MonoidKind::kSome: return "some";
     case MonoidKind::kAll:  return "all";
     case MonoidKind::kAvg:  return "avg";
+    case MonoidKind::kFirst: return "first";
   }
   return "?";
 }
@@ -56,6 +60,7 @@ Value MonoidZero(MonoidKind k) {
     case MonoidKind::kSome: return Value::Bool(false);
     case MonoidKind::kAll:  return Value::Bool(true);
     case MonoidKind::kAvg:  return Value::Null();
+    case MonoidKind::kFirst: return Value::Null();
   }
   throw InternalError("bad monoid");
 }
@@ -115,6 +120,8 @@ Value MonoidMerge(MonoidKind k, const Value& a, const Value& b) {
       return Value::Bool(a.AsBool() && b.AsBool());
     case MonoidKind::kAvg:
       throw UnsupportedError("avg values do not merge; use Accumulator");
+    case MonoidKind::kFirst:
+      return a;
   }
   throw InternalError("bad monoid");
 }
@@ -149,6 +156,7 @@ TypePtr MonoidResultType(MonoidKind k, const TypePtr& head) {
     case MonoidKind::kSome:
     case MonoidKind::kAll:
       return Type::Bool();
+    case MonoidKind::kFirst: return head;
   }
   throw InternalError("bad monoid");
 }

@@ -6,8 +6,8 @@
 // (+, *, max, min, or, and) produce primitive values.
 //
 // Properties used by the algorithms:
-//  * commutative  — all monoids here except list;
-//  * idempotent   — set, max, min, or, and. Rules (D7)/(N6)/(N8) have
+//  * commutative  — all monoids here except list and first;
+//  * idempotent   — set, max, min, or, and, first. Rules (D7)/(N6)/(N8) have
 //    idempotence side conditions; treating + as idempotent yields the 1 = 2
 //    inconsistency the paper shows in Section 2.
 //
@@ -40,6 +40,9 @@ enum class MonoidKind {
   kSome,  ///< (∨, false)       idempotent — existential quantification
   kAll,   ///< (∧, true)        idempotent — universal quantification
   kAvg,   ///< pseudo-monoid over (sum, count)
+  kFirst, ///< (keep-left, NULL) idempotent, internal: no OQL syntax. The
+          ///< reduce of a query whose top level is not a comprehension
+          ///< (Optimizer::Compile unnests it as first{ e | })
 };
 
 /// True for set/bag/list.
@@ -115,10 +118,10 @@ class ExactSum {
 /// nothing was added. Handles kAvg via a (sum, count) pair. Real-valued
 /// sums and averages accumulate through ExactSum, so the result does not
 /// depend on accumulation order (see ExactSum); this makes Absorb an exact
-/// commutative merge for every monoid except kList (order-sensitive by
-/// definition — callers must absorb partials in stream order) and kProd
-/// (floating-point products are merged left-to-right, so partials must also
-/// arrive in stream order for bit-reproducibility).
+/// commutative merge for every monoid except kList and kFirst
+/// (order-sensitive by definition — callers must absorb partials in stream
+/// order) and kProd (floating-point products are merged left-to-right, so
+/// partials must also arrive in stream order for bit-reproducibility).
 class Accumulator {
  public:
   explicit Accumulator(MonoidKind kind);
@@ -133,8 +136,8 @@ class Accumulator {
   /// Folds another accumulator's partial state into this one, including
   /// kAvg (which has no mergeable Value form). Used by the parallel executor
   /// to combine per-morsel partials; bit-identical to having Add-ed the
-  /// other's inputs here directly (for kList/kProd: when absorbed in stream
-  /// order).
+  /// other's inputs here directly (for kList/kFirst/kProd: when absorbed in
+  /// stream order).
   void Absorb(const Accumulator& other);
 
   /// True if the result can no longer change (false seen under kAll, true

@@ -13,7 +13,6 @@
 #include "src/runtime/error.h"
 #include "src/runtime/eval_algebra.h"
 #include "src/runtime/exec_pipeline.h"
-#include "src/runtime/eval_calculus.h"
 #include "src/verify/verify.h"
 
 namespace ldb {
@@ -129,19 +128,21 @@ CompiledQuery Optimizer::Compile(const ExprPtr& calculus) const {
                                      : Normalize(calculus);
                       })
           : calculus;
-  if (out.normalized->kind != ExprKind::kComp) {
-    throw UnsupportedError(
-        "Compile expects a comprehension-rooted query; use Run for general "
-        "terms");
-  }
   if (options_.verify_plans && options_.normalize) {
     verify(VerifyCalculus(out.normalized, schema_, CalculusStage::kNormalized,
                           "calculus-normalized"));
   }
+  // A top level that is not a comprehension (a record of aggregates, a
+  // union, arithmetic) unnests as the generator-less first{ e | }: C2
+  // reduces the unit stream and C9 splices e's subqueries out of the head.
+  // The wrap comes after normalization, whose D2 would rewrite it back to e.
+  const ExprPtr root =
+      out.normalized->kind == ExprKind::kComp
+          ? out.normalized
+          : Expr::Comp(MonoidKind::kFirst, out.normalized, {});
   out.plan = TimeStage(trace, "unnest", [&] {
-    return trace ? UnnestCompTraced(out.normalized, schema_,
-                                    &trace->unnest_steps)
-                 : UnnestComp(out.normalized, schema_);
+    return trace ? UnnestCompTraced(root, schema_, &trace->unnest_steps)
+                 : UnnestComp(root, schema_);
   });
   LDB_INTERNAL_CHECK(IsFullyUnnested(out.plan),
                      "unnesting left a nested comprehension (Theorem 1)");
@@ -198,51 +199,8 @@ Value Optimizer::Execute(const CompiledQuery& q, const Database& db) const {
   return ExecutePlan(q.simplified, db, options_.physical);
 }
 
-namespace {
-
-// Replaces every maximal comprehension subterm (closed at the top level)
-// with its computed value.
-ExprPtr FoldComps(const ExprPtr& e, const Optimizer& opt, const Database& db) {
-  if (!e) return e;
-  if (e->kind == ExprKind::kComp) {
-    CompiledQuery q = opt.Compile(e);
-    return Expr::Lit(opt.Execute(q, db));
-  }
-  switch (e->kind) {
-    case ExprKind::kVar:
-    case ExprKind::kLiteral:
-    case ExprKind::kZero:
-    case ExprKind::kParam:
-      return e;
-    case ExprKind::kRecord: {
-      std::vector<std::pair<std::string, ExprPtr>> fields;
-      for (const auto& [n, f] : e->fields) {
-        fields.emplace_back(n, FoldComps(f, opt, db));
-      }
-      return Expr::Record(std::move(fields));
-    }
-    default: {
-      auto out = std::make_shared<Expr>(*e);
-      out->a = FoldComps(e->a, opt, db);
-      out->b = FoldComps(e->b, opt, db);
-      out->c = FoldComps(e->c, opt, db);
-      return out;
-    }
-  }
-}
-
-}  // namespace
-
 Value Optimizer::Run(const ExprPtr& calculus, const Database& db) const {
-  ExprPtr normalized = options_.normalize ? Normalize(calculus) : calculus;
-  if (normalized->kind == ExprKind::kComp) {
-    CompiledQuery q = Compile(calculus);
-    return Execute(q, db);
-  }
-  // Mixed top level: compile and run each closed comprehension, then
-  // evaluate the residue directly.
-  ExprPtr folded = FoldComps(normalized, *this, db);
-  return EvalCalculus(folded, db);
+  return Execute(Compile(calculus), db);
 }
 
 }  // namespace ldb

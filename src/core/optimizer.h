@@ -8,10 +8,10 @@
 // P-SIMP, P-PHYS in DESIGN.md). The baseline path evaluates the calculus
 // term directly with nested loops (EvalCalculus).
 //
-// Queries whose top level is not a comprehension (e.g. a record of several
-// aggregates, or `A union B`) are executed by compiling each maximal —
-// necessarily closed — comprehension subterm to a plan and folding the
-// results back into the enclosing expression.
+// A query whose top level is not a comprehension (e.g. a record of several
+// aggregates, or `A union B`) unnests as the generator-less comprehension
+// first{ e | } (monoid.h): its plan reduces the unit stream, and rule C9
+// splices every subquery out of the head, so it too runs as one flat plan.
 
 #ifndef LAMBDADB_CORE_OPTIMIZER_H_
 #define LAMBDADB_CORE_OPTIMIZER_H_
@@ -117,14 +117,16 @@ class Optimizer {
   explicit Optimizer(const Schema& schema, OptimizerOptions options = {})
       : schema_(schema), options_(options) {}
 
-  /// Compiles a comprehension-rooted calculus term through every stage.
+  /// Compiles a closed calculus term through every stage. A top level that
+  /// normalizes to something other than a comprehension compiles as
+  /// first{ e | }; `normalized` keeps the unwrapped normal form.
   /// Throws TypeError / UnsupportedError.
   CompiledQuery Compile(const ExprPtr& calculus) const;
 
   /// Executes a compiled query.
   Value Execute(const CompiledQuery& q, const Database& db) const;
 
-  /// Compile + execute. Handles non-comprehension top-level terms.
+  /// Execute(Compile(calculus), db).
   Value Run(const ExprPtr& calculus, const Database& db) const;
 
   const Schema& schema() const { return schema_; }

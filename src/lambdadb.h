@@ -111,7 +111,7 @@ inline Value RunOQLBaseline(const Database& db, const std::string& oql) {
 }
 
 /// Parses, compiles, and returns every intermediate stage (for printing the
-/// paper's plan figures). The query must be comprehension-rooted.
+/// paper's plan figures).
 inline CompiledQuery CompileOQL(const Schema& schema, const std::string& oql,
                                 OptimizerOptions options = {}) {
   Optimizer opt(schema, options);

@@ -92,7 +92,6 @@ std::string QueryLogToJson(const std::vector<QueryLogRecord>& records) {
     out += ", \"rows\": " + std::to_string(r.rows);
     out += ", \"mem_peak_bytes\": " + std::to_string(r.mem_peak_bytes);
     out += ", \"mem_op\": \"" + Escape(r.mem_op) + "\"";
-    out += ", \"engine\": \"" + Escape(r.engine) + "\"";
     out += ", \"threads\": " + std::to_string(r.threads);
     out += ", \"verify\": \"" + Escape(r.verify) + "\"";
     out += ", \"slow\": ";

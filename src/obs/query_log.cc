@@ -10,12 +10,12 @@ std::string QueryLogRecord::ToString() const {
   char buf[320];
   std::snprintf(buf, sizeof buf,
                 "#%llu session=%llu %s %s%s queue=%.2fms compile=%.2fms "
-                "exec=%.2fms rows=%llu engine=%s threads=%d hash=%016llx",
+                "exec=%.2fms rows=%llu threads=%d hash=%016llx",
                 static_cast<unsigned long long>(id),
                 static_cast<unsigned long long>(session), status.c_str(),
                 plan_cached ? "cached" : "compiled", slow ? " SLOW" : "",
                 queue_ms, compile_ms, exec_ms,
-                static_cast<unsigned long long>(rows), engine.c_str(), threads,
+                static_cast<unsigned long long>(rows), threads,
                 static_cast<unsigned long long>(query_hash));
   std::string out = buf;
   if (queue_wait_ms > 0 || serialize_ms > 0) {

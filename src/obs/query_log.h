@@ -50,7 +50,6 @@ struct QueryLogRecord {
   uint64_t mem_peak_bytes = 0;  ///< peak tracked engine memory (0 untracked)
   std::string mem_op;      ///< operator class holding the largest peak
                            ///< ("" when nothing was charged)
-  std::string engine;      ///< "slot" | "fallback"
   int threads = 1;
   std::string verify;      ///< "" (not run) | "ok" — a verifier rejection
                            ///< surfaces as status="failed" with the error

@@ -136,8 +136,11 @@ std::string TraceEventsJson(const QueryProfiler& prof,
   w.Meta(kOperatorPid, 0, "process_name", "operators (cumulative)");
   for (const OperatorStats* s : prof.Operators()) {
     int tid = s->op_id;
-    w.Meta(kOperatorPid, tid, "thread_name",
-           "#" + std::to_string(s->op_id) + " " + s->label);
+    std::string name = "#";
+    name += std::to_string(s->op_id);
+    name += ' ';
+    name += s->label;
+    w.Meta(kOperatorPid, tid, "thread_name", name);
     char args[256];
     std::snprintf(args, sizeof args,
                   "{\"rows_out\": %llu, \"opens\": %llu, \"next_calls\": "

@@ -20,6 +20,32 @@ class Parser {
  private:
   std::vector<Token> toks_;
   size_t pos_ = 0;
+  // Nesting level of the construct being parsed; the top level is 1. Each
+  // bracket, prefix operator, nested select and quantifier opens a level
+  // for what it encloses, and each binary operator one for its right
+  // operand, as does each `.` of a path (a left-associative chain thus
+  // opens one per operand), so the level bounds both this parser's
+  // recursion and the height of the tree it returns (kMaxParseDepth).
+  int depth_ = 1;
+
+  // Restores the nesting level when the construct that opened it is done.
+  struct LevelScope {
+    explicit LevelScope(Parser* p) : parser(p), saved(p->depth_) {}
+    ~LevelScope() { parser->depth_ = saved; }
+    LevelScope(const LevelScope&) = delete;
+    LevelScope& operator=(const LevelScope&) = delete;
+    Parser* parser;
+    int saved;
+  };
+
+  // Opens one more level; fails before anything deeper is built.
+  void Deepen() {
+    if (depth_ >= kMaxParseDepth) {
+      Fail("query nests deeper than " + std::to_string(kMaxParseDepth) +
+           " levels");
+    }
+    ++depth_;
+  }
 
   const Token& Peek(size_t ahead = 0) const {
     size_t i = pos_ + ahead;
@@ -84,6 +110,8 @@ class Parser {
   }
 
   NodePtr Select() {
+    LevelScope level(this);
+    Deepen();
     ExpectKeyword("select");
     auto node = Node::New(NodeKind::kSelect);
     node->distinct = AcceptKeyword("distinct");
@@ -151,22 +179,35 @@ class Parser {
   }
 
   NodePtr OrExpr() {
+    LevelScope level(this);
     NodePtr l = AndExpr();
-    while (AcceptKeyword("or")) l = Node::Bin(OBin::kOr, l, AndExpr());
+    while (AcceptKeyword("or")) {
+      Deepen();
+      l = Node::Bin(OBin::kOr, l, AndExpr());
+    }
     return l;
   }
 
   NodePtr AndExpr() {
+    LevelScope level(this);
     NodePtr l = NotExpr();
-    while (AcceptKeyword("and")) l = Node::Bin(OBin::kAnd, l, NotExpr());
+    while (AcceptKeyword("and")) {
+      Deepen();
+      l = Node::Bin(OBin::kAnd, l, NotExpr());
+    }
     return l;
   }
 
   NodePtr NotExpr() {
-    if (AcceptKeyword("not")) return Node::Un(OUn::kNot, NotExpr());
+    LevelScope level(this);
+    if (AcceptKeyword("not")) {
+      Deepen();
+      return Node::Un(OUn::kNot, NotExpr());
+    }
     // Quantifiers bind like NOT and their body extends maximally right.
     if (IsKeyword("exists") && Peek(1).kind == TokKind::kIdent &&
         IsKeyword("in", 2)) {
+      Deepen();
       Advance();
       std::string var = ExpectIdent();
       ExpectKeyword("in");
@@ -176,6 +217,7 @@ class Parser {
       return Node::Quantifier(NodeKind::kExists, var, domain, body);
     }
     if (IsKeyword("for") && IsKeyword("all", 1)) {
+      Deepen();
       Advance();
       Advance();
       std::string var = ExpectIdent();
@@ -209,52 +251,72 @@ class Parser {
         return MaybeIn(l);
       }
       Advance();
+      LevelScope level(this);
+      Deepen();
       return Node::Bin(op, l, Additive());
     }
     return MaybeIn(l);
   }
 
   NodePtr MaybeIn(NodePtr l) {
-    if (AcceptKeyword("in")) return Node::In(l, Additive());
-    return l;
+    if (!AcceptKeyword("in")) return l;
+    LevelScope level(this);
+    Deepen();
+    return Node::In(l, Additive());
   }
 
   NodePtr Additive() {
+    LevelScope level(this);
     NodePtr l = Multiplicative();
     while (true) {
+      OBin op;
       if (AcceptSymbol("+")) {
-        l = Node::Bin(OBin::kAdd, l, Multiplicative());
+        op = OBin::kAdd;
       } else if (AcceptSymbol("-")) {
-        l = Node::Bin(OBin::kSub, l, Multiplicative());
+        op = OBin::kSub;
       } else {
         return l;
       }
+      Deepen();
+      l = Node::Bin(op, l, Multiplicative());
     }
   }
 
   NodePtr Multiplicative() {
+    LevelScope level(this);
     NodePtr l = Unary();
     while (true) {
+      OBin op;
       if (AcceptSymbol("*")) {
-        l = Node::Bin(OBin::kMul, l, Unary());
+        op = OBin::kMul;
       } else if (AcceptSymbol("/")) {
-        l = Node::Bin(OBin::kDiv, l, Unary());
+        op = OBin::kDiv;
       } else if (AcceptKeyword("mod")) {
-        l = Node::Bin(OBin::kMod, l, Unary());
+        op = OBin::kMod;
       } else {
         return l;
       }
+      Deepen();
+      l = Node::Bin(op, l, Unary());
     }
   }
 
   NodePtr Unary() {
-    if (AcceptSymbol("-")) return Node::Un(OUn::kNeg, Unary());
+    if (AcceptSymbol("-")) {
+      LevelScope level(this);
+      Deepen();
+      return Node::Un(OUn::kNeg, Unary());
+    }
     return Postfix();
   }
 
   NodePtr Postfix() {
+    LevelScope level(this);
     NodePtr e = Primary();
-    while (AcceptSymbol(".")) e = Node::Proj(e, ExpectIdent());
+    while (AcceptSymbol(".")) {
+      Deepen();
+      e = Node::Proj(e, ExpectIdent());
+    }
     return e;
   }
 
@@ -270,6 +332,7 @@ class Parser {
   }
 
   NodePtr Primary() {
+    LevelScope level(this);
     const Token& t = Peek();
     switch (t.kind) {
       case TokKind::kInt: {
@@ -290,6 +353,7 @@ class Parser {
       }
       case TokKind::kSymbol:
         if (t.text == "(") {
+          Deepen();
           Advance();
           NodePtr q = Query();
           ExpectSymbol(")");
@@ -310,6 +374,7 @@ class Parser {
           return Node::Lit(Value::Null());
         }
         if (t.lower == "struct" && IsSymbol("(", 1)) {
+          Deepen();
           Advance();
           Advance();
           std::vector<std::pair<std::string, NodePtr>> fields;
@@ -325,6 +390,7 @@ class Parser {
         }
         OAgg agg;
         if (AggFromKeyword(t.lower, &agg) && IsSymbol("(", 1)) {
+          Deepen();
           Advance();
           Advance();
           NodePtr arg = Query();

@@ -26,7 +26,8 @@
 
 namespace ldb::oql {
 
-/// Parses one OQL query (a select or a bare expression). Throws ParseError.
+/// Parses one OQL query (a select or a bare expression). Throws ParseError,
+/// also for nesting deeper than kMaxParseDepth (runtime/error.h).
 NodePtr Parse(const std::string& input);
 
 }  // namespace ldb::oql

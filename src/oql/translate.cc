@@ -39,7 +39,9 @@ std::string DeriveName(const ProjItem& item, size_t index) {
   if (e->kind == NodeKind::kIdent) return e->name;
   if (e->kind == NodeKind::kProj) return e->name;  // last attribute
   if (e->kind == NodeKind::kAgg) return AggName(e->agg);
-  return "c" + std::to_string(index + 1);
+  std::string name = "c";
+  name += std::to_string(index + 1);
+  return name;
 }
 
 struct SelectParts {
@@ -265,8 +267,9 @@ OrderedQuery TranslateWithOrdering(const NodePtr& query) {
   // same range variables as the head.
   std::vector<std::pair<std::string, ExprPtr>> key_fields;
   for (size_t i = 0; i < query->order_by.size(); ++i) {
-    key_fields.emplace_back("o" + std::to_string(i),
-                            Trans(query->order_by[i].first));
+    std::string name = "o";
+    name += std::to_string(i);
+    key_fields.emplace_back(std::move(name), Trans(query->order_by[i].first));
     out.descending.push_back(query->order_by[i].second);
   }
   auto unordered = Node::New(NodeKind::kSelect);

@@ -25,6 +25,13 @@ class ParseError : public Error {
   explicit ParseError(const std::string& msg) : Error("parse error: " + msg) {}
 };
 
+/// The deepest nesting the text readers accept: the OQL parser (its own
+/// recursion and the height of the tree it returns) and the value-text
+/// reader (nested tuples and collections). Deeper input is a ParseError,
+/// raised before anything deeper is built, so every later recursive pass
+/// over parsed input is bounded too.
+inline constexpr int kMaxParseDepth = 256;
+
 /// Raised by the type checker (calculus typing, Figure 3; algebra typing,
 /// Figure 6) on ill-typed queries or plans.
 class TypeError : public Error {

@@ -199,10 +199,9 @@ void FillParams(const SlotPlan& sp, const ExecOptions& opt, Frame& frame) {
   }
 }
 
-// Routes the caller's parameter bindings (for fallback subterms),
-// cancellation token, and resource context onto a thread's frame evaluator.
+// Routes the caller's cancellation token and resource context onto a
+// thread's frame evaluator.
 void ArmEvaluator(FrameEvaluator* fev, const ExecOptions& opt) {
-  fev->SetParams(opt.params);
   fev->SetCancel(opt.cancel);
   fev->SetResource(opt.resource);
 }
@@ -1192,9 +1191,10 @@ struct WorkerStateRegistry {
 // exclusion is a floating-point product at the root: Accumulator folds
 // kProd pairwise in arrival order and FP multiplication is not associative.
 // (kSum/kAvg are exact via ExactSum; max/min/some/all are order-independent;
-// collections either canonicalize (set/bag) or concatenate in morsel order
-// (list); a spine HashNest merges whole groups in morsel order, which
-// restores the serial stream order within every group.)
+// first keeps the earliest morsel's value; collections either canonicalize
+// (set/bag) or concatenate in morsel order (list); a spine HashNest merges
+// whole groups in morsel order, which restores the serial stream order
+// within every group.)
 bool ParallelRootEligible(MonoidKind root_monoid) {
   return root_monoid != MonoidKind::kProd;
 }

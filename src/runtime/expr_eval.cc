@@ -4,7 +4,6 @@
 #include <functional>
 
 #include "src/core/pretty.h"
-#include "src/runtime/cancel.h"
 #include "src/runtime/error.h"
 
 namespace ldb {
@@ -128,7 +127,6 @@ Value ExprEvaluator::EvalComp(const ExprPtr& comp, const Env& env) {
     Value dom = Eval(q.expr, cur);
     if (dom.is_null()) return;  // generator over NULL yields nothing
     for (const Value& elem : dom.AsElems()) {  // (D5)-(D7)
-      if (cancel_ != nullptr) cancel_->ThrowIfCancelled();
       loop(i + 1, cur.With(q.var, elem));
       if (acc.Saturated()) return;
     }
@@ -142,13 +140,8 @@ Value ExprEvaluator::Eval(const ExprPtr& e, const Env& env) {
   switch (e->kind) {
     case ExprKind::kVar:
       return LookupVar(e->name, env);
-    case ExprKind::kParam: {
-      if (params_ != nullptr) {
-        auto it = params_->find(e->name);
-        if (it != params_->end()) return it->second;
-      }
+    case ExprKind::kParam:
       throw EvalError("unbound parameter $" + e->name);
-    }
     case ExprKind::kLiteral:
       return e->literal;
     case ExprKind::kRecord: {

@@ -27,8 +27,6 @@
 
 namespace ldb {
 
-class CancelToken;  // fwd (src/runtime/cancel.h)
-
 /// A runtime environment: range-variable bindings, in binding order.
 /// Lookup is linear — environments hold a handful of variables.
 class Env {
@@ -88,18 +86,6 @@ class ExprEvaluator {
   /// NULL (non-bool throws).
   bool EvalPred(const ExprPtr& pred, const Env& env);
 
-  /// Binding source for kParam nodes ($1 / $name). Parameters are execution
-  /// state rather than environment state (evaluation builds fresh Envs per
-  /// row), so they live on the evaluator. The map must outlive every
-  /// Eval call; nullptr (the default) makes any kParam an EvalError.
-  void SetParams(const std::map<std::string, Value>* params) {
-    params_ = params;
-  }
-
-  /// Cooperative-cancellation token polled by the evaluator's generator
-  /// loops. Null (the default) disables the checks.
-  void SetCancel(const CancelToken* cancel) { cancel_ = cancel; }
-
   const Database& db() const { return db_; }
 
  private:
@@ -108,8 +94,6 @@ class ExprEvaluator {
   Value LookupVar(const std::string& name, const Env& env);
 
   const Database& db_;
-  const std::map<std::string, Value>* params_ = nullptr;
-  const CancelToken* cancel_ = nullptr;
   std::map<std::string, Value> extent_cache_;
 };
 

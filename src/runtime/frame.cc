@@ -1,6 +1,7 @@
 #include "src/runtime/frame.h"
 
 #include "src/runtime/error.h"
+#include "src/runtime/expr_eval.h"
 
 namespace ldb {
 
@@ -137,11 +138,6 @@ Value FrameEvaluator::Eval(const CExpr& e, Frame& frame) {
       Value l = Eval(*e.a, frame);
       Value r = Eval(*e.b, frame);
       return MonoidMerge(e.monoid, l, r);
-    }
-    case CExprKind::kFallback: {
-      Env env;
-      for (const auto& [name, slot] : e.scope) env.Bind(name, frame[slot]);
-      return fallback_.Eval(e.original, env);
     }
   }
   throw InternalError("unhandled compiled expr kind");

@@ -11,10 +11,9 @@
 // vector store, reading it one vector load, and concatenating join sides is
 // a contiguous range copy.
 //
-// Constructs the calculus interpreter handles by environment manipulation
-// (nested comprehensions, bare lambdas) compile to a kFallback node that
-// reconstructs a minimal Env (free variables only) and delegates to
-// ExprEvaluator; everything on the hot path compiles away from strings.
+// Every expression of an unnested plan compiles: unnesting leaves no
+// comprehension behind (Theorem 1), so the engine never calls the calculus
+// interpreter.
 
 #ifndef LAMBDADB_RUNTIME_FRAME_H_
 #define LAMBDADB_RUNTIME_FRAME_H_
@@ -27,9 +26,10 @@
 #include "src/core/expr.h"
 #include "src/obs/resource.h"
 #include "src/runtime/database.h"
-#include "src/runtime/expr_eval.h"
 
 namespace ldb {
+
+class CancelToken;  // fwd (src/runtime/cancel.h)
 
 /// A runtime row: one Value per slot. Sized once per executing thread
 /// (SlotPlan::n_slots) and reused for every row that flows through the
@@ -49,7 +49,6 @@ enum class CExprKind {
   kUnOp,
   kLet,       ///< evaluate `a` into a scratch slot, then evaluate `b`
   kMerge,
-  kFallback,  ///< rebuild an Env from `scope` and run ExprEvaluator
 };
 
 /// A compiled expression. Fields not applicable to a node's kind are
@@ -65,19 +64,14 @@ struct CExpr {
   MonoidKind monoid{}; // kMerge
   std::vector<std::pair<std::string, CExprPtr>> fields;  // kRecord
   CExprPtr a, b, c;
-
-  // kFallback: the original term plus the (free-variable-restricted) mapping
-  // from visible names to slots, used to reconstruct an Env per evaluation.
-  ExprPtr original;
-  std::vector<std::pair<std::string, int>> scope;
 };
 
 /// Evaluates compiled expressions against a frame. One instance per
-/// executing thread (the embedded fallback interpreter caches extents).
-/// The frame is non-const because kLet writes scratch slots.
+/// executing thread (it caches projection lookups). The frame is non-const
+/// because kLet writes scratch slots.
 class FrameEvaluator {
  public:
-  explicit FrameEvaluator(const Database& db) : db_(db), fallback_(db) {}
+  explicit FrameEvaluator(const Database& db) : db_(db) {}
 
   Value Eval(const CExpr& e, Frame& frame);
 
@@ -93,25 +87,14 @@ class FrameEvaluator {
   /// next mutated.
   const Value* EvalPtr(const CExpr& e, Frame& frame, Value* scratch);
 
-  /// Routes parameter bindings to the embedded fallback interpreter (the
-  /// compiled hot path reads params from frame slots instead).
-  void SetParams(const std::map<std::string, Value>* params) {
-    fallback_.SetParams(params);
-  }
-
   /// Cancellation token shared with the iterators built over this
-  /// evaluator; also armed on the fallback interpreter so long-running
-  /// fallback comprehensions stay cancellable.
-  void SetCancel(const CancelToken* cancel) {
-    cancel_ = cancel;
-    fallback_.SetCancel(cancel);
-  }
+  /// evaluator.
+  void SetCancel(const CancelToken* cancel) { cancel_ = cancel; }
   const CancelToken* cancel() const { return cancel_; }
 
   /// Arms this evaluator's memory tracker against a query's resource
   /// context (nullptr disarms). Iterators built over this evaluator charge
-  /// their buffered state through mem(); the fallback interpreter's tracker
-  /// stays disarmed (fallback subterms are transient per-row work).
+  /// their buffered state through mem().
   void SetResource(obs::QueryResourceContext* rc) { mem_.Arm(rc); }
   obs::MemoryTracker& mem() { return mem_; }
 
@@ -133,7 +116,6 @@ class FrameEvaluator {
   const Value* EvalProjPtr(const CExpr& e, const Value& base, Value* scratch);
 
   const Database& db_;
-  ExprEvaluator fallback_;
   const CancelToken* cancel_ = nullptr;
   obs::MemoryTracker mem_;
   std::vector<ProjCache> proj_cache_;  // indexed by CExpr::proj_id

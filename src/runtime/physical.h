@@ -79,8 +79,7 @@ struct ExecOptions {
   const CancelToken* cancel = nullptr;
   /// Bindings for $1/$name query parameters. Null when the plan has none;
   /// executing a parameterized plan without its bindings is an EvalError.
-  /// The executor writes these into reserved frame slots before rows flow;
-  /// kFallback subtrees resolve them through the interpreter.
+  /// The executor writes these into reserved frame slots before rows flow.
   const std::map<std::string, Value>* params = nullptr;
   /// Always-on execution totals sink. Null (the default) skips the writes;
   /// non-null: filled at pipeline end, including on a QueryCancelled unwind

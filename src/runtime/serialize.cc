@@ -1,5 +1,6 @@
 #include "src/runtime/serialize.h"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
@@ -104,6 +105,10 @@ void WriteValue(std::ostream& os, const Value& v) {
 
 // -- reading ------------------------------------------------------------------
 
+// Reads the text the writers above produce. The input may be hostile (a
+// BIND parameter, a dump from elsewhere), so a declared length or count
+// never sizes an allocation beyond what the input has supplied, and nesting
+// is bounded by kMaxParseDepth.
 class Reader {
  public:
   explicit Reader(std::istream& is) : is_(is) {}
@@ -122,30 +127,48 @@ class Reader {
     }
   }
 
-  int64_t ReadInt() {
-    int64_t out = 0;
+  int64_t ReadInt(bool allow_negative = true) {
     bool neg = false;
     int c = is_.peek();
     if (c == '-') {
+      if (!allow_negative) throw ParseError("dump: negative count");
       neg = true;
       is_.get();
       c = is_.peek();
     }
     if (c < '0' || c > '9') throw ParseError("dump: expected integer");
+    // The magnitude may reach 2^63 only when negative (INT64_MIN).
+    const uint64_t limit = (uint64_t{1} << 63) - (neg ? 0 : 1);
+    uint64_t out = 0;
     while (c >= '0' && c <= '9') {
-      out = out * 10 + (c - '0');
+      const auto digit = static_cast<uint64_t>(c - '0');
+      if (out > (limit - digit) / 10) {
+        throw ParseError("dump: integer overflows int64");
+      }
+      out = out * 10 + digit;
       is_.get();
       c = is_.peek();
     }
-    return neg ? -out : out;
+    return static_cast<int64_t>(neg ? 0 - out : out);
   }
 
+  // A length or element count.
+  int64_t ReadCount() { return ReadInt(/*allow_negative=*/false); }
+
   std::string ReadString() {
-    int64_t len = ReadInt();
+    int64_t len = ReadCount();
     Expect(':');
-    std::string out(static_cast<size_t>(len), '\0');
-    is_.read(out.data(), len);
-    if (is_.gcount() != len) throw ParseError("dump: truncated string");
+    // Bounded chunks: the string grows with the bytes actually read.
+    std::string out;
+    char chunk[4096];
+    while (len > 0) {
+      const auto want =
+          static_cast<std::streamsize>(std::min<int64_t>(len, sizeof chunk));
+      is_.read(chunk, want);
+      if (is_.gcount() != want) throw ParseError("dump: truncated string");
+      out.append(chunk, static_cast<size_t>(want));
+      len -= want;
+    }
     return out;
   }
 
@@ -166,6 +189,7 @@ class Reader {
   }
 
   TypePtr ReadType() {
+    Nested nested(this);
     char tag = GetChar();
     switch (tag) {
       case 'b': return Type::Bool();
@@ -185,7 +209,7 @@ class Reader {
         return Type::List(elem);
       }
       case 'T': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         std::vector<std::pair<std::string, TypePtr>> fields;
         for (int64_t i = 0; i < n; ++i) {
@@ -201,6 +225,7 @@ class Reader {
   }
 
   Value ReadValue() {
+    Nested nested(this);
     char tag = GetChar();
     switch (tag) {
       case 'N': return Value::Null();
@@ -217,7 +242,7 @@ class Reader {
       }
       case 's': return Value::Str(ReadString());
       case 't': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         Fields fields;
         for (int64_t i = 0; i < n; ++i) {
@@ -230,10 +255,13 @@ class Reader {
       case 'e':
       case 'g':
       case 'l': {
-        int64_t n = ReadInt();
+        int64_t n = ReadCount();
         Expect('(');
         Elems elems;
-        elems.reserve(static_cast<size_t>(n));
+        // Each element takes at least one byte, so the input still buffered
+        // caps the reservation.
+        elems.reserve(static_cast<size_t>(std::min<int64_t>(
+            n, std::max<std::streamsize>(0, is_.rdbuf()->in_avail()))));
         for (int64_t i = 0; i < n; ++i) elems.push_back(ReadValue());
         Expect(')');
         if (tag == 'e') return Value::Set(std::move(elems));
@@ -270,7 +298,26 @@ class Reader {
   }
 
  private:
+  // One level of nested value or type; deeper than kMaxParseDepth fails.
+  class Nested {
+   public:
+    explicit Nested(Reader* r) : r_(r) {
+      if (r_->depth_ >= kMaxParseDepth) {
+        throw ParseError("dump: nesting deeper than " +
+                         std::to_string(kMaxParseDepth) + " levels");
+      }
+      ++r_->depth_;
+    }
+    ~Nested() { --r_->depth_; }
+    Nested(const Nested&) = delete;
+    Nested& operator=(const Nested&) = delete;
+
+   private:
+    Reader* r_;
+  };
+
   std::istream& is_;
+  int depth_ = 0;
 };
 
 }  // namespace

@@ -51,7 +51,10 @@ Database LoadDatabaseFromString(const std::string& dump);
 std::string ValueToText(const Value& v);
 
 /// Parses one value in the dump syntax; the whole string must be consumed.
-/// Throws ParseError on malformed input.
+/// Throws ParseError on malformed input, including a length or count the
+/// text does not carry, an integer outside int64, and nesting deeper than
+/// kMaxParseDepth. A declared size never sizes an allocation beyond the
+/// text.
 Value ValueFromText(const std::string& text);
 
 }  // namespace ldb

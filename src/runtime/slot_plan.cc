@@ -243,7 +243,7 @@ class Compiler {
           out->b = CompileExpr(e->a->a, inner);
           return out;
         }
-        return Fallback(e, scope);
+        throw InternalError("application of a non-lambda in a physical plan");
       case ExprKind::kMerge:
         out->kind = CExprKind::kMerge;
         out->monoid = e->monoid;
@@ -256,9 +256,12 @@ class Compiler {
         return out;
       case ExprKind::kComp:
       case ExprKind::kLambda:
-        // Comprehensions iterate their own bindings and bare lambdas are a
-        // runtime error; both go through the interpreter.
-        return Fallback(e, scope);
+        // Unnesting leaves no comprehension in a plan (Theorem 1), and a
+        // bare lambda is never a value.
+        throw InternalError(
+            std::string(e->kind == ExprKind::kComp ? "comprehension"
+                                                   : "bare lambda") +
+            " in an unnested plan: " + PrintExpr(e));
     }
     throw InternalError("unhandled expr kind in slot compilation");
   }
@@ -276,19 +279,6 @@ class Compiler {
     int slot = next_scratch_++;
     param_slots_.emplace_back(name, slot);
     return slot;
-  }
-
-  CExprPtr Fallback(const ExprPtr& e, const Scope& scope) {
-    auto out = std::make_shared<CExpr>();
-    out->kind = CExprKind::kFallback;
-    out->original = e;
-    // Only the free variables can be read; keeping the Env minimal makes
-    // its per-evaluation reconstruction cheap.
-    std::set<std::string> free = FreeVars(e);
-    for (const auto& [name, slot] : scope.vars) {
-      if (free.count(name)) out->scope.emplace_back(name, slot);
-    }
-    return out;
   }
 
   const Database& db_;

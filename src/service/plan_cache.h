@@ -46,11 +46,6 @@ struct PreparedPlan {
   SlotPlan slots;             ///< slot-compiled plan (what executes)
   bool ordered = false;       ///< top-level `order by`: sort after execution
   std::vector<bool> descending;
-
-  /// Top level is not a comprehension (e.g. a record of aggregates): the
-  /// physical/slot fields are unset and execution routes through
-  /// Optimizer::Run on `compiled.calculus`.
-  bool fallback_run = false;
 };
 
 /// Point-in-time cache counters. `evictions` is the lifetime total;

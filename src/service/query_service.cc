@@ -341,28 +341,16 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   // overhead stays off the cached (steady-state) path.
   if (obs::TraceRing::Enabled()) compile_opts.trace = true;
   Optimizer opt(db_.schema(), compile_opts);
-  try {
-    plan->compiled = opt.Compile(q.comp);
-    plan->physical =
-        PlanPhysical(plan->compiled.simplified, db_, cfg.optimizer.physical);
-    plan->slots = CompileSlotPlan(plan->physical, db_);
-    // A cached plan is served to every future session with this key, so a
-    // miscompiled frame layout would corrupt them all: when verification is
-    // on, the slot plan must pass the dataflow analysis before it may enter
-    // the cache (Compile already verified the calculus/algebra IRs;
-    // VerifyError propagates — it is not an UnsupportedError).
-    if (cfg.optimizer.verify_plans) {
-      VerifySlotPlan(plan->slots).ThrowIfFailed();
-    }
-  } catch (const UnsupportedError&) {
-    // Top level is not a comprehension (a record of aggregates, a union of
-    // queries, ...): execution routes through Optimizer::Run, which folds
-    // the maximal comprehension subterms.
-    plan->fallback_run = true;
-    plan->compiled = CompiledQuery{};
-    plan->compiled.calculus = q.comp;
-    plan->compiled.normalized = normalized;
-    plan->physical = nullptr;
+  plan->compiled = opt.Compile(q.comp);
+  plan->physical =
+      PlanPhysical(plan->compiled.simplified, db_, cfg.optimizer.physical);
+  plan->slots = CompileSlotPlan(plan->physical, db_);
+  // A cached plan is served to every future session with this key, so a
+  // miscompiled frame layout would corrupt them all: when verification is
+  // on, the slot plan must pass the dataflow analysis before it may enter
+  // the cache (Compile already verified the calculus/algebra IRs).
+  if (cfg.optimizer.verify_plans) {
+    VerifySlotPlan(plan->slots).ThrowIfFailed();
   }
   cache_.Insert(key, plan);
   return plan;
@@ -382,7 +370,6 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
   rec.remote = session.peer();
   rec.query_hash = std::hash<std::string>{}(stmt.oql);
   rec.threads = session.options().n_threads;
-  rec.engine = "slot";
 
   // Adopt the wire-propagated trace context — or mint an id, so slow and
   // failing requests land in the trace ring (and histogram exemplars) even
@@ -453,11 +440,7 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
       }
     }
     if (rec.slow) {
-      if (plan != nullptr) {
-        rec.plan_text = plan->fallback_run
-                            ? PrintExpr(plan->compiled.normalized)
-                            : PrintPhysicalPlan(plan->physical);
-      }
+      if (plan != nullptr) rec.plan_text = PrintPhysicalPlan(plan->physical);
       if (profiler != nullptr) rec.profile_json = ProfileToJson(*profiler);
     }
 
@@ -588,8 +571,7 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
   rec->compile_ms = MsBetween(t1, t2);
   rec->plan_cached = cached;
   rec->cache_key = plan.cache_key;
-  if (plan.fallback_run) rec->engine = "fallback";
-  if (!cached && cfg->optimizer.verify_plans && !plan.fallback_run)
+  if (!cached && cfg->optimizer.verify_plans)
     rec->verify = "ok";  // a verifier rejection would have thrown above
   if (ins_.enabled) ins_.compile_ms->Observe(rec->compile_ms, rec->trace_id);
 
@@ -616,17 +598,10 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
   Value result;
   active_.SetPhase(active_id, "executing");
   try {
-    if (plan.fallback_run) {
-      OptimizerOptions oo = cfg->optimizer;
-      oo.exec = eo;
-      Optimizer opt(db_.schema(), oo);
-      result = opt.Run(plan.compiled.calculus, db_);
-    } else {
-      // The cached SlotPlan is immutable and executes with per-call frames,
-      // so sharing it across concurrent sessions is safe — and skipping
-      // CompileSlotPlan here is most of what a cache hit buys.
-      result = ExecuteSlotPlan(plan.slots, db_, eo);
-    }
+    // The cached SlotPlan is immutable and executes with per-call frames,
+    // so sharing it across concurrent sessions is safe — and skipping
+    // CompileSlotPlan here is most of what a cache hit buys.
+    result = ExecuteSlotPlan(plan.slots, db_, eo);
   } catch (...) {
     flush_totals();
     throw;

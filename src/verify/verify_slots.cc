@@ -366,21 +366,6 @@ class SlotChecker {
         lets->erase(e->slot);
         break;
       }
-      case CExprKind::kFallback:
-        // The fallback rebuilds an Env by reading the listed slots, so each
-        // must be available like any direct read.
-        for (const auto& [name, slot] : e->scope) {
-          ++report_->checks;
-          if (flow.avail.count(slot) == 0 && params_.count(slot) == 0 &&
-              lets->count(slot) == 0) {
-            Finding("read-before-write",
-                    std::string(what) + " fallback reads slot " +
-                        std::to_string(slot) + " ('" + name +
-                        "') before any operator writes it",
-                    SlotOpLabel(op));
-          }
-        }
-        break;
     }
   }
 

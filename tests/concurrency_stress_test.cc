@@ -41,7 +41,6 @@ void RunThreads(int n, const std::function<void(int)>& body) {
 std::shared_ptr<const PreparedPlan> FakePlan(const std::string& key) {
   auto p = std::make_shared<PreparedPlan>();
   p->cache_key = key;
-  p->fallback_run = true;
   return p;
 }
 
@@ -57,7 +56,9 @@ TEST(ConcurrencyStress, PlanCacheHitMissEvictUnderContention) {
     std::uniform_int_distribution<int> key_dist(0, kKeys - 1);
     std::uniform_int_distribution<int> op_dist(0, 99);
     for (int i = 0; i < kOpsPerThread; ++i) {
-      std::string key = "q" + std::to_string(key_dist(rng)) + "\n@stamp";
+      std::string key = "q";
+      key += std::to_string(key_dist(rng));
+      key += "\n@stamp";
       int op = op_dist(rng);
       if (op < 70) {
         std::shared_ptr<const PreparedPlan> p = cache.Lookup(key);
@@ -97,8 +98,10 @@ TEST(ConcurrencyStress, PlanCacheEvictNotMatchingRacesInserts) {
     std::mt19937 rng(kSeed + 1 + t);
     std::uniform_int_distribution<int> key_dist(0, 31);
     for (int i = 0; i < 2000; ++i) {
-      std::string key = "q" + std::to_string(key_dist(rng)) + "\n@gen" +
-                        std::to_string(i % 2);
+      std::string key = "q";
+      key += std::to_string(key_dist(rng));
+      key += "\n@gen";
+      key += std::to_string(i % 2);
       if (cache.Lookup(key) == nullptr) cache.Insert(key, FakePlan(key));
     }
   });
@@ -131,7 +134,8 @@ TEST(ConcurrencyStress, PlanCacheSetMetricHooksRacesTraffic) {
     std::mt19937 rng(kSeed + t);
     std::uniform_int_distribution<int> key_dist(0, 7);
     for (int i = 0; i < 2000; ++i) {
-      std::string key = "k" + std::to_string(key_dist(rng));
+      std::string key = "k";
+      key += std::to_string(key_dist(rng));
       if (cache.Lookup(key) == nullptr) cache.Insert(key, FakePlan(key));
     }
   });

@@ -209,7 +209,6 @@ TEST(RegistryTest, JsonRoundTrip) {
 QueryLogRecord MakeRecord(const std::string& status) {
   QueryLogRecord rec;
   rec.status = status;
-  rec.engine = "slot";
   return rec;
 }
 
@@ -249,7 +248,6 @@ TEST(QueryLogTest, ToStringCarriesStatusAndError) {
   std::string s = rec.ToString();
   EXPECT_NE(s.find("failed"), std::string::npos);
   EXPECT_NE(s.find("type error"), std::string::npos);
-  EXPECT_NE(s.find("engine=slot"), std::string::npos);
 }
 
 // -------------------------------------------------------- plan-cache reasons

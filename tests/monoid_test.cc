@@ -229,6 +229,43 @@ TEST(MonoidTest, ResultTypes) {
             Type::Kind::kReal);
 }
 
+// first (internal: the reduce of a non-comprehension top level) keeps its
+// left operand, with NULL as its zero.
+TEST(MonoidTest, FirstKeepsItsLeftOperand) {
+  const MonoidKind f = MonoidKind::kFirst;
+  EXPECT_EQ(MonoidZero(f), Value::Null());
+  EXPECT_EQ(MonoidUnit(f, Value::Int(4)), Value::Int(4));
+  EXPECT_EQ(MonoidMerge(f, Value::Int(1), Value::Int(2)), Value::Int(1));
+  EXPECT_EQ(MonoidMerge(f, Value::Int(2), Value::Int(1)), Value::Int(2));
+  EXPECT_EQ(MonoidMerge(f, MonoidZero(f), Value::Int(2)), Value::Int(2));
+  EXPECT_EQ(MonoidMerge(f, Value::Int(2), MonoidZero(f)), Value::Int(2));
+  EXPECT_FALSE(IsCommutativeMonoid(f));
+  EXPECT_TRUE(IsIdempotentMonoid(f));
+  EXPECT_TRUE(IsPrimitiveMonoid(f));
+  EXPECT_EQ(MonoidResultType(f, Type::Set(Type::Int()))->ToString(),
+            Type::Set(Type::Int())->ToString());
+
+  Accumulator empty(f);
+  EXPECT_EQ(empty.Finish(), Value::Null());
+
+  // Add keeps the first non-NULL value.
+  Accumulator acc(f);
+  acc.Add(Value::Null());
+  acc.Add(Value::Set({Value::Int(1)}));
+  acc.Add(Value::Set({Value::Int(2)}));
+  EXPECT_EQ(acc.Finish(), Value::Set({Value::Int(1)}));
+
+  // Absorbing partials in stream order keeps the earliest partial's value,
+  // and an empty partial changes nothing.
+  Accumulator early(f), late(f), none(f), merged(f);
+  early.Add(Value::Str("early"));
+  late.Add(Value::Str("late"));
+  merged.Absorb(none);
+  merged.Absorb(early);
+  merged.Absorb(late);
+  EXPECT_EQ(merged.Finish(), Value::Str("early"));
+}
+
 TEST(MonoidTest, HeadConstraints) {
   EXPECT_EQ(MonoidHeadConstraint(MonoidKind::kSet), nullptr);
   EXPECT_EQ(MonoidHeadConstraint(MonoidKind::kSome)->kind(), Type::Kind::kBool);

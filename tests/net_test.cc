@@ -800,6 +800,58 @@ TEST_F(NetServerTest, UnknownOpcodeGetsProtocolErrorAndConnSurvives) {
   EXPECT_EQ(r.rows[0], Value::Int(200));
 }
 
+// One request must not crash the server: a query nested past the parser's
+// depth bound is a PARSE error, and the same connection serves on.
+TEST_F(NetServerTest, OverDeepQueriesGetParseErrorsOnALiveConnection) {
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  std::string chain = "1";
+  for (int i = 1; i < 20000; ++i) chain += "+1";
+  const std::string inputs[] = {
+      "select e from e in Employees where " + std::string(10000, '(') +
+          "e.age > 1" + std::string(10000, ')'),
+      chain,
+  };
+  for (const std::string& oql : inputs) {
+    EXPECT_THROW(
+        {
+          try {
+            client.Execute(oql);
+          } catch (const net::RemoteError& e) {
+            EXPECT_EQ(e.code(), ErrorCode::kParse);
+            throw;
+          }
+        },
+        net::RemoteError);
+    EXPECT_EQ(client.Execute("count(select e from e in Employees)").rows[0],
+              Value::Int(200));
+  }
+}
+
+// BIND values that declare more than they carry, or nest too deeply, are
+// PARSE errors, and the same connection serves on.
+TEST_F(NetServerTest, HostileBindTextsGetParseErrorsOnALiveConnection) {
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "l1(";
+  const std::string texts[] = {"s100000000:ab", "l2000000000(I1;)", "s-5:ab",
+                               deep};
+  for (const std::string& text : texts) {
+    BindRequest req;
+    req.params.emplace_back("1", text);
+    client.SendRaw(req.Encode());
+    Frame f = client.ReadFrame();
+    ASSERT_EQ(f.opcode, Opcode::kError) << text.substr(0, 24);
+    EXPECT_EQ(ErrorReply::Parse(f.payload).code, ErrorCode::kParse)
+        << text.substr(0, 24);
+    EXPECT_EQ(client.Execute("count(select e from e in Employees)").rows[0],
+              Value::Int(200));
+  }
+}
+
 TEST_F(NetServerTest, GarbageLengthPrefixPoisonsOnlyThatConnection) {
   Harness h;
   net::Client bad;

@@ -1,5 +1,5 @@
 // Tests for the optimizer pipeline facade (src/core/optimizer.*): stage
-// toggles (the ablation knobs), mixed top-level terms, completeness
+// toggles (the ablation knobs), non-comprehension top levels, completeness
 // enforcement, and the bag duplicate-safety check.
 
 #include "src/core/optimizer.h"
@@ -85,9 +85,23 @@ TEST_F(OptimizerTest, RunHandlesBareAggregate) {
   EXPECT_EQ(opt.Run(ParseOQL("1 + 2 * 3"), db_), Value::Int(7));
 }
 
-TEST_F(OptimizerTest, CompileRejectsNonComprehension) {
+TEST_F(OptimizerTest, CompileUnnestsNonComprehensionTopLevel) {
+  // A top level that is not a comprehension compiles as first{ e | }: the
+  // reduce of the unit stream, with every subquery spliced out of the head.
   Optimizer opt(db_.schema());
-  EXPECT_THROW(opt.Compile(ParseOQL("1 + 2")), UnsupportedError);
+  CompiledQuery arith = opt.Compile(ParseOQL("1 + 2"));
+  EXPECT_EQ(PlanShape(arith.plan), "Reduce(Unit)");
+  EXPECT_EQ(arith.plan->monoid, MonoidKind::kFirst);
+  EXPECT_EQ(opt.Execute(arith, db_), Value::Int(3));
+
+  CompiledQuery rec = opt.Compile(ParseOQL(
+      "struct(young: count(select e from e in Employees where e.age < 40), "
+      "       depts: count(select d from d in Departments))"));
+  EXPECT_EQ(rec.normalized->kind, ExprKind::kRecord);  // unwrapped normal form
+  EXPECT_TRUE(IsFullyUnnested(rec.plan));
+  EXPECT_EQ(PlanShape(rec.plan),
+            "Reduce(Nest(OuterJoin(Nest(Scan(Employees)),Scan(Departments))))");
+  EXPECT_EQ(rec.plan->monoid, MonoidKind::kFirst);
 }
 
 TEST_F(OptimizerTest, TypecheckCatchesBadQueriesBeforeExecution) {
@@ -183,7 +197,8 @@ TEST_F(OptimizerTest, SetNestingGroupedByBagVarAlsoRejected) {
 }
 
 TEST_F(OptimizerTest, UnionOfQueriesAtTopLevel) {
-  // Merge at the top is handled by Run (execute both sides, merge values).
+  // A merge at the top unnests as first{ A (+) B | }: both sides are spliced
+  // out of the head as nests.
   ExprPtr left = ParseOQL("select distinct e.name from e in Employees "
                           "where e.dno = 0");
   ExprPtr right = ParseOQL("select distinct e.name from e in Employees "

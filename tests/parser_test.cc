@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "src/runtime/error.h"
+#include "tests/test_util.h"
 
 namespace ldb::oql {
 namespace {
@@ -163,6 +166,32 @@ TEST(ParserTest, Errors) {
 
 TEST(ParserTest, KeywordsNotUsableAsRangeVariables) {
   EXPECT_THROW(Parse("select x from Employees select"), ParseError);
+}
+
+// `1+1+...+1` with `terms` operands: a left-deep tree as high as it is long.
+std::string SumChain(int terms) {
+  std::string out = "1";
+  for (int i = 1; i < terms; ++i) out += "+1";
+  return out;
+}
+
+// Nesting is bounded (kMaxParseDepth) so that one query cannot exhaust the
+// stack: bracket nesting bounds the parser's own recursion, and an operator
+// chain the height of the tree every later pass recurses over.
+TEST(ParserTest, NestingDeeperThanTheLimitIsAParseError) {
+  const std::string parens = "select e from e in Employees where " +
+                             std::string(10000, '(') + "e.age > 1" +
+                             std::string(10000, ')');
+  EXPECT_THROW(Parse(parens), ParseError);
+  EXPECT_THROW(Parse(SumChain(20000)), ParseError);
+  EXPECT_THROW(Parse(SumChain(kMaxParseDepth + 1)), ParseError);
+  std::string nots;
+  for (int i = 0; i < kMaxParseDepth; ++i) nots += "not ";
+  EXPECT_THROW(Parse(nots + "true"), ParseError);
+
+  // A query exactly at the limit parses and runs through the whole engine.
+  Database db = testing::TinyCompany();
+  EXPECT_EQ(RunOQL(db, SumChain(kMaxParseDepth)), Value::Int(kMaxParseDepth));
 }
 
 }  // namespace

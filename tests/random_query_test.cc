@@ -13,7 +13,9 @@
 // (docs/VERIFIER.md) must all agree that the plan is correct.
 // Each accepted query also exercises the pretty-printer round-trip that
 // backs plan-cache keys: print(normalized) must re-parse, re-typecheck, and
-// be a fixpoint of print∘normalize∘parse.
+// be a fixpoint of print∘normalize∘parse. Every fifth query is also paired
+// with its predecessor under a record, so top levels that are not
+// comprehensions take the same checks.
 
 #include <gtest/gtest.h>
 
@@ -254,14 +256,11 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
   par_opts.exec.morsel_size = 4;
   Optimizer opt_par(db.schema(), par_opts);
 
-  QueryGen gen(GetParam());
-  int checked = 0;
-  for (int i = 0; i < 40; ++i) {
-    ExprPtr q = gen.GenQuery();
-    SCOPED_TRACE("seed " + std::to_string(GetParam()) + " #" +
-                 std::to_string(i) + ": " + PrintExpr(q));
+  // Checks one query against every executor, the verifier, and the cache
+  // key round trip. Returns false when the optimizer declines the query.
+  auto check = [&](const ExprPtr& q, bool materialize) {
     // Every generated query must type-check (generator invariant).
-    ASSERT_NO_THROW(TypeCheck(q, db.schema()));
+    EXPECT_NO_THROW(TypeCheck(q, db.schema()));
     Value baseline = EvalCalculus(q, db);
     Value via_plan;
     CompiledQuery compiled;
@@ -270,7 +269,7 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
       EXPECT_TRUE(IsFullyUnnested(compiled.plan));
       via_plan = opt.Execute(compiled, db);
     } catch (const UnsupportedError&) {
-      continue;  // e.g. a non-canonical residue; baseline-only territory
+      return false;  // e.g. a non-canonical residue; baseline-only territory
     } catch (const VerifyError& e) {
       // A verifier rejection on a fuzzed query is a bug in either the
       // optimizer or the verifier; recompile unverified so the failure
@@ -278,9 +277,10 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
       OptimizerOptions noverify;
       noverify.verify_plans = false;
       CompiledQuery c2 = Optimizer(db.schema(), noverify).Compile(q);
-      FAIL() << e.what() << "\nnormalized: " << PrintExpr(c2.normalized)
-             << "\nplan:\n"
-             << PrintPlan(c2.plan);
+      ADD_FAILURE() << e.what() << "\nnormalized: " << PrintExpr(c2.normalized)
+                    << "\nplan:\n"
+                    << PrintPlan(c2.plan);
+      return false;
     }
     EXPECT_EQ(via_plan, baseline);
     // Pretty-printer round-trip: the printed normalized term is the plan
@@ -291,7 +291,7 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
     EXPECT_EQ(PrintExpr(reparsed), cache_key) << "print/parse round-trip";
     EXPECT_EQ(PrintExpr(Normalize(reparsed)), cache_key)
         << "cache key is not a normalization fixpoint";
-    ASSERT_NO_THROW(TypeCheck(reparsed, db.schema()));
+    EXPECT_NO_THROW(TypeCheck(reparsed, db.schema()));
     // serial slot pipeline == materializing executor == parallel slot
     // pipeline == baseline, on every plan the optimizer accepts. The
     // parallel result must be byte-identical (ExactSum makes kSum/kAvg
@@ -302,16 +302,40 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
         << "parallel slot pipeline";
     // Path materialization must also be meaning-preserving on every fuzzed
     // query (the generator emits plenty of e.manager.x navigation).
-    if (i % 4 == 0) {
+    if (materialize) {
       OptimizerOptions mat;
       mat.materialize_paths = true;
       Optimizer opt_mat(db.schema(), mat);
       EXPECT_EQ(opt_mat.Run(q, db), baseline) << "materialized";
     }
-    ++checked;
+    return true;
+  };
+
+  QueryGen gen(GetParam());
+  int checked = 0;
+  int composites = 0;
+  ExprPtr previous;
+  for (int i = 0; i < 40; ++i) {
+    ExprPtr q = gen.GenQuery();
+    {
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " #" +
+                   std::to_string(i) + ": " + PrintExpr(q));
+      if (check(q, i % 4 == 0)) ++checked;
+    }
+    // Every fifth query also runs paired with the one before it under a
+    // record: a top level that is not a comprehension, which unnests as
+    // first{ struct(...) | } through the same executors and verifier.
+    if (i % 5 == 4) {
+      ExprPtr pair = Expr::Record({{"a", previous}, {"b", q}});
+      SCOPED_TRACE("seed " + std::to_string(GetParam()) + " composite #" +
+                   std::to_string(i) + ": " + PrintExpr(pair));
+      if (check(pair, true)) ++composites;
+    }
+    previous = q;
   }
   // The generator must actually exercise the optimizer, not skip everything.
   EXPECT_GE(checked, 25);
+  EXPECT_GE(composites, 1);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,

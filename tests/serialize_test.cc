@@ -1,13 +1,44 @@
 // Tests for database serialization (src/runtime/serialize.*): round-trips,
-// query equivalence across reloads, and malformed-input rejection.
+// query equivalence across reloads, and malformed- and hostile-input
+// rejection.
 
 #include "src/runtime/serialize.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdint>
+#include <cstdlib>
+#include <new>
+#include <string>
+
 #include "src/lambdadb.h"
 #include "src/workload/oo7.h"
 #include "tests/test_util.h"
+
+namespace {
+// The largest single operator-new request while armed: lets a test show
+// that the value reader never sizes an allocation from a declared length
+// or count alone.
+std::atomic<bool> g_track_allocs{false};
+std::atomic<size_t> g_largest_alloc{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  // The tests that arm the tracker run on one thread.
+  if (g_track_allocs.load(std::memory_order_relaxed) &&
+      n > g_largest_alloc.load(std::memory_order_relaxed)) {
+    g_largest_alloc.store(n, std::memory_order_relaxed);
+  }
+  if (void* p = std::malloc(n == 0 ? 1 : n)) return p;
+  throw std::bad_alloc();
+}
+// Out of line, so that GCC does not pair an inlined free() with the new
+// expression it releases (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace ldb {
 namespace {
@@ -100,6 +131,39 @@ TEST(SerializeTest, MalformedInputsRejected) {
   std::string dump = DumpDatabaseToString(db);
   EXPECT_THROW(LoadDatabaseFromString(dump.substr(0, dump.size() / 2)),
                ParseError);
+}
+
+// Value texts arrive from clients (BIND) and from dumps. Each of these is a
+// ParseError, and no allocation exceeds one Value per input byte — the most
+// a well-formed text of that size can need (`N` is a one-byte element).
+TEST(SerializeTest, HostileValueTextsAreBoundedParseErrors) {
+  std::string deep;
+  for (int i = 0; i < 100000; ++i) deep += "l1(";
+  const std::string inputs[] = {
+      "s100000000:ab",            // declared length far beyond the input
+      "s9223372036854775807:ab",  // the largest declared length
+      "l2000000000(I1;)",         // declared count far beyond the input
+      "s-5:ab",                   // negative length
+      "I9223372036854775808;",    // overflows int64
+      deep,                       // nesting past kMaxParseDepth
+  };
+  for (const std::string& text : inputs) {
+    g_largest_alloc = 0;
+    g_track_allocs = true;
+    EXPECT_THROW(ValueFromText(text), ParseError) << text.substr(0, 24);
+    g_track_allocs = false;
+    EXPECT_LE(g_largest_alloc.load(), sizeof(Value) * text.size())
+        << text.substr(0, 24);
+  }
+
+  // The extremes of int64 and nesting exactly at the limit still read back.
+  EXPECT_EQ(ValueFromText("I-9223372036854775808;"),
+            Value::Int(INT64_MIN));
+  EXPECT_EQ(ValueFromText("I9223372036854775807;"), Value::Int(INT64_MAX));
+  Value nested = Value::Int(1);
+  for (int i = 1; i < kMaxParseDepth; ++i) nested = Value::List({nested});
+  EXPECT_EQ(ValueFromText(ValueToText(nested)), nested);
+  EXPECT_THROW(ValueFromText(ValueToText(Value::List({nested}))), ParseError);
 }
 
 TEST(SerializeTest, IndexContentsAreRebuiltNotSerialized) {

@@ -507,22 +507,40 @@ TEST_F(ServiceTest, LoadWithIndexesRestoresAccessPaths) {
             Value::Set({Value::Str("Cal"), Value::Str("Dee")}));
 }
 
-// ------------------------------------------------------- fallback execution
+// ------------------------------------------- non-comprehension top levels
 
-TEST_F(ServiceTest, NonComprehensionTopLevelFallsBackToRun) {
-  QueryService svc(db_);
+TEST_F(ServiceTest, NonComprehensionTopLevelRunsAsOneVerifiedSlotPlan) {
+  ServiceOptions so;
+  so.optimizer.verify_plans = true;
+  QueryService svc(db_, so);
   auto session = svc.OpenSession();
-  // A record of aggregates is not comprehension-rooted; the service routes
-  // it through Optimizer::Run (and still caches the decision).
+  // A record of aggregates is not comprehension-rooted: it unnests as
+  // first{ struct(...) | }, is verified, and is cached like any other plan.
   const char* q =
       "struct(N: count(select p from p in AtomicParts), "
       "B: count(select b from b in BaseAssemblies))";
+  Statement handle = QueryService::Prepare(q);
   QueryStats s1, s2;
-  Value r1 = svc.Execute(*session, q, &s1);
-  Value r2 = svc.Execute(*session, q, &s2);
+  Value r1 = svc.Execute(*session, handle, &s1);
+  EXPECT_FALSE(s1.plan_cached);
+  std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_EQ(tail[0].verify, "ok");
+  ASSERT_NE(handle.plan, nullptr);
+  ASSERT_NE(handle.plan->slots.root, nullptr);
+  EXPECT_EQ(handle.plan->slots.root->kind, PhysKind::kReduce);
+  EXPECT_EQ(handle.plan->slots.root->monoid, MonoidKind::kFirst);
+
+  // The bound handle runs its plan again: nothing compiles, nothing verifies.
+  Value r2 = svc.Execute(*session, handle, &s2);
   EXPECT_TRUE(s2.plan_cached);
+  EXPECT_EQ(s2.cache.misses, s1.cache.misses);
+  tail = svc.query_log().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_TRUE(tail[0].plan_cached);
+  EXPECT_EQ(tail[0].verify, "");
   EXPECT_EQ(r1, r2);
-  EXPECT_EQ(r1, RunOQL(db_, q));
+  EXPECT_EQ(r1, RunOQLBaseline(db_, q));
 }
 
 }  // namespace

@@ -250,6 +250,54 @@ TEST_F(SlotFrameTest, PrintSlotPlanShowsSpans) {
                                    "e.children where e.age > 26"));
 }
 
+TEST_F(SlotFrameTest, NonComprehensionTopLevelsAgreeAcrossExecutors) {
+  // Records, arithmetic over aggregates, and empty aggregates at the top
+  // level unnest as first{ e | } and must match the baseline on every
+  // executor, with the verifier on, from an empty extent upwards.
+  const char* kQueries[] = {
+      "struct(total: sum(select e.salary from e in Employees), "
+      "headcount: count(select e from e in Employees))",
+      "count(select e from e in Employees where e.age > 30) + "
+      "count(select d from d in Departments)",
+      "1 + 2 * 3",
+      "struct(oldest: max(select e.age from e in Employees where e.age > 999), "
+      "n: count(select e from e in Employees where e.age > 999))",
+      "max(select e.age from e in Employees where e.age > 999) + 1",
+  };
+  OptimizerOptions serial, par, materializing, paths;
+  par.exec.n_threads = 4;
+  par.exec.morsel_size = 4;
+  materializing.pipelined_execution = false;
+  paths.materialize_paths = true;
+  for (int n : {0, 30, 3000}) {
+    workload::CompanyParams params;
+    params.n_employees = n;
+    Database db = workload::MakeCompanyDatabase(params);
+    for (const char* q : kQueries) {
+      const Value baseline = RunOQLBaseline(db, q);
+      for (OptimizerOptions o : {serial, par, materializing, paths}) {
+        o.verify_plans = true;
+        EXPECT_EQ(RunOQL(db, q, o), baseline)
+            << n << " employees, threads=" << o.exec.n_threads
+            << " pipelined=" << o.pipelined_execution
+            << " materialize_paths=" << o.materialize_paths << ": " << q;
+      }
+    }
+  }
+}
+
+TEST_F(SlotFrameTest, ComprehensionInPhysicalPlanIsAnInternalError) {
+  // Unnesting leaves no comprehension behind (Theorem 1), so slot
+  // compilation has no interpreter escape: a head that still holds one is a
+  // compiler bug, reported rather than evaluated.
+  AlgPtr logical =
+      AlgOp::Reduce(AlgOp::Unit(), MonoidKind::kFirst,
+                    ParseOQL("count(select e from e in Employees)"),
+                    Expr::True());
+  PhysPtr phys = PlanPhysical(logical, db_);
+  EXPECT_THROW(CompileSlotPlan(phys, db_), InternalError);
+}
+
 TEST_F(SlotFrameTest, MorselSizeExtremes) {
   // morsel_size 1 (one row per morsel) and a size far larger than the
   // extent (single morsel) must both match the serial result.
