@@ -32,7 +32,7 @@ void ShowQuery(const Database& db, const FigureQuery& fq) {
   std::printf("unnested algebra plan (the Figure 1 artifact):\n%s\n",
               PrintPlan(plan).c_str());
   std::printf("physical plan:\n%s\n",
-              ExplainPhysical(plan, PhysicalOptions{}).c_str());
+              PrintPhysicalPlan(PlanPhysical(plan, db)).c_str());
   bench::StrategyTimes t = bench::RunStrategies(db, fq.oql);
   bench::PrintRowHeader();
   bench::PrintRow(fq.id, t);

@@ -40,7 +40,7 @@ int main() {
   std::printf("unnested algebra plan (outer-join + nest, Figure 1.B):\n%s\n",
               PrintPlan(compiled.simplified).c_str());
   std::printf("physical plan:\n%s\n",
-              ExplainPhysical(compiled.simplified, PhysicalOptions{}).c_str());
+              PrintPhysicalPlan(PlanPhysical(compiled.simplified, db)).c_str());
 
   // 4. Execute — and cross-check against the naive nested-loop baseline.
   Value result = optimizer.Execute(compiled, db);

@@ -128,6 +128,9 @@ double EstimatePhysicalCardinality(const PhysPtr& op, const Catalog& catalog) {
       }
       return std::max(1.0, op->group_by.empty() ? 1.0 : groups);
     }
+    case PhysKind::kGroupJoin:
+      // One row per left row: the left input's rows are its groups.
+      return EstimatePhysicalCardinality(op->left, catalog);
     case PhysKind::kReduce:
       return 1;
   }

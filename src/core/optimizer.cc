@@ -98,6 +98,11 @@ auto TimeStage(CompileTrace* trace, const char* stage, Fn&& fn)
 }  // namespace
 
 CompiledQuery Optimizer::Compile(const ExprPtr& calculus) const {
+  return Compile(calculus, nullptr);
+}
+
+CompiledQuery Optimizer::Compile(const ExprPtr& calculus,
+                                 const ExprPtr& normalized) const {
   CompiledQuery out;
   out.calculus = calculus;
   CompileTrace* trace = nullptr;
@@ -119,15 +124,16 @@ CompiledQuery Optimizer::Compile(const ExprPtr& calculus) const {
   if (options_.verify_plans) {
     verify(VerifyCalculus(calculus, schema_, CalculusStage::kInput));
   }
-  out.normalized =
-      options_.normalize
-          ? TimeStage(trace, "normalize",
-                      [&] {
-                        return trace ? NormalizeTraced(calculus,
-                                                       &trace->normalize_rules)
-                                     : Normalize(calculus);
-                      })
-          : calculus;
+  if (normalized) {
+    out.normalized = normalized;
+  } else if (options_.normalize) {
+    out.normalized = TimeStage(trace, "normalize", [&] {
+      return trace ? NormalizeTraced(calculus, &trace->normalize_rules)
+                   : Normalize(calculus);
+    });
+  } else {
+    out.normalized = calculus;
+  }
   if (options_.verify_plans && options_.normalize) {
     verify(VerifyCalculus(out.normalized, schema_, CalculusStage::kNormalized,
                           "calculus-normalized"));

@@ -75,7 +75,11 @@ struct OptimizerOptions {
 
   /// Verify that unnesting a bag comprehension cannot merge duplicate
   /// groups (every generator domain must be an extent or set-typed path);
-  /// reject otherwise. See DESIGN.md, "Bags and lists".
+  /// reject otherwise. See DESIGN.md, "Bags and lists". The physical
+  /// GroupJoin relies on this check: it equals Figure 5's nest only while
+  /// left rows are pairwise distinct on the group keys. With the check
+  /// off, a GroupJoin keeps duplicate left rows apart (the baseline's
+  /// answer) where a HashNest merged them.
   bool check_duplicate_safety = true;
 
   /// Record a CompileTrace (stage wall times + rule firings) into
@@ -122,6 +126,14 @@ class Optimizer {
   /// first{ e | }; `normalized` keeps the unwrapped normal form.
   /// Throws TypeError / UnsupportedError.
   CompiledQuery Compile(const ExprPtr& calculus) const;
+
+  /// Compile for a caller that already holds the term's normal form
+  /// (Normalize(calculus), or calculus itself when `normalize` is off), as
+  /// the service does for its cache key: the Figure 4 rewrite is not run
+  /// again. The input is still type-checked and verified, and so is
+  /// `normalized`.
+  CompiledQuery Compile(const ExprPtr& calculus,
+                        const ExprPtr& normalized) const;
 
   /// Executes a compiled query.
   Value Execute(const CompiledQuery& q, const Database& db) const;

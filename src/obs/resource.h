@@ -61,7 +61,7 @@ namespace obs {
 /// after another's release), which is the usual metrics trade.
 class QueryResourceContext {
  public:
-  /// One slot per PhysKind (12 today; headroom so this header does not need
+  /// One slot per PhysKind (13 today; headroom so this header does not need
   /// the enum).
   static constexpr int kMaxOpClasses = 16;
 

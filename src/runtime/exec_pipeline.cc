@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <exception>
 #include <optional>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "src/obs/resource.h"
 #include "src/runtime/cancel.h"
 #include "src/runtime/error.h"
+#include "src/runtime/expr_eval.h"
 #include "src/runtime/profile.h"
 
 namespace ldb {
@@ -113,11 +115,32 @@ using BufRow = std::vector<Value>;
 // Hash-join build table over span copies.
 using JoinTable = std::unordered_map<Value, std::vector<BufRow>, ValueHash>;
 
+// A GroupJoin's right side, built once per execution (after parameters are
+// written, so never part of the cached SlotPlan) by BuildGroupJoinSide.
+struct GroupJoinSide {
+  Value zero;  // the monoid's empty fold: a left row with no matches
+  // kLoop: right rows by equality key (one bucket under the empty-list key
+  // when there are no keys), in build order.
+  JoinTable table;
+  // kAggregate: each key's fold over its qualifying right rows.
+  std::unordered_map<Value, Value, ValueHash> folds_by_key;
+  // kSorted: the qualifying rows' (b, head) pairs in build order, kept only
+  // when some b (or a NaN head) defeats Value::Compare's ordering, in which
+  // case each left row folds over them in order (the loop strategy).
+  std::vector<std::pair<Value, Value>> entries;
+  // kSorted, ordered: the b values ascending, and folds[i], the fold over
+  // keys [0, i) for > and >=, or over keys [i, n) for < and <=.
+  bool ordered = false;
+  std::vector<Value> keys;
+  std::vector<Value> folds;
+};
+
 // Build-side tables prebuilt once and shared read-only by all workers,
 // keyed by the owning operator's SlotOp::id.
 struct SharedTables {
   std::unordered_map<int, JoinTable> join_tables;
   std::unordered_map<int, std::vector<BufRow>> buffers;
+  std::unordered_map<int, GroupJoinSide> group_joins;
   // (op class, bytes) charged per prebuilt table. Entries are pushed before
   // the rows charge against them, so an over-budget throw mid-build still
   // leaves every applied byte recorded; the parallel executor's scope guard
@@ -206,6 +229,14 @@ void ArmEvaluator(FrameEvaluator* fev, const ExecOptions& opt) {
   fev->SetResource(opt.resource);
 }
 
+// The O7 padding test: a row whose null-var slots hold NULL adds nothing.
+bool NullPadded(const SlotOp& op, const Frame& frame) {
+  for (int s : op.null_slots) {
+    if (frame[s].is_null()) return true;
+  }
+  return false;
+}
+
 // Folds the current frame into the group table exactly the way the serial
 // HashNest does; shared by the serial iterator and the parallel workers so
 // grouping logic cannot drift between them. Buffered bytes (group keys, and
@@ -230,14 +261,7 @@ void AccumulateNestRow(const SlotOp& nest, FrameEvaluator* fev, Frame& frame,
     }
   }
   NestGroup& g = pg->groups[it->second];
-  bool padded = false;
-  for (int s : nest.null_slots) {
-    if (frame[s].is_null()) {
-      padded = true;
-      break;
-    }
-  }
-  if (!padded && fev->EvalPred(*nest.pred, frame)) {
+  if (!NullPadded(nest, frame) && fev->EvalPred(*nest.pred, frame)) {
     Value scratch;
     const Value* hv = fev->EvalPtr(*nest.head, frame, &scratch);
     if (sized && IsCollectionMonoid(nest.monoid)) {
@@ -736,6 +760,280 @@ class FHashNestIter : public FrameIter {
   size_t pos_ = 0;
 };
 
+// A value Value::Compare orders strictly: anything else (NaN, bools, records)
+// sends a sorted GroupJoin back to its loop.
+bool Orderable(const Value& v) {
+  return v.kind() == Value::Kind::kInt || v.kind() == Value::Kind::kStr ||
+         (v.kind() == Value::Kind::kReal && std::isfinite(v.AsReal()));
+}
+
+// The finished fold of what `acc` has seen so far; `acc` keeps folding.
+Value Snapshot(const Accumulator& acc) {
+  Accumulator copy = acc;
+  return copy.Finish();
+}
+
+// Builds a GroupJoin's right side: drains `right`, keeping what the plan's
+// strategy needs (docs/EXECUTOR.md). The one build path for the serial
+// iterator and the parallel prebuild. Charges go to the GroupJoin class, and
+// *charged grows before each charge so an over-budget throw mid-build still
+// leaves every applied byte for the caller to release.
+void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
+                        Frame& frame, OperatorStats* stats, size_t* charged,
+                        GroupJoinSide* side) {
+  const bool sized = fev->mem().armed() || stats != nullptr;
+  auto charge = [&](size_t b) {
+    if (stats) stats->mem_bytes += b;
+    *charged += b;
+    fev->mem().Charge(static_cast<int>(PhysKind::kGroupJoin), b);
+  };
+  side->zero = Accumulator(op.monoid).Finish();
+  std::unordered_map<Value, Accumulator, ValueHash> accs;  // kAggregate
+  uint64_t read = 0;
+  Value scratch;
+  right->Open();
+  while (right->Next()) {
+    PollCancel(fev->cancel());
+    ++read;
+    switch (op.strategy) {
+      case GroupJoinStrategy::kLoop: {
+        Value key = EvalKeyTuple(fev, frame, op.build_keys);
+        if (key.is_null()) break;
+        BufRow row = CopySpan(frame, op.right->out_lo, op.right->out_hi);
+        if (sized) charge(SpanBytes(row));
+        side->table[std::move(key)].push_back(std::move(row));
+        break;
+      }
+      case GroupJoinStrategy::kAggregate: {
+        Value key = EvalKeyTuple(fev, frame, op.build_keys);
+        if (key.is_null() || !fev->EvalPred(*op.pred, frame) ||
+            NullPadded(op, frame)) {
+          break;
+        }
+        auto [it, inserted] = accs.try_emplace(std::move(key), op.monoid);
+        if (inserted && sized) charge(EstimateValueBytes(it->first));
+        const Value* hv = fev->EvalPtr(*op.head, frame, &scratch);
+        if (sized && IsCollectionMonoid(op.monoid)) {
+          charge(EstimateValueBytes(*hv));
+        }
+        it->second.Add(*hv);
+        break;
+      }
+      case GroupJoinStrategy::kSorted: {
+        Value b = fev->Eval(*op.build_keys[0], frame);
+        if (b.is_null() || !fev->EvalPred(*op.pred, frame) ||
+            NullPadded(op, frame)) {
+          break;
+        }
+        Value h = fev->Eval(*op.head, frame);
+        if (sized) charge(EstimateValueBytes(b) + EstimateValueBytes(h));
+        side->entries.emplace_back(std::move(b), std::move(h));
+        break;
+      }
+    }
+  }
+  right->Close();
+
+  size_t summary = 0;
+  if (op.strategy == GroupJoinStrategy::kAggregate) {
+    side->folds_by_key.reserve(accs.size());
+    for (auto& [key, acc] : accs) side->folds_by_key.emplace(key, acc.Finish());
+    summary = side->folds_by_key.size();
+  } else if (op.strategy == GroupJoinStrategy::kSorted) {
+    // Value::Compare is a strict weak order only on finite numbers and
+    // strings, and max/min of a NaN depends on the order rows arrive in.
+    side->ordered = std::all_of(
+        side->entries.begin(), side->entries.end(), [](const auto& e) {
+          return Orderable(e.first) &&
+                 !(e.second.kind() == Value::Kind::kReal &&
+                   std::isnan(e.second.AsReal()));
+        });
+    summary = side->entries.size();
+    if (side->ordered) {
+      std::vector<std::pair<Value, Value>>& entries = side->entries;
+      std::stable_sort(entries.begin(), entries.end(),
+                       [](const auto& x, const auto& y) {
+                         return Value::Compare(x.first, y.first) < 0;
+                       });
+      const size_t n = entries.size();
+      const bool prefix = op.sort_op == BinOpKind::kGt ||
+                          op.sort_op == BinOpKind::kGe;
+      side->folds.resize(n + 1);
+      Accumulator acc(op.monoid);
+      side->folds[prefix ? 0 : n] = side->zero;
+      for (size_t i = 0; i < n; ++i) {
+        PollCancel(fev->cancel());
+        const size_t at = prefix ? i : n - 1 - i;
+        acc.Add(entries[at].second);
+        side->folds[prefix ? i + 1 : at] = Snapshot(acc);
+      }
+      side->keys.reserve(n);
+      for (auto& e : entries) side->keys.push_back(std::move(e.first));
+      entries.clear();
+    }
+  }
+  if (stats) {
+    stats->build_rows += read;
+    stats->groups += summary;
+  }
+}
+
+// Folds one left row's matches into its aggregate.
+// Adds one match to a left row's fold; true when the fold saturated
+// (some/all), which ends it and counts as a short circuit.
+bool AddMatch(Accumulator* acc, const Value& v, OperatorStats* stats) {
+  acc->Add(v);
+  if (!acc->Saturated()) return false;
+  if (stats) ++stats->short_circuits;
+  return true;
+}
+
+Value FoldGroupJoinRow(const SlotOp& op, const GroupJoinSide& side,
+                       FrameEvaluator* fev, Frame& frame,
+                       OperatorStats* stats) {
+  Value scratch;
+  switch (op.strategy) {
+    case GroupJoinStrategy::kAggregate: {
+      auto it = side.folds_by_key.begin();  // no keys: the one total, if any
+      if (!op.probe_keys.empty()) {
+        const Value* key = EvalKeyPtr(fev, frame, op.probe_keys, &scratch);
+        if (key->is_null()) return side.zero;
+        it = side.folds_by_key.find(*key);
+      }
+      if (it == side.folds_by_key.end() || !fev->EvalPred(*op.guard, frame)) {
+        return side.zero;
+      }
+      return it->second;
+    }
+    case GroupJoinStrategy::kSorted: {
+      const Value* a = fev->EvalPtr(*op.probe_keys[0], frame, &scratch);
+      if (a->is_null() || !fev->EvalPred(*op.guard, frame)) return side.zero;
+      if (side.ordered) {
+        // Keys below a (k < a), or at most a (k <= a): b < a is a prefix of
+        // the sorted keys for >, b <= a for >=; the suffix past them holds
+        // b >= a for <=, b > a for <.
+        const bool inclusive = op.sort_op == BinOpKind::kGe ||
+                               op.sort_op == BinOpKind::kLt;
+        auto end = std::partition_point(
+            side.keys.begin(), side.keys.end(), [&](const Value& k) {
+              const int c = Value::Compare(k, *a);
+              return inclusive ? c <= 0 : c < 0;
+            });
+        return side.folds[static_cast<size_t>(end - side.keys.begin())];
+      }
+      Accumulator acc(op.monoid);
+      for (const auto& [b, h] : side.entries) {
+        if (ApplyCompareOp(op.sort_op, *a, b).AsBool() &&
+            AddMatch(&acc, h, stats)) {
+          break;
+        }
+      }
+      return acc.Finish();
+    }
+    case GroupJoinStrategy::kLoop: {
+      auto it = side.table.begin();  // no keys: the one buffer, if any
+      if (!op.probe_keys.empty()) {
+        const Value* key = EvalKeyPtr(fev, frame, op.probe_keys, &scratch);
+        if (key->is_null()) return side.zero;
+        it = side.table.find(*key);
+      }
+      if (it == side.table.end() || !fev->EvalPred(*op.guard, frame)) {
+        return side.zero;
+      }
+      Accumulator acc(op.monoid);
+      Value head_scratch;
+      for (const BufRow& row : it->second) {
+        LoadSpan(frame, op.right->out_lo, row);
+        if (!fev->EvalPred(*op.pred, frame) || NullPadded(op, frame)) continue;
+        if (AddMatch(&acc, *fev->EvalPtr(*op.head, frame, &head_scratch),
+                     stats)) {
+          break;
+        }
+      }
+      return acc.Finish();
+    }
+  }
+  throw InternalError("unhandled group-join strategy");
+}
+
+// Nest(OuterJoin(L, R)) in one pass over L: each left row leaves with its
+// group slots copied from the row (HashNest's output convention) and the
+// aggregate of its matches. The right side is built on Open, or injected
+// prebuilt by the parallel executor (then right_ is null).
+class FGroupJoinIter : public FrameIter {
+ public:
+  FGroupJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
+                 std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
+                 Frame* frame, const GroupJoinSide* shared_side)
+      : op_(op), left_(std::move(left)), right_(std::move(right)), fev_(fev),
+        frame_(frame), shared_side_(shared_side) {}
+
+  ~FGroupJoinIter() override { ReleaseCharge(); }
+
+  void set_stats(OperatorStats* s) { stats_ = s; }
+
+  void Open() override {
+    ReleaseCharge();
+    if (shared_side_ != nullptr) {
+      side_ = shared_side_;  // prebuilt: the parallel executor owns the charge
+    } else {
+      own_side_ = GroupJoinSide{};
+      BuildGroupJoinSide(op_, right_.get(), fev_, *frame_, stats_, &charged_,
+                         &own_side_);
+      side_ = &own_side_;
+    }
+    left_->Open();
+    emitted_ = false;
+    done_ = false;
+  }
+
+  bool Next() override {
+    if (done_) return false;
+    if (!left_->Next()) {
+      done_ = true;
+      // Like HashNest, a nest without group keys yields one row even over
+      // an empty input.
+      if (!op_.group_slots.empty() || emitted_) return false;
+      (*frame_)[op_.var_slot] = side_->zero;
+      return true;
+    }
+    emitted_ = true;
+    PollCancel(fev_->cancel());
+    Value agg = FoldGroupJoinRow(op_, *side_, fev_, *frame_, stats_);
+    for (const auto& [slot, key] : op_.group_slots) {
+      (*frame_)[slot] = fev_->Eval(*key, *frame_);
+    }
+    (*frame_)[op_.var_slot] = std::move(agg);
+    return true;
+  }
+
+  void Close() override {
+    left_->Close();
+    own_side_ = GroupJoinSide{};
+    ReleaseCharge();
+  }
+
+ private:
+  void ReleaseCharge() {
+    if (charged_ > 0) {
+      fev_->mem().Release(static_cast<int>(PhysKind::kGroupJoin), charged_);
+      charged_ = 0;
+    }
+  }
+
+  const SlotOp& op_;
+  std::unique_ptr<FrameIter> left_, right_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  OperatorStats* stats_ = nullptr;
+  size_t charged_ = 0;
+  const GroupJoinSide* shared_side_;
+  GroupJoinSide own_side_;
+  const GroupJoinSide* side_ = nullptr;
+  bool emitted_ = false;
+  bool done_ = false;
+};
+
 // Construction context: the per-thread frame/evaluator, plus the parallel
 // executor's injections (shared build tables, the morsel-ranged driver scan,
 // pre-merged nest groups for the serial tail).
@@ -833,6 +1131,20 @@ std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
       out = std::move(nest);
       break;
     }
+    case PhysKind::kGroupJoin: {
+      const GroupJoinSide* shared_side = nullptr;
+      if (ctx.shared != nullptr) {
+        auto it = ctx.shared->group_joins.find(op->id);
+        if (it != ctx.shared->group_joins.end()) shared_side = &it->second;
+      }
+      auto right = shared_side ? nullptr : MakeFrameIterator(op->right, ctx);
+      auto gj = std::make_unique<FGroupJoinIter>(
+          *op, MakeFrameIterator(op->left, ctx), std::move(right), ctx.fev,
+          ctx.frame, shared_side);
+      gj->set_stats(stats);
+      out = std::move(gj);
+      break;
+    }
     case PhysKind::kReduce:
       throw InternalError("reduce is driven by ExecuteSlotPlan, not pulled");
   }
@@ -918,9 +1230,9 @@ Value ExecuteSlotSerial(const SlotPlan& sp, const Database& db,
 // ===========================================================================
 
 // The streaming spine: the chain of operators a driver-scan row flows
-// through without being buffered. Joins continue along their probe/streamed
-// side; HashNest is a barrier but is still spine (mode B parallelizes below
-// the lowest one).
+// through without being buffered. Joins and GroupJoins continue along their
+// probe/streamed side; HashNest is a barrier but is still spine (mode B
+// parallelizes below the lowest one).
 struct SpineInfo {
   SlotOpPtr driver;       // the driving kTableScan (null = not parallelizable)
   SlotOpPtr lowest_nest;  // deepest kHashNest on the spine, if any
@@ -936,6 +1248,7 @@ SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
       case PhysKind::kOuterUnnest:
       case PhysKind::kNLJoin:
       case PhysKind::kNLOuterJoin:
+      case PhysKind::kGroupJoin:
         cur = cur->left;
         break;
       case PhysKind::kHashJoin:
@@ -956,8 +1269,8 @@ SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
   return SpineInfo{};
 }
 
-// Builds every spine join's build/buffer side once, serially, so workers
-// share the tables read-only. With a profiler, the build subtrees' counters
+// Builds every spine join's build/buffer side (and every spine GroupJoin's
+// right side) once, serially, so workers share them read-only. With a profiler, the build subtrees' counters
 // and the joins' build_rows land in *prof — once, matching the serial run —
 // while the workers (who only read the shared tables) record nothing for
 // them.
@@ -1044,6 +1357,23 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
         }
         shared->join_tables.emplace(cur->id, std::move(table));
         cur = cur->build_is_left ? cur->right : cur->left;
+        break;
+      }
+      case PhysKind::kGroupJoin: {
+        FrameExecCtx ctx;
+        ctx.fev = &fev;
+        ctx.frame = &frame;
+        ctx.profiler = prof;
+        auto it = MakeFrameIterator(cur->right, ctx);
+        OperatorStats* s =
+            prof == nullptr ? nullptr
+                            : prof->Register(cur->id, cur->kind,
+                                             ProfLabel(cur->kind, cur->extent));
+        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
+        BuildGroupJoinSide(*cur, it.get(), &fev, frame, s,
+                           &shared->charges.back().second,
+                           &shared->group_joins[cur->id]);
+        cur = cur->left;
         break;
       }
       default:  // the driver scan

@@ -2,29 +2,22 @@
 
 #include <algorithm>
 #include <set>
-#include <sstream>
 
-#include "src/core/pretty.h"
 #include "src/runtime/database.h"
 #include "src/runtime/error.h"
 
 namespace ldb {
 
-namespace {
-
-// True if all free variables of e are within vars (names with '$' are
-// generated range variables; extent names never appear in join keys, so a
-// plain subset test suffices — an extent-referencing conjunct simply stays
-// in the residual).
-bool Within(const ExprPtr& e, const std::vector<std::string>& vars) {
+// Names with '$' are generated range variables; extent names never appear
+// in join keys, so a plain subset test suffices — an extent-referencing
+// conjunct simply stays in the residual.
+bool ReadsOnly(const ExprPtr& e, const std::vector<std::string>& vars) {
   std::set<std::string> fv = FreeVars(e);
   for (const std::string& v : fv) {
     if (std::find(vars.begin(), vars.end(), v) == vars.end()) return false;
   }
   return true;
 }
-
-}  // namespace
 
 JoinKeys ExtractEquiKeys(const ExprPtr& pred,
                          const std::vector<std::string>& left_vars,
@@ -33,12 +26,12 @@ JoinKeys ExtractEquiKeys(const ExprPtr& pred,
   std::vector<ExprPtr> residual;
   for (const ExprPtr& c : SplitConjuncts(pred)) {
     if (c->kind == ExprKind::kBinOp && c->bin_op == BinOpKind::kEq) {
-      if (Within(c->a, left_vars) && Within(c->b, right_vars)) {
+      if (ReadsOnly(c->a, left_vars) && ReadsOnly(c->b, right_vars)) {
         out.left_keys.push_back(c->a);
         out.right_keys.push_back(c->b);
         continue;
       }
-      if (Within(c->b, left_vars) && Within(c->a, right_vars)) {
+      if (ReadsOnly(c->b, left_vars) && ReadsOnly(c->a, right_vars)) {
         out.left_keys.push_back(c->b);
         out.right_keys.push_back(c->a);
         continue;
@@ -75,77 +68,6 @@ bool MatchIndexScan(const AlgOp& scan, const Database& db, IndexMatch* out) {
     }
   }
   return false;
-}
-
-namespace {
-
-void Explain(const AlgPtr& op, int indent, const PhysicalOptions& options,
-             const Database* db, std::ostringstream& os) {
-  if (!op) return;
-  os << std::string(static_cast<size_t>(indent) * 2, ' ');
-  switch (op->kind) {
-    case AlgKind::kJoin:
-    case AlgKind::kOuterJoin: {
-      JoinKeys keys = ExtractEquiKeys(op->pred, OutputVars(op->left),
-                                      OutputVars(op->right));
-      bool hash = options.use_hash_joins && keys.hashable();
-      os << (hash ? "Hash" : "NL")
-         << (op->kind == AlgKind::kJoin ? "Join" : "OuterJoin");
-      if (hash) {
-        os << " keys(";
-        for (size_t i = 0; i < keys.left_keys.size(); ++i) {
-          if (i) os << ", ";
-          os << PrintExpr(keys.left_keys[i]) << '=' << PrintExpr(keys.right_keys[i]);
-        }
-        os << ')';
-        if (!keys.residual->IsTrueLiteral()) {
-          os << " residual(" << PrintExpr(keys.residual) << ')';
-        }
-      } else {
-        os << " pred(" << PrintExpr(op->pred) << ')';
-      }
-      os << '\n';
-      Explain(op->left, indent + 1, options, db, os);
-      Explain(op->right, indent + 1, options, db, os);
-      return;
-    }
-    case AlgKind::kNest:
-      os << "HashNest[" << MonoidName(op->monoid) << "]\n";
-      Explain(op->left, indent + 1, options, db, os);
-      return;
-    case AlgKind::kScan: {
-      IndexMatch m;
-      if (db != nullptr && options.use_indexes && MatchIndexScan(*op, *db, &m)) {
-        os << "IndexScan[" << op->var << " <- " << op->extent << '.' << m.attr
-           << " = " << PrintExpr(m.key);
-        if (!m.residual->IsTrueLiteral()) {
-          os << " residual(" << PrintExpr(m.residual) << ')';
-        }
-        os << "]\n";
-        return;
-      }
-      std::string line = PrintPlan(op);
-      os << line.substr(0, line.find('\n')) << '\n';
-      return;
-    }
-    default: {
-      // Reuse the logical printer's one-line form for the other operators.
-      std::string line = PrintPlan(op);
-      os << line.substr(0, line.find('\n')) << '\n';
-      Explain(op->left, indent + 1, options, db, os);
-      Explain(op->right, indent + 1, options, db, os);
-      return;
-    }
-  }
-}
-
-}  // namespace
-
-std::string ExplainPhysical(const AlgPtr& plan, const PhysicalOptions& options,
-                            const Database* db) {
-  std::ostringstream os;
-  Explain(plan, 0, options, db, os);
-  return os.str();
 }
 
 }  // namespace ldb

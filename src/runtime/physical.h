@@ -31,7 +31,10 @@ class QueryResourceContext;  // fwd (src/obs/resource.h)
 /// Execution options for the algebra executor.
 struct PhysicalOptions {
   /// Use hash (outer-)joins when the predicate has equality conjuncts whose
-  /// two sides split across the join inputs; otherwise nested loops.
+  /// two sides split across the join inputs; otherwise nested loops. Off,
+  /// it also limits every GroupJoin to its `loop` strategy over a buffer
+  /// (no keys, no pre-aggregated or sorted summary), so the ablation still
+  /// measures nested loops end to end.
   bool use_hash_joins = true;
   /// Use a hash index (Database::BuildIndex) instead of a full extent scan
   /// when a scan predicate pins an indexed attribute to a constant.
@@ -106,6 +109,10 @@ struct JoinKeys {
   bool hashable() const { return !left_keys.empty(); }
 };
 
+/// True if every free variable of `e` is in `vars`. Extent names count as
+/// free variables, so an expression that reads an extent is never within.
+bool ReadsOnly(const ExprPtr& e, const std::vector<std::string>& vars);
+
 /// Splits `pred` into hash keys and a residual with respect to the variable
 /// sets produced by the two join inputs.
 JoinKeys ExtractEquiKeys(const ExprPtr& pred,
@@ -127,12 +134,6 @@ class Database;  // fwd
 /// var.attr`) with `k` variable-free and db has an index on (extent, attr),
 /// fills *out and returns true.
 bool MatchIndexScan(const AlgOp& scan, const Database& db, IndexMatch* out);
-
-/// Renders the plan annotated with the physical algorithm each join would
-/// use under `options` (HashJoin / NLJoin / HashOuterJoin / ...). With a
-/// database, scans over indexed attributes show as IndexScan.
-std::string ExplainPhysical(const AlgPtr& plan, const PhysicalOptions& options,
-                            const Database* db = nullptr);
 
 }  // namespace ldb
 

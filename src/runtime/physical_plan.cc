@@ -1,5 +1,6 @@
 #include "src/runtime/physical_plan.h"
 
+#include <set>
 #include <sstream>
 
 #include "src/core/cost.h"
@@ -15,6 +16,66 @@ std::shared_ptr<PhysOp> New(PhysKind k) {
   op->kind = k;
   op->pred = Expr::True();
   return op;
+}
+
+// True if evaluating `e` can throw on a well-typed row: division and
+// modulo by zero are the calculus's only partial operators.
+bool CanFail(const ExprPtr& e) {
+  if (!e) return false;
+  if (e->kind == ExprKind::kBinOp &&
+      (e->bin_op == BinOpKind::kDiv || e->bin_op == BinOpKind::kMod)) {
+    return true;
+  }
+  for (const auto& [name, f] : e->fields) {
+    if (CanFail(f)) return true;
+  }
+  return CanFail(e->a) || CanFail(e->b) || CanFail(e->c);
+}
+
+// True for the monoids whose result does not depend on the order rows are
+// added in (sums stay exact through ExactSum), which the sorted strategy
+// needs: it adds rows in key order, not build order.
+bool OrderIndependent(MonoidKind m) {
+  switch (m) {
+    case MonoidKind::kSum:
+    case MonoidKind::kMax:
+    case MonoidKind::kMin:
+    case MonoidKind::kSome:
+    case MonoidKind::kAll:
+    case MonoidKind::kAvg:
+      return true;
+    default:
+      return false;
+  }
+}
+
+// Matches `a op b` with op in <, <=, >, >=, a over L and b over R, mirroring
+// a comparison written the other way round.
+bool SplitComparison(const ExprPtr& c, const std::vector<std::string>& lvars,
+                     const std::vector<std::string>& rvars, ExprPtr* a,
+                     ExprPtr* b, BinOpKind* op) {
+  if (c->kind != ExprKind::kBinOp || CanFail(c)) return false;
+  BinOpKind mirrored;
+  switch (c->bin_op) {
+    case BinOpKind::kLt: mirrored = BinOpKind::kGt; break;
+    case BinOpKind::kLe: mirrored = BinOpKind::kGe; break;
+    case BinOpKind::kGt: mirrored = BinOpKind::kLt; break;
+    case BinOpKind::kGe: mirrored = BinOpKind::kLe; break;
+    default: return false;
+  }
+  if (ReadsOnly(c->a, lvars) && ReadsOnly(c->b, rvars)) {
+    *a = c->a;
+    *b = c->b;
+    *op = c->bin_op;
+    return true;
+  }
+  if (ReadsOnly(c->b, lvars) && ReadsOnly(c->a, rvars)) {
+    *a = c->b;
+    *b = c->a;
+    *op = mirrored;
+    return true;
+  }
+  return false;
 }
 
 class Planner {
@@ -65,6 +126,7 @@ class Planner {
         return out;
       }
       case AlgKind::kNest: {
+        if (PhysPtr fused = PlanGroupJoin(*op)) return fused;
         auto out = New(PhysKind::kHashNest);
         out->left = Plan(op->left);
         out->monoid = op->monoid;
@@ -140,6 +202,93 @@ class Planner {
     return out;
   }
 
+  // Nest(OuterJoin(L, R)) whose group keys are exactly L's variables is one
+  // GroupJoin: DupVars keeps L's rows pairwise distinct on those keys, so
+  // every left row is its own group and its aggregate is a fold over its
+  // own matches. Returns null when the nest does not have that shape.
+  PhysPtr PlanGroupJoin(const AlgOp& nest) {
+    const AlgPtr& join = nest.left;
+    if (join->kind != AlgKind::kOuterJoin) return nullptr;
+    std::vector<std::string> lvars = OutputVars(join->left);
+    std::vector<std::string> rvars = OutputVars(join->right);
+    std::set<std::string> lset(lvars.begin(), lvars.end());
+    std::set<std::string> rset(rvars.begin(), rvars.end());
+    std::set<std::string> keyed;
+    for (const auto& [name, key] : nest.group_by) {
+      if (key->kind != ExprKind::kVar) return nullptr;
+      keyed.insert(key->name);
+    }
+    // Shadowed names would make "reads only L" ambiguous: keep the nest.
+    if (keyed != lset || lset.size() != lvars.size()) return nullptr;
+    for (const std::string& v : rvars) {
+      if (lset.count(v) > 0) return nullptr;
+    }
+    for (const std::string& v : nest.null_vars) {
+      if (rset.count(v) == 0) return nullptr;
+    }
+
+    auto out = New(PhysKind::kGroupJoin);
+    out->left = Plan(join->left);
+    out->right = Plan(join->right);
+    out->monoid = nest.monoid;
+    out->head = nest.head;
+    out->var = nest.var;
+    out->group_by = nest.group_by;
+    out->null_vars = nest.null_vars;
+
+    // A non-padded joined row contributes iff it passes both predicates,
+    // so the nest's predicate joins the outer join's for key extraction.
+    std::vector<ExprPtr> conjuncts = SplitConjuncts(join->pred);
+    for (const ExprPtr& c : SplitConjuncts(nest.pred)) conjuncts.push_back(c);
+    JoinKeys keys;
+    if (options_.use_hash_joins) {
+      keys = ExtractEquiKeys(MakeConjunction(conjuncts), lvars, rvars);
+    } else {
+      keys.residual = MakeConjunction(conjuncts);
+    }
+    // Every other conjunct reads only R (a per-right-row filter), only L (a
+    // per-left-row guard) or both. A guard that can fail stays per pair, so
+    // it is evaluated exactly when the nested plan would evaluate it.
+    std::vector<ExprPtr> right_only, guards, both;
+    for (const ExprPtr& c : SplitConjuncts(keys.residual)) {
+      if (ReadsOnly(c, rvars)) {
+        right_only.push_back(c);
+      } else if (ReadsOnly(c, lvars) && !CanFail(c)) {
+        guards.push_back(c);
+      } else {
+        both.push_back(c);
+      }
+    }
+    out->probe_keys = keys.left_keys;
+    out->build_keys = keys.right_keys;
+    out->guard = MakeConjunction(guards);
+
+    // The summaries evaluate the head and filters for right rows no left
+    // row may ever pair with, so they take only expressions that cannot fail.
+    bool summary_ok = options_.use_hash_joins &&
+                      ReadsOnly(nest.head, rvars) && !CanFail(nest.head);
+    for (const ExprPtr& c : right_only) summary_ok = summary_ok && !CanFail(c);
+    ExprPtr a, b;
+    BinOpKind op{};
+    if (summary_ok && both.empty()) {
+      out->strategy = GroupJoinStrategy::kAggregate;
+      out->pred = MakeConjunction(right_only);
+    } else if (summary_ok && keys.left_keys.empty() && both.size() == 1 &&
+               OrderIndependent(nest.monoid) &&
+               SplitComparison(both[0], lvars, rvars, &a, &b, &op)) {
+      out->strategy = GroupJoinStrategy::kSorted;
+      out->pred = MakeConjunction(right_only);
+      out->probe_keys = {a};
+      out->build_keys = {b};
+      out->sort_op = op;
+    } else {
+      out->strategy = GroupJoinStrategy::kLoop;
+      right_only.insert(right_only.end(), both.begin(), both.end());
+      out->pred = MakeConjunction(right_only);
+    }
+    return out;
+  }
+
   // A statistics peek for build-side choice: actual extent sizes where
   // visible, otherwise a neutral constant.
   double RoughCard(const AlgPtr& op) {
@@ -170,7 +319,17 @@ const char* PhysKindName(PhysKind kind) {
     case PhysKind::kUnnest:        return "Unnest";
     case PhysKind::kOuterUnnest:   return "OuterUnnest";
     case PhysKind::kHashNest:      return "HashNest";
+    case PhysKind::kGroupJoin:     return "GroupJoin";
     case PhysKind::kReduce:        return "Reduce";
+  }
+  return "?";
+}
+
+const char* GroupJoinStrategyName(GroupJoinStrategy strategy) {
+  switch (strategy) {
+    case GroupJoinStrategy::kAggregate: return "aggregate";
+    case GroupJoinStrategy::kSorted:    return "sorted";
+    case GroupJoinStrategy::kLoop:      return "loop";
   }
   return "?";
 }
@@ -225,6 +384,25 @@ std::string DescribePhysOp(const PhysOp& op) {
       os << "HashNest[" << MonoidName(op.monoid) << '/' << PrintExpr(op.head)
          << " -> " << op.var << pred_suffix() << "]";
       break;
+    case PhysKind::kGroupJoin: {
+      os << "GroupJoin[" << MonoidName(op.monoid) << '/' << PrintExpr(op.head)
+         << " -> " << op.var << ' ' << GroupJoinStrategyName(op.strategy);
+      if (op.strategy == GroupJoinStrategy::kSorted) {
+        os << PrintExpr(
+            Expr::Bin(op.sort_op, op.probe_keys[0], op.build_keys[0]));
+      } else if (!op.probe_keys.empty()) {
+        os << '(';
+        for (size_t i = 0; i < op.probe_keys.size(); ++i) {
+          if (i) os << ", ";
+          os << PrintExpr(op.probe_keys[i]) << '='
+             << PrintExpr(op.build_keys[i]);
+        }
+        os << ')';
+      }
+      if (op.guard && !op.guard->IsTrueLiteral()) os << " guard " << PrintExpr(op.guard);
+      os << pred_suffix() << "]";
+      break;
+    }
     case PhysKind::kReduce:
       os << "Reduce[" << MonoidName(op.monoid) << '/' << PrintExpr(op.head)
          << pred_suffix() << "]";

@@ -43,7 +43,16 @@ enum class PhysKind {
   kUnnest,         ///< per-row collection expansion (drops empty)
   kOuterUnnest,    ///< per-row expansion with NULL padding
   kHashNest,       ///< blocking hash grouping (the Γ operator)
+  kGroupJoin,      ///< Γ over =⋈ fused: one aggregate per left row
   kReduce,         ///< root fold, with quantifier short-circuit
+};
+
+/// How a GroupJoin finds each left row's matching right rows (chosen by
+/// PlanPhysical from the predicate's shape; docs/EXECUTOR.md).
+enum class GroupJoinStrategy {
+  kAggregate,  ///< right side pre-aggregated per equality key (or in total)
+  kSorted,     ///< right side sorted on b, prefix/suffix aggregates; a op b
+  kLoop,       ///< fold over the key's hash bucket, or the whole buffer
 };
 
 /// One physical operator. Field use mirrors AlgOp, plus the physical
@@ -68,9 +77,16 @@ struct PhysOp {
   std::vector<ExprPtr> build_keys;  // evaluated over the build (buffered) side
   bool build_is_left = false;       ///< inner hash join built on the left input
 
-  // kHashNest
+  // kHashNest, kGroupJoin
   std::vector<std::pair<std::string, ExprPtr>> group_by;
   std::vector<std::string> null_vars;
+
+  // kGroupJoin. probe_keys/build_keys hold the equality keys (aggregate,
+  // loop) or the comparison's two sides a and b (sorted: `a sort_op b`);
+  // `pred` is checked per right row and `guard` once per left row.
+  GroupJoinStrategy strategy{};
+  ExprPtr guard;
+  BinOpKind sort_op{};
 
   // padding variables for outer joins (the build/buffered side's variables)
   std::vector<std::string> pad_vars;
@@ -84,6 +100,9 @@ PhysPtr PlanPhysical(const AlgPtr& plan, const Database& db,
 
 /// Operator-kind mnemonic ("TableScan", "HashJoin", ...).
 const char* PhysKindName(PhysKind kind);
+
+/// "aggregate" | "sorted" | "loop".
+const char* GroupJoinStrategyName(GroupJoinStrategy strategy);
 
 /// One-line description of a single operator (no children, no newline) —
 /// the per-node text shared by PrintPhysicalPlan and ExplainAnalyze.

@@ -228,6 +228,7 @@ PhysKind KindFromName(const std::string& name) {
       {"Unnest", PhysKind::kUnnest},
       {"OuterUnnest", PhysKind::kOuterUnnest},
       {"HashNest", PhysKind::kHashNest},
+      {"GroupJoin", PhysKind::kGroupJoin},
       {"Reduce", PhysKind::kReduce},
   };
   for (const auto& [n, k] : kTable) {

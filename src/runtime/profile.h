@@ -50,8 +50,10 @@ struct OperatorStats {
   double next_ns = 0;          ///< cumulative time in Next(), children incl.
 
   uint64_t build_rows = 0;     ///< join build-side rows buffered/hashed
-  uint64_t groups = 0;         ///< HashNest distinct groups
-  uint64_t short_circuits = 0; ///< quantifier saturation stops (Reduce)
+  uint64_t groups = 0;         ///< HashNest distinct groups; GroupJoin
+                               ///< summary entries
+  uint64_t short_circuits = 0; ///< quantifier saturation stops (Reduce,
+                               ///< and GroupJoin folds per left row)
   uint64_t mem_bytes = 0;      ///< estimated bytes this operator buffered
                                ///< (join builds, nest state; 0 = stateless)
 

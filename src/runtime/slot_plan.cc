@@ -37,6 +37,7 @@ int CountOpSlots(const PhysPtr& p) {
     case PhysKind::kOuterUnnest:
       return n + 1;
     case PhysKind::kHashNest:
+    case PhysKind::kGroupJoin:
       return n + static_cast<int>(p->group_by.size()) + 1;
     default:
       return n;
@@ -151,6 +152,42 @@ class Compiler {
         }
         op->pred = CompileExpr(p->pred, child);
         op->head = CompileExpr(p->head, child);
+        op->var_slot = next_slot_++;
+        s.Bind(p->var, op->var_slot);
+        *out_scope = std::move(s);
+        break;
+      }
+      case PhysKind::kGroupJoin: {
+        Scope ls, rs;
+        op->left = CompileOp(p->left, &ls);
+        op->right = CompileOp(p->right, &rs);
+        op->strategy = p->strategy;
+        op->sort_op = p->sort_op;
+        for (const ExprPtr& k : p->probe_keys) {
+          op->probe_keys.push_back(CompileExpr(k, ls));
+        }
+        for (const ExprPtr& k : p->build_keys) {
+          op->build_keys.push_back(CompileExpr(k, rs));
+        }
+        op->guard = CompileExpr(p->guard, ls);
+        Scope joined = ls;
+        joined.Append(rs);
+        op->pred = CompileExpr(p->pred, joined);
+        op->head = CompileExpr(p->head, joined);
+        for (const std::string& v : p->null_vars) {
+          int slot = rs.Lookup(v);
+          LDB_INTERNAL_CHECK(slot >= 0, "group-join null-var not bound");
+          op->null_slots.push_back(slot);
+        }
+        // HashNest's output convention: group slots copied from the left
+        // row, then the aggregate, all after both inputs' slots.
+        op->out_lo = next_slot_;
+        Scope s;
+        for (const auto& [name, expr] : p->group_by) {
+          int slot = next_slot_++;
+          op->group_slots.emplace_back(slot, CompileExpr(expr, ls));
+          s.Bind(name, slot);
+        }
         op->var_slot = next_slot_++;
         s.Bind(p->var, op->var_slot);
         *out_scope = std::move(s);
@@ -295,7 +332,7 @@ void PrintSlotOp(const SlotOpPtr& op, int indent, std::ostringstream* out) {
        << PhysKindName(op->kind);
   if (!op->extent.empty()) *out << " " << op->extent;
   if (op->var_slot >= 0) *out << " var@" << op->var_slot;
-  if (op->kind == PhysKind::kHashNest) {
+  if (op->kind == PhysKind::kHashNest || op->kind == PhysKind::kGroupJoin) {
     *out << " groups@[";
     for (size_t i = 0; i < op->group_slots.size(); ++i) {
       if (i) *out << ",";
@@ -304,8 +341,12 @@ void PrintSlotOp(const SlotOpPtr& op, int indent, std::ostringstream* out) {
     *out << "]";
   }
   *out << " span[" << op->out_lo << "," << op->out_hi << ")";
-  if (op->kind == PhysKind::kReduce || op->kind == PhysKind::kHashNest) {
+  if (op->kind == PhysKind::kReduce || op->kind == PhysKind::kHashNest ||
+      op->kind == PhysKind::kGroupJoin) {
     *out << " monoid=" << MonoidName(op->monoid);
+  }
+  if (op->kind == PhysKind::kGroupJoin) {
+    *out << " " << GroupJoinStrategyName(op->strategy);
   }
   *out << "\n";
   PrintSlotOp(op->left, indent + 1, out);

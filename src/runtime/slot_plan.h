@@ -11,14 +11,16 @@
 //     NULL padding is a range fill;
 //   * out_hi always equals the subtree's allocation high-water mark; the
 //     covering span may include dead slots (bindings hidden by a HashNest
-//     below), which are only ever copied or NULL-filled, never read.
+//     or GroupJoin below), which are only ever copied or NULL-filled, never
+//     read.
 // Scratch slots for kLet (compiled lambda applications) are allocated after
 // all operator slots; SlotPlan::n_slots sizes the whole frame.
 //
 // Scoping mirrors the materializing executor's Env exactly (eval_algebra.h):
 // later bindings shadow earlier ones, a join's output scope is
 // left-then-right, a HashNest replaces its child's scope with the group-by
-// names plus the accumulated variable.
+// names plus the accumulated variable, and so does a GroupJoin (whose
+// group slots and variable come after both inputs' slots).
 
 #ifndef LAMBDADB_RUNTIME_SLOT_PLAN_H_
 #define LAMBDADB_RUNTIME_SLOT_PLAN_H_
@@ -62,10 +64,18 @@ struct SlotOp {
   std::vector<CExprPtr> build_keys;
   bool build_is_left = false;
 
-  // kHashNest: output slot + compiled key expression (over the child scope)
-  // per group-by column; null_slots are the resolved null_vars.
+  // kHashNest, kGroupJoin: output slot + compiled key expression (over the
+  // child scope; a GroupJoin's keys read its left input) per group-by
+  // column; null_slots are the resolved null_vars.
   std::vector<std::pair<int, CExprPtr>> group_slots;
   std::vector<int> null_slots;
+
+  // kGroupJoin (see PhysOp): probe_keys/guard read the left input,
+  // build_keys the right; pred and head read the right input under the
+  // aggregate and sorted strategies and both inputs under loop.
+  GroupJoinStrategy strategy{};
+  CExprPtr guard;
+  BinOpKind sort_op{};
 };
 
 /// A compiled plan: the Reduce root plus the frame size (operator slots +

@@ -211,7 +211,8 @@ void QueryService::InitInstruments() {
       PhysKind::kFilter,       PhysKind::kNLJoin,    PhysKind::kHashJoin,
       PhysKind::kNLOuterJoin,  PhysKind::kHashOuterJoin,
       PhysKind::kUnnest,       PhysKind::kOuterUnnest,
-      PhysKind::kHashNest,     PhysKind::kReduce,
+      PhysKind::kHashNest,     PhysKind::kGroupJoin,
+      PhysKind::kReduce,
   };
   for (PhysKind k : kKinds) {
     ins_.op_rows[static_cast<int>(k)] =
@@ -341,7 +342,7 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   // overhead stays off the cached (steady-state) path.
   if (obs::TraceRing::Enabled()) compile_opts.trace = true;
   Optimizer opt(db_.schema(), compile_opts);
-  plan->compiled = opt.Compile(q.comp);
+  plan->compiled = opt.Compile(q.comp, normalized);  // the key's term
   plan->physical =
       PlanPhysical(plan->compiled.simplified, db_, cfg.optimizer.physical);
   plan->slots = CompileSlotPlan(plan->physical, db_);

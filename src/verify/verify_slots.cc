@@ -85,6 +85,7 @@ class SlotChecker {
         Claim(op->var_slot, *op, "binding");
         break;
       case PhysKind::kHashNest:
+      case PhysKind::kGroupJoin:
         for (const auto& [slot, key] : op->group_slots) {
           (void)key;
           Claim(slot, *op, "group");
@@ -253,6 +254,9 @@ class SlotChecker {
         SpanContains(*op, out);
         break;
       }
+      case PhysKind::kGroupJoin:
+        out = CheckGroupJoin(*op);
+        break;
       case PhysKind::kReduce: {
         out = CheckOp(op->left, false);
         SpanContains(*op, out);
@@ -262,6 +266,74 @@ class SlotChecker {
       }
     }
     ChildSpans(*op);
+    return out;
+  }
+
+  // A GroupJoin equals Figure 5's nest over the outer join only if every
+  // left row is its own group: its group keys must be the left input's row.
+  // Its summaries are built before any left row flows, so what they
+  // evaluate may read only the right input.
+  Flow CheckGroupJoin(const SlotOp& op) {
+    Flow l = CheckOp(op.left, false);
+    Flow r = CheckOp(op.right, false);
+    Flow joined = l;
+    joined.avail.insert(r.avail.begin(), r.avail.end());
+    for (const SlotOpPtr& child : {op.left, op.right}) {
+      if (child) {
+        Require(op.out_lo >= child->out_hi, "span",
+                "group-join output span overlaps its inputs' slots", op);
+      }
+    }
+    Flow out;
+    std::set<int> read;
+    for (const auto& [slot, key] : op.group_slots) {
+      const bool plain = key && key->kind == CExprKind::kSlot &&
+                         l.avail.count(key->slot) > 0;
+      Require(plain, "groupjoin-keys",
+              "group key for slot " + std::to_string(slot) +
+                  " is not a plain read of a left-input slot",
+              op);
+      out.avail.insert(slot);
+      if (!plain) continue;
+      read.insert(key->slot);
+      if (l.pads.count(key->slot) > 0) out.pads.insert(slot);
+      if (l.seeds.count(key->slot) > 0) out.seeds.insert(slot);
+    }
+    for (int s : l.avail) {
+      Require(read.count(s) > 0, "groupjoin-keys",
+              "left-input slot " + std::to_string(s) +
+                  " is not a group key, so left rows may share a group",
+              op);
+    }
+    // O7: the null-to-zero conversion targets the right input's bindings.
+    for (int s : op.null_slots) {
+      Require(op.right && s >= op.right->out_lo && s < op.right->out_hi,
+              "O7-null-zero",
+              "null-slot " + std::to_string(s) +
+                  " lies outside the right input's span",
+              op);
+    }
+    const char* kSummary = "groupjoin-summary";
+    const bool summarized = op.strategy != GroupJoinStrategy::kLoop;
+    Require(op.probe_keys.size() == op.build_keys.size(), "arity",
+            "group-join probe and build keys differ in number", op);
+    Require(op.strategy != GroupJoinStrategy::kSorted ||
+                op.probe_keys.size() == 1,
+            "arity", "sorted group-join without exactly one comparison", op);
+    for (const CExprPtr& k : op.probe_keys) {
+      CheckExpr(k, l, op, "probe key", kSummary);
+    }
+    CheckExpr(op.guard, l, op, "guard", kSummary);
+    for (const CExprPtr& k : op.build_keys) {
+      CheckExpr(k, r, op, "build key", kSummary);
+    }
+    CheckExpr(op.pred, summarized ? r : joined, op, "predicate",
+              summarized ? kSummary : "read-before-write");
+    CheckExpr(op.head, summarized ? r : joined, op, "head",
+              summarized ? kSummary : "read-before-write");
+    BindCheck(op);
+    out.avail.insert(op.var_slot);
+    SpanContains(op, out);
     return out;
   }
 
@@ -284,8 +356,11 @@ class SlotChecker {
 
   void ChildSpans(const SlotOp& op) {
     // Covering spans nest: each child's span lies inside the parent's —
-    // except under HashNest, whose child scope is replaced (checked above).
-    if (op.kind == PhysKind::kHashNest) return;
+    // except under HashNest and GroupJoin, whose child scopes are replaced
+    // (checked above).
+    if (op.kind == PhysKind::kHashNest || op.kind == PhysKind::kGroupJoin) {
+      return;
+    }
     for (const SlotOpPtr& child : {op.left, op.right}) {
       if (!child) continue;
       Require(child->out_lo >= op.out_lo && child->out_hi <= op.out_hi,
@@ -293,14 +368,15 @@ class SlotChecker {
     }
   }
 
+  // `rule` names the finding for a slot read outside `flow`.
   void CheckExpr(const CExprPtr& e, const Flow& flow, const SlotOp& op,
-                 const char* what) {
+                 const char* what, const char* rule = "read-before-write") {
     std::set<int> lets;
-    CheckExprRec(e, flow, &lets, op, what);
+    CheckExprRec(e, flow, &lets, op, what, rule);
   }
 
   void CheckExprRec(const CExprPtr& e, const Flow& flow, std::set<int>* lets,
-                    const SlotOp& op, const char* what) {
+                    const SlotOp& op, const char* what, const char* rule) {
     if (!e) {
       // Predicates are never null by construction (compiled True()); paths,
       // heads and keys only exist on operators that use them.
@@ -315,7 +391,7 @@ class SlotChecker {
         ++report_->checks;
         if (flow.avail.count(e->slot) == 0 && params_.count(e->slot) == 0 &&
             lets->count(e->slot) == 0) {
-          Finding("read-before-write",
+          Finding(rule,
                   std::string(what) + " reads slot " +
                       std::to_string(e->slot) +
                       " before any operator writes it",
@@ -327,22 +403,22 @@ class SlotChecker {
       case CExprKind::kRecord:
         for (const auto& [name, f] : e->fields) {
           (void)name;
-          CheckExprRec(f, flow, lets, op, what);
+          CheckExprRec(f, flow, lets, op, what, rule);
         }
         break;
       case CExprKind::kProj:
       case CExprKind::kUnOp:
-        CheckExprRec(e->a, flow, lets, op, what);
+        CheckExprRec(e->a, flow, lets, op, what, rule);
         break;
       case CExprKind::kIf:
-        CheckExprRec(e->a, flow, lets, op, what);
-        CheckExprRec(e->b, flow, lets, op, what);
-        CheckExprRec(e->c, flow, lets, op, what);
+        CheckExprRec(e->a, flow, lets, op, what, rule);
+        CheckExprRec(e->b, flow, lets, op, what, rule);
+        CheckExprRec(e->c, flow, lets, op, what, rule);
         break;
       case CExprKind::kBinOp:
       case CExprKind::kMerge:
-        CheckExprRec(e->a, flow, lets, op, what);
-        CheckExprRec(e->b, flow, lets, op, what);
+        CheckExprRec(e->a, flow, lets, op, what, rule);
+        CheckExprRec(e->b, flow, lets, op, what, rule);
         break;
       case CExprKind::kLet: {
         // The scratch target must be a dedicated slot: not an operator's,
@@ -360,9 +436,9 @@ class SlotChecker {
                       " is not exclusively owned",
                   SlotOpLabel(op));
         }
-        CheckExprRec(e->a, flow, lets, op, what);
+        CheckExprRec(e->a, flow, lets, op, what, rule);
         lets->insert(e->slot);
-        CheckExprRec(e->b, flow, lets, op, what);
+        CheckExprRec(e->b, flow, lets, op, what, rule);
         lets->erase(e->slot);
         break;
       }

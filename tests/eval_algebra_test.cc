@@ -70,15 +70,29 @@ TEST_F(PhysicalTest, ExplainShowsHashJoinWithKeys) {
           "select distinct struct(D: d.name, E: (select distinct e.name "
           "from e in Employees where e.dno = d.dno)) from d in Departments")),
       db_.schema());
-  PhysicalOptions hash;
-  std::string explained = ExplainPhysical(plan, hash);
-  EXPECT_NE(explained.find("HashOuterJoin"), std::string::npos) << explained;
-  EXPECT_NE(explained.find("keys("), std::string::npos);
+  // The outer join and its nest run as one GroupJoin that pre-aggregates
+  // the employees per dno key; without hash joins it loops over a buffer.
+  std::string explained = PrintPhysicalPlan(PlanPhysical(plan, db_));
+  EXPECT_NE(explained.find("GroupJoin[set/e.name -> "), std::string::npos)
+      << explained;
+  EXPECT_NE(explained.find(" aggregate(d.dno=e.dno)]"), std::string::npos)
+      << explained;
 
   PhysicalOptions nl;
   nl.use_hash_joins = false;
-  std::string explained_nl = ExplainPhysical(plan, nl);
-  EXPECT_NE(explained_nl.find("NLOuterJoin"), std::string::npos) << explained_nl;
+  std::string explained_nl = PrintPhysicalPlan(PlanPhysical(plan, db_, nl));
+  EXPECT_NE(explained_nl.find(" loop if (e.dno = d.dno)]"), std::string::npos)
+      << explained_nl;
+
+  // A flat join keeps its hash join and keys.
+  std::string join = PrintPhysicalPlan(PlanPhysical(
+      UnnestComp(Normalize(ParseOQL(
+                     "select distinct struct(E: e.name, D: d.name) from e in "
+                     "Employees, d in Departments where e.dno = d.dno")),
+                 db_.schema()),
+      db_));
+  EXPECT_NE(join.find("HashJoin[build="), std::string::npos) << join;
+  EXPECT_NE(join.find("keys("), std::string::npos) << join;
 }
 
 TEST_F(PhysicalTest, HashAndNLAgreeOnPaperQueries) {

@@ -54,16 +54,33 @@ TEST_F(PipelineTest, PlannerChoosesOperators) {
       "from e in Employees where e.dno = d.dno)) from d in Departments");
   PhysPtr phys = PlanPhysical(logical, db_);
   std::string printed = PrintPhysicalPlan(phys);
-  EXPECT_NE(printed.find("HashOuterJoin[build=right keys(d.dno=e.dno)]"),
-            std::string::npos)
+  // The outer join + nest pair that unnesting emits is one GroupJoin.
+  EXPECT_NE(printed.find("GroupJoin[set/e.name -> "), std::string::npos)
       << printed;
-  EXPECT_NE(printed.find("HashNest"), std::string::npos);
+  EXPECT_NE(printed.find(" aggregate(d.dno=e.dno)]"), std::string::npos)
+      << printed;
+  EXPECT_EQ(printed.find("HashNest"), std::string::npos) << printed;
   EXPECT_NE(printed.find("TableScan"), std::string::npos);
 
   PhysicalOptions nl;
   nl.use_hash_joins = false;
   PhysPtr phys_nl = PlanPhysical(logical, db_, nl);
-  EXPECT_NE(PrintPhysicalPlan(phys_nl).find("NLOuterJoin"), std::string::npos);
+  EXPECT_NE(PrintPhysicalPlan(phys_nl).find(" loop if (e.dno = d.dno)]"),
+            std::string::npos)
+      << PrintPhysicalPlan(phys_nl);
+
+  // A nest over an outer unnest keeps the hash outer join and HashNest.
+  AlgPtr unnested = PlanOf(
+      "select distinct struct(D: d.name, n: count(select c from e in "
+      "Employees, c in e.children where e.dno = d.dno)) from d in Departments");
+  std::string kept = PrintPhysicalPlan(PlanPhysical(unnested, db_));
+  EXPECT_NE(kept.find("HashOuterJoin[build=right keys(d.dno=e.dno)]"),
+            std::string::npos)
+      << kept;
+  EXPECT_NE(kept.find("HashNest"), std::string::npos) << kept;
+  EXPECT_NE(PrintPhysicalPlan(PlanPhysical(unnested, db_, nl))
+                .find("NLOuterJoin"),
+            std::string::npos);
 }
 
 TEST_F(PipelineTest, PlannerUsesIndexes) {
@@ -138,10 +155,11 @@ TEST_F(PipelineTest, EnginesAgreeOnQueryE) {
 
 TEST_F(PipelineTest, OuterJoinsAlwaysProbeWithLeft) {
   // An outer join must not flip its build side even when the left input is
-  // smaller (padding is per left row).
+  // smaller (padding is per left row). The outer unnest between the join
+  // and its nest keeps them apart (no GroupJoin).
   AlgPtr logical = PlanOf(
-      "select distinct struct(D: d.name, n: count(select e from e in "
-      "Employees where e.dno = d.dno)) from d in Departments");
+      "select distinct struct(D: d.name, n: count(select c from e in "
+      "Employees, c in e.children where e.dno = d.dno)) from d in Departments");
   PhysPtr phys = PlanPhysical(logical, db_);
   EXPECT_NE(PrintPhysicalPlan(phys).find("HashOuterJoin[build=right"),
             std::string::npos);

@@ -95,13 +95,15 @@ TEST_F(IndexTest, ExplainShowsIndexScan) {
   db_.BuildIndex("Employees", "dno");
   AlgPtr plan = PlanOf(
       "select distinct e.name from e in Employees where e.dno = 1");
-  PhysicalOptions opts;
-  std::string with_db = ExplainPhysical(plan, opts, &db_);
-  EXPECT_NE(with_db.find("IndexScan[e <- Employees.dno = 1]"),
+  std::string with_index = PrintPhysicalPlan(PlanPhysical(plan, db_));
+  EXPECT_NE(with_index.find("IndexScan[e <- Employees.dno = 1]"),
             std::string::npos)
-      << with_db;
-  std::string without_db = ExplainPhysical(plan, opts);
-  EXPECT_EQ(without_db.find("IndexScan"), std::string::npos);
+      << with_index;
+  PhysicalOptions no_idx;
+  no_idx.use_indexes = false;
+  std::string without_index = PrintPhysicalPlan(PlanPhysical(plan, db_, no_idx));
+  EXPECT_EQ(without_index.find("IndexScan"), std::string::npos)
+      << without_index;
 }
 
 TEST_F(IndexTest, WrongSchemaIndexThrows) {

@@ -65,9 +65,33 @@ TEST(PrettyPlanTest, PhysicalPlanRendersEveryOperator) {
   PhysPtr phys = PlanPhysical(logical, db);
   std::string printed = PrintPhysicalPlan(phys);
   EXPECT_NE(printed.find("Reduce[set/"), std::string::npos);
-  EXPECT_NE(printed.find("HashNest[set/e.name -> "), std::string::npos);
-  EXPECT_NE(printed.find("HashOuterJoin[build=right keys(d.dno=e.dno)]"),
-            std::string::npos);
+  EXPECT_NE(printed.find("GroupJoin[set/e.name -> "), std::string::npos)
+      << printed;
+  EXPECT_NE(printed.find(" aggregate(d.dno=e.dno)]"), std::string::npos)
+      << printed;
+
+  // A nest over an outer unnest keeps HashNest over HashOuterJoin; a
+  // correlated inequality renders the sorted strategy's comparison.
+  std::string kept = PrintPhysicalPlan(PlanPhysical(
+      UnnestComp(Normalize(ParseOQL(
+                     "select distinct struct(D: d.name, C: (select distinct "
+                     "c.name from e in Employees, c in e.children where "
+                     "e.dno = d.dno)) from d in Departments")),
+                 db.schema()),
+      db));
+  EXPECT_NE(kept.find("HashNest[set/c.name -> "), std::string::npos) << kept;
+  EXPECT_NE(kept.find("HashOuterJoin[build=right keys(d.dno=e.dno)]"),
+            std::string::npos)
+      << kept;
+  std::string sorted = PrintPhysicalPlan(PlanPhysical(
+      UnnestComp(Normalize(ParseOQL(
+                     "select distinct e.name from e in Employees where "
+                     "e.salary < max(select m.salary from m in Managers "
+                     "where e.age > m.age)")),
+                 db.schema()),
+      db));
+  EXPECT_NE(sorted.find(" sorted(e.age > m.age)]"), std::string::npos)
+      << sorted;
 
   // UnitRow + Filter render too.
   auto filter = std::make_shared<PhysOp>();

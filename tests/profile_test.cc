@@ -65,10 +65,10 @@ class ProfileTest : public ::testing::Test {
 };
 
 TEST_F(ProfileTest, Figure1StylePlanExactRows) {
-  // Reduce(HashNest(HashOuterJoin(Scan(Departments), Scan(Employees)))) —
-  // the Figure 1 nested count after unnesting. Every row count is knowable
-  // by hand: 3 departments, 4 employees, Sales 2 + R&D 2 + Empty 1 (NULL
-  // pad) = 5 join rows, 3 groups.
+  // Reduce(GroupJoin(Scan(Departments), Scan(Employees))) — the Figure 1
+  // nested count after unnesting, its outer join and nest fused. Every row
+  // count is knowable by hand: 3 departments, 4 employees pre-aggregated
+  // into 2 dno keys (Sales, R&D), one output row per department.
   ProfiledRun r = RunProfiled(
       db_,
       "select distinct struct(D: d.name, n: count(select e from e in "
@@ -78,25 +78,50 @@ TEST_F(ProfileTest, Figure1StylePlanExactRows) {
 
   const int dept = FindOpId(ops, PhysKind::kTableScan, "Departments");
   const int emp = FindOpId(ops, PhysKind::kTableScan, "Employees");
-  const int join = FindOpId(ops, PhysKind::kHashOuterJoin);
-  const int nest = FindOpId(ops, PhysKind::kHashNest);
+  const int gj = FindOpId(ops, PhysKind::kGroupJoin);
   ASSERT_GE(dept, 0);
   ASSERT_GE(emp, 0);
-  ASSERT_GE(join, 0) << PrintPhysicalPlan(r.phys);
-  ASSERT_GE(nest, 0);
+  ASSERT_GE(gj, 0) << PrintPhysicalPlan(r.phys);
 
   EXPECT_EQ(r.prof.Find(dept)->rows_out, 3u);
-  EXPECT_EQ(r.prof.Find(emp)->rows_out, 4u);  // drained into the build table
-  EXPECT_EQ(r.prof.Find(join)->build_rows, 4u);
-  EXPECT_EQ(r.prof.Find(join)->rows_out, 5u);
-  EXPECT_EQ(r.prof.Find(nest)->groups, 3u);
-  EXPECT_EQ(r.prof.Find(nest)->rows_out, 3u);
+  EXPECT_EQ(r.prof.Find(emp)->rows_out, 4u);  // drained into the summary
+  EXPECT_EQ(r.prof.Find(gj)->build_rows, 4u);
+  EXPECT_EQ(r.prof.Find(gj)->groups, 2u);     // dno keys 0 and 1
+  EXPECT_EQ(r.prof.Find(gj)->rows_out, 3u);   // one per department
   EXPECT_EQ(r.prof.Find(0)->rows_out, 3u);  // root Reduce folds 3 group rows
   EXPECT_EQ(r.prof.parallel_mode, "serial");
   EXPECT_GT(r.prof.wall_ns, 0);
 
   // Every operator in the plan registered stats.
   EXPECT_EQ(r.prof.Operators().size(), ops.size());
+}
+
+TEST_F(ProfileTest, GroupJoinCountsOneShortCircuitPerSaturatedFold) {
+  // The for-all's head reads both sides, so each department folds over
+  // every employee and stops at its first false head: Sales (budget 0)
+  // never saturates; R&D (70 000: Cal earns 60 000) and Empty (140 000)
+  // each stop once.
+  const std::string oql =
+      "select distinct d.name from d in Departments where for all e in "
+      "Employees: e.salary > d.budget * 70.0";
+  const Value saturated = RunOQLBaseline(
+      db_,
+      "count(select d from d in Departments where not(for all e in "
+      "Employees: e.salary > d.budget * 70.0))");
+  ASSERT_EQ(saturated, Value::Int(2));
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    ProfiledRun r = RunProfiled(db_, oql, threads, /*morsel=*/1);
+    std::vector<const PhysOp*> ops;
+    Preorder(r.phys, &ops);
+    const int gj = FindOpId(ops, PhysKind::kGroupJoin);
+    ASSERT_GE(gj, 0) << PrintPhysicalPlan(r.phys);
+    EXPECT_EQ(ops[static_cast<size_t>(gj)]->strategy, GroupJoinStrategy::kLoop);
+    EXPECT_EQ(r.prof.Find(gj)->short_circuits, 2u);
+    EXPECT_EQ(r.prof.Find(gj)->rows_out, 3u);
+    EXPECT_EQ(r.prof.Find(0)->short_circuits, 0u);  // the set root never stops
+    EXPECT_EQ(r.value, Value::Set({Value::Str("Sales")}));
+  }
 }
 
 TEST_F(ProfileTest, UnnestPlanExactRows) {
@@ -302,7 +327,7 @@ TEST_F(ProfileTest, ExplainAnalyzeRendersTreeAndCounters) {
   EXPECT_NE(out.find("Departments"), std::string::npos) << out;
   EXPECT_NE(out.find("rows=3"), std::string::npos) << out;
   EXPECT_NE(out.find("build=4"), std::string::npos) << out;
-  EXPECT_NE(out.find("groups=3"), std::string::npos) << out;
+  EXPECT_NE(out.find("groups=2"), std::string::npos) << out;  // dno keys
   EXPECT_NE(out.find("time="), std::string::npos) << out;
   EXPECT_EQ(out.find("est="), std::string::npos) << out;  // no catalog given
 

@@ -19,6 +19,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -340,6 +342,55 @@ TEST_P(RandomQueryTest, PlanMatchesBaseline) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomQueryTest,
                          ::testing::Range(uint64_t{1}, uint64_t{13}));
+
+void CountGroupJoins(const PhysPtr& op, std::map<std::string, int>* counts) {
+  if (!op) return;
+  if (op->kind == PhysKind::kGroupJoin) {
+    ++(*counts)[GroupJoinStrategyName(op->strategy)];
+  }
+  CountGroupJoins(op->left, counts);
+  CountGroupJoins(op->right, counts);
+}
+
+TEST(RandomQueryCorpusTest, EveryGroupJoinStrategyOccurs) {
+  // The seeds' corpus (the same queries and composites PlanMatchesBaseline
+  // runs through every executor) must exercise each GroupJoin strategy, so
+  // the differential check above covers all three.
+  std::map<std::string, int> counts;
+  for (uint64_t seed = 1; seed < 13; ++seed) {
+    workload::CompanyParams params;
+    params.n_departments = 5;
+    params.n_employees = 30;
+    params.n_managers = 4;
+    params.seed = seed * 1337 + 17;
+    Database db = workload::MakeCompanyDatabase(params);
+    Optimizer opt(db.schema());
+    // Counts each accepted query once per strategy its plan runs.
+    auto count = [&](const ExprPtr& q) {
+      std::map<std::string, int> ops;
+      try {
+        CountGroupJoins(PlanPhysical(opt.Compile(q).simplified, db), &ops);
+      } catch (const UnsupportedError&) {
+        return;  // declined by the optimizer: not in the differential corpus
+      }
+      for (const auto& [strategy, n] : ops) ++counts[strategy];
+    };
+    QueryGen gen(seed);
+    ExprPtr previous;
+    for (int i = 0; i < 40; ++i) {
+      ExprPtr q = gen.GenQuery();
+      count(q);
+      if (i % 5 == 4) count(Expr::Record({{"a", previous}, {"b", q}}));
+      previous = q;
+    }
+  }
+  std::printf("queries per group-join strategy over 12 seeds: aggregate %d, "
+              "sorted %d, loop %d\n",
+              counts["aggregate"], counts["sorted"], counts["loop"]);
+  EXPECT_GE(counts["aggregate"], 1);
+  EXPECT_GE(counts["sorted"], 1);
+  EXPECT_GE(counts["loop"], 1);
+}
 
 }  // namespace
 }  // namespace ldb

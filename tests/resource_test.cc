@@ -15,6 +15,7 @@
 #include "src/core/optimizer.h"
 #include "src/core/pretty.h"
 #include "src/lambdadb.h"
+#include "src/runtime/cancel.h"
 #include "src/runtime/exec_pipeline.h"
 #include "src/service/query_service.h"
 #include "src/workload/oo7.h"
@@ -23,12 +24,31 @@
 namespace ldb {
 namespace {
 
-// A hash join with a correlated nest: builds a join table and group table,
-// so both the join and nest operator classes take reservations.
+// A correlated subquery: its outer join and nest run as one GroupJoin that
+// pre-aggregates the parts per build date (a reservation of that class).
 const char* kNestQuery =
     "select distinct struct(D: b.id, P: (select p.id from p in AtomicParts "
     "where p.build_date = b.build_date)) "
     "from b in BaseAssemblies";
+
+// A nest over an outer unnest stays a HashNest (no outer join to fuse), so
+// the group table's reservation and unwind paths keep their coverage.
+const char* kHashNestQuery =
+    "select distinct struct(C: c.id, P: (select p.id from p in c.parts "
+    "where p.x > 0)) from c in CompositeParts";
+
+// GroupJoins on a spine that AtomicParts drives, so the 4-thread runs share
+// one prebuilt right side: per-build-date bags of composite ids (aggregate),
+// and a count whose two comparisons read both sides (loop, over every part).
+// `filter` restricts the left rows.
+std::string GroupJoinQuery(bool loop, const std::string& filter) {
+  return loop ? "select distinct struct(A: a.id, n: count(select p from p in "
+                "AtomicParts where p.x < a.x and p.y > a.y)) from a in "
+                "AtomicParts where " + filter
+              : "select distinct struct(A: a.id, C: (select c.id from c in "
+                "CompositeParts where c.build_date = a.build_date)) from a in "
+                "AtomicParts where " + filter;
+}
 
 // A quadratic nested-loop self join: reliably long-running, for the live
 // registry test.
@@ -46,7 +66,8 @@ Database MediumOO7() {
 // Compiles and executes `oql` against `db` with `resource` armed.
 Value RunWithResource(const Database& db, const std::string& oql,
                       obs::QueryResourceContext* resource, int threads = 1,
-                      size_t morsel = 2048, QueryProfiler* profiler = nullptr) {
+                      size_t morsel = 2048, QueryProfiler* profiler = nullptr,
+                      const CancelToken* cancel = nullptr) {
   OptimizerOptions options;
   Optimizer opt(db.schema(), options);
   CompiledQuery q = opt.Compile(ParseOQL(oql));
@@ -56,6 +77,7 @@ Value RunWithResource(const Database& db, const std::string& oql,
   exec.morsel_size = morsel;
   exec.resource = resource;
   exec.profiler = profiler;
+  exec.cancel = cancel;
   return ExecutePipelined(phys, db, exec);
 }
 
@@ -183,11 +205,13 @@ TEST(ResourceEngineTest, BudgetAbortsMidBuildWithoutLeak) {
     probe.Arm(&unlimited);
     if (!probe.armed()) GTEST_SKIP() << "metrics compiled out";
   }
-  obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
-  EXPECT_THROW(RunWithResource(db, kNestQuery, &ctx),
-               obs::QueryMemoryExceeded);
-  EXPECT_TRUE(ctx.OverBudget());
-  EXPECT_EQ(ctx.InUseBytes(), 0u) << "abort unwind leaked reservations";
+  for (const char* q : {kNestQuery, kHashNestQuery}) {
+    obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
+    EXPECT_THROW(RunWithResource(db, q, &ctx), obs::QueryMemoryExceeded) << q;
+    EXPECT_TRUE(ctx.OverBudget()) << q;
+    EXPECT_EQ(ctx.InUseBytes(), 0u) << "abort unwind leaked reservations: "
+                                     << q;
+  }
 }
 
 TEST(ResourceEngineTest, ParallelBudgetAbortDoesNotLeak) {
@@ -198,11 +222,61 @@ TEST(ResourceEngineTest, ParallelBudgetAbortDoesNotLeak) {
     probe.Arm(&unlimited);
     if (!probe.armed()) GTEST_SKIP() << "metrics compiled out";
   }
-  obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
-  EXPECT_THROW(RunWithResource(db, kNestQuery, &ctx, 4, 64),
-               obs::QueryMemoryExceeded);
-  EXPECT_TRUE(ctx.OverBudget());
-  EXPECT_EQ(ctx.InUseBytes(), 0u) << "parallel abort leaked reservations";
+  for (const char* q : {kNestQuery, kHashNestQuery}) {
+    obs::QueryResourceContext ctx(/*budget_bytes=*/4096);
+    EXPECT_THROW(RunWithResource(db, q, &ctx, 4, 64), obs::QueryMemoryExceeded)
+        << q;
+    EXPECT_TRUE(ctx.OverBudget()) << q;
+    EXPECT_EQ(ctx.InUseBytes(), 0u) << "parallel abort leaked reservations: "
+                                     << q;
+  }
+}
+
+TEST(ResourceEngineTest, GroupJoinSummaryChargesReturnToZero) {
+  Database db = MediumOO7();
+  {
+    obs::MemoryTracker probe;
+    obs::QueryResourceContext unlimited;
+    probe.Arm(&unlimited);
+    if (!probe.armed()) GTEST_SKIP() << "metrics compiled out";
+  }
+  const int kGroupJoin = static_cast<int>(PhysKind::kGroupJoin);
+  for (bool loop : {false, true}) {
+    const std::string small = GroupJoinQuery(loop, "a.id < 100");
+    const std::string full = GroupJoinQuery(loop, "a.id >= 0");
+    const Value want = RunOQLBaseline(db, small);
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(loop ? "loop" : "aggregate") +
+                   " threads=" + std::to_string(threads));
+      // Success: the summary was sized and charged, and is returned.
+      obs::QueryResourceContext ok;
+      QueryProfiler prof;
+      EXPECT_EQ(RunWithResource(db, small, &ok, threads, 64, &prof), want);
+      uint64_t summary_bytes = 0;
+      for (const OperatorStats* s : prof.Operators()) {
+        if (s->kind == PhysKind::kGroupJoin) summary_bytes += s->mem_bytes;
+      }
+      EXPECT_GT(summary_bytes, 0u);
+      EXPECT_EQ(ok.InUseBytes(), 0u) << "leaked after success";
+
+      // Cancelled mid-query: a deadline that expires while rows flow.
+      CancelToken cancel;
+      cancel.SetDeadlineAfterMs(loop ? 2 : 0);
+      obs::QueryResourceContext cancelled;
+      EXPECT_THROW(RunWithResource(db, full, &cancelled, threads, 64, nullptr,
+                                   &cancel),
+                   QueryCancelled);
+      EXPECT_EQ(cancelled.InUseBytes(), 0u) << "leaked after cancel";
+
+      // Over budget while the summary is built.
+      obs::QueryResourceContext tight(/*budget_bytes=*/2048);
+      EXPECT_THROW(RunWithResource(db, full, &tight, threads, 64),
+                   obs::QueryMemoryExceeded);
+      EXPECT_TRUE(tight.OverBudget());
+      EXPECT_GT(tight.OpPeakBytes(kGroupJoin), 0u);
+      EXPECT_EQ(tight.InUseBytes(), 0u) << "leaked after a budget abort";
+    }
+  }
 }
 
 // ------------------------------------------------------------ service level

@@ -27,12 +27,18 @@ const char* kHashJoinQuery =
     "from a in AtomicParts, b in AtomicParts "
     "where a.build_date = b.build_date and a.id < b.id";
 
-// A nesting query: the correlated subquery unnests to an outer hash join
-// feeding a nest operator, exercising the nest drain loop.
+// A nesting query: the correlated subquery unnests to an outer join under a
+// nest, which run as one GroupJoin (its summary build is the loop aborted).
 const char* kNestQuery =
     "select distinct struct(D: b.id, P: (select p.id from p in AtomicParts "
     "where p.build_date = b.build_date)) "
     "from b in BaseAssemblies";
+
+// A nest over an outer unnest stays a HashNest, exercising the nest drain
+// loop.
+const char* kHashNestQuery =
+    "select distinct struct(C: c.id, P: (select p.id from p in c.parts "
+    "where p.x > 0)) from c in CompositeParts";
 
 // A nested-loop self join (no equality conjunct): quadratic in AtomicParts,
 // so it reliably outlives any cancel/deadline the tests throw at it.
@@ -317,21 +323,24 @@ TEST_F(ServiceTest, DeadlineAbortsHashBuildSerialAndParallel) {
 TEST_F(ServiceTest, DeadlineAbortsNestSerialAndParallel) {
   Database big = LargeOO7();
   QueryService svc(big);
-  for (int threads : {1, 2, 4}) {
-    SessionOptions so;
-    so.deadline_ms = 1;
-    so.n_threads = threads;
-    auto session = svc.OpenSession(so);
-    try {
-      svc.Execute(*session, kNestQuery);
-      FAIL() << "expected QueryCancelled at threads=" << threads;
-    } catch (const QueryCancelled& e) {
-      EXPECT_NE(std::string(e.what()).find("deadline exceeded"),
-                std::string::npos);
+  for (const char* q : {kNestQuery, kHashNestQuery}) {
+    for (int threads : {1, 2, 4}) {
+      SessionOptions so;
+      so.deadline_ms = 1;
+      so.n_threads = threads;
+      auto session = svc.OpenSession(so);
+      try {
+        svc.Execute(*session, q);
+        FAIL() << "expected QueryCancelled at threads=" << threads << ": "
+               << q;
+      } catch (const QueryCancelled& e) {
+        EXPECT_NE(std::string(e.what()).find("deadline exceeded"),
+                  std::string::npos);
+      }
+      // Full (undeadlined) execution still produces the correct result.
+      session->options().deadline_ms = 0;
+      EXPECT_EQ(svc.Execute(*session, q), RunOQL(big, q));
     }
-    // Full (undeadlined) execution still produces the correct result.
-    session->options().deadline_ms = 0;
-    EXPECT_EQ(svc.Execute(*session, kNestQuery), RunOQL(big, kNestQuery));
   }
 }
 
@@ -493,7 +502,7 @@ TEST_F(ServiceTest, LoadWithIndexesRestoresAccessPaths) {
   Optimizer opt(loaded.schema());
   CompiledQuery q = opt.Compile(
       ParseOQL("select distinct e.name from e in Employees where e.dno = 1"));
-  std::string explained = ExplainPhysical(q.simplified, {}, &loaded);
+  std::string explained = PrintPhysicalPlan(PlanPhysical(q.simplified, loaded));
   EXPECT_NE(explained.find("IndexScan[e <- Employees.dno = 1]"),
             std::string::npos)
       << explained;
@@ -505,6 +514,33 @@ TEST_F(ServiceTest, LoadWithIndexesRestoresAccessPaths) {
                         "select distinct e.name from e in Employees "
                         "where e.dno = 1"),
             Value::Set({Value::Str("Cal"), Value::Str("Dee")}));
+}
+
+// ------------------------------------------------------ compile on a miss
+
+TEST_F(ServiceTest, MissNormalizesOnceForKeyAndCompile) {
+  // The cache key is the printed normal form; Compile reuses that term
+  // instead of normalizing the query a second time.
+  QueryService svc(db_);
+  auto session = svc.OpenSession();
+  Statement handle = QueryService::Prepare(kNestQuery);
+  QueryStats stats;
+  Value r = svc.Execute(*session, handle, &stats);
+  EXPECT_FALSE(stats.plan_cached);
+  EXPECT_EQ(r, RunOQLBaseline(db_, kNestQuery));
+  ASSERT_NE(handle.plan, nullptr);
+  const CompiledQuery& compiled = handle.plan->compiled;
+  ASSERT_NE(compiled.normalized, nullptr);
+  EXPECT_EQ(handle.plan->cache_key.rfind(
+                PrintExpr(compiled.normalized) + "\n@", 0),
+            0u)
+      << handle.plan->cache_key;
+  if (!compiled.trace) GTEST_SKIP() << "compile traces compiled out";
+  ASSERT_FALSE(compiled.trace->stages.empty());
+  for (const StageTiming& st : compiled.trace->stages) {
+    EXPECT_NE(st.stage, "normalize") << "normalized twice on one miss";
+  }
+  EXPECT_TRUE(compiled.trace->normalize_rules.empty());
 }
 
 // ------------------------------------------- non-comprehension top levels

@@ -8,7 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstring>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -296,6 +298,224 @@ TEST_F(SlotFrameTest, ComprehensionInPhysicalPlanIsAnInternalError) {
                     Expr::True());
   PhysPtr phys = PlanPhysical(logical, db_);
   EXPECT_THROW(CompileSlotPlan(phys, db_), InternalError);
+}
+
+// GroupJoin (an outer join and the nest above it as one operator): every
+// strategy on TinyCompany and on the company the nested benchmark workload
+// serves (2000 employees, 50 departments, 20 managers, data seed 1).
+class GroupJoinTest : public SlotFrameTest {
+ protected:
+  // The plan's GroupJoin strategies, in pre-order.
+  std::string Strategies(const Database& db, const std::string& oql) {
+    Optimizer opt(db.schema());
+    std::string out;
+    Walk(PlanPhysical(opt.Compile(ParseOQL(oql)).simplified, db), &out);
+    return out;
+  }
+
+  // CheckEngines, after asserting the plan runs these strategies.
+  Value Check(const Database& db, const std::string& oql,
+              const std::string& strategies) {
+    EXPECT_EQ(Strategies(db, oql), strategies) << oql;
+    return CheckEngines(db, oql);
+  }
+
+  static Database NestedWorkloadCompany() {
+    workload::CompanyParams params;
+    params.n_employees = 2000;
+    params.n_departments = 50;
+    params.n_managers = 20;
+    params.seed = 1;
+    return workload::MakeCompanyDatabase(params);
+  }
+
+ private:
+  static void Walk(const PhysPtr& op, std::string* out) {
+    if (!op) return;
+    if (op->kind == PhysKind::kGroupJoin) {
+      if (!out->empty()) *out += ' ';
+      *out += GroupJoinStrategyName(op->strategy);
+    }
+    Walk(op->left, out);
+    Walk(op->right, out);
+  }
+};
+
+// Correlated max over Managers under each comparison; Bob (40) ties Mo (40)
+// and Ann (30)/Dee (55) straddle Meg (50), so equal keys sit on the boundary.
+std::string ManagerMax(const std::string& cmp) {
+  return "select distinct struct(E: e.name, M: max(select m.salary from m in "
+         "Managers where " + cmp + ")) from e in Employees";
+}
+
+TEST_F(GroupJoinTest, SortedStrategyEveryComparison) {
+  const Database big = NestedWorkloadCompany();
+  for (const char* cmp : {"e.age > m.age", "e.age >= m.age", "e.age < m.age",
+                          "e.age <= m.age", "m.age < e.age", "m.age >= e.age"}) {
+    Check(db_, ManagerMax(cmp), "sorted");
+    Check(big, ManagerMax(cmp), "sorted");
+  }
+  // Bob's row at the tie: > excludes Mo, >= includes him.
+  auto bob = [&](const char* cmp) {
+    const Value rows = RunOQL(db_, ManagerMax(cmp));
+    for (const Value& row : rows.AsElems()) {
+      if (row.Field("E") == Value::Str("Bob")) return row.Field("M");
+    }
+    return Value::Str("missing");
+  };
+  EXPECT_EQ(bob("e.age > m.age"), Value::Null());
+  EXPECT_EQ(bob("e.age >= m.age"), Value::Real(150000));
+  // Every order-independent monoid, and quantifiers.
+  for (const char* q : {
+           "select distinct struct(E: e.name, n: count(select m from m in "
+           "Managers where e.age > m.age)) from e in Employees",
+           "select distinct struct(E: e.name, s: sum(select m.salary from m "
+           "in Managers where e.age <= m.age)) from e in Employees",
+           "select distinct struct(E: e.name, a: avg(select m.age from m in "
+           "Managers where e.age < m.age)) from e in Employees",
+           "select distinct struct(E: e.name, lo: min(select m.age from m in "
+           "Managers where e.age >= m.age)) from e in Employees",
+           "select distinct struct(E: e.name, x: exists m in Managers: "
+           "e.age > m.age and m.salary > 160000.0) from e in Employees",
+           "select distinct e.name from e in Employees where for all m in "
+           "(select m from m in Managers where e.age > m.age): m.salary > "
+           "160000.0",
+       }) {
+    Check(db_, q, "sorted");
+    Check(big, q, "sorted");
+  }
+}
+
+TEST_F(GroupJoinTest, SortedStrategyKeyKindsAndNulls) {
+  // Real probes against int keys, and real against real.
+  Check(db_, ManagerMax("e.salary > m.age * 2000"), "sorted");
+  Check(db_, ManagerMax("e.salary * 1.5 >= m.salary"), "sorted");
+  // Cal's manager is NULL: a NULL `a` matches nothing, and yields the zero.
+  Value r = Check(db_, ManagerMax("e.manager.age >= m.age"), "sorted");
+  for (const Value& row : r.AsElems()) {
+    if (row.Field("E") == Value::Str("Cal")) {
+      EXPECT_EQ(row.Field("M"), Value::Null());
+    }
+  }
+  // An R-only filter and an L-only guard ride along.
+  Check(db_, ManagerMax("e.age > m.age and m.age > 41 and e.salary > 70000.0"),
+        "sorted");
+}
+
+TEST_F(GroupJoinTest, SortedStrategyFallsBackOnNaNKeys) {
+  // Value::Compare orders NaN equal to every number, which is no strict weak
+  // order: the operator must fold in build order instead of sorting.
+  Database db = testing::TinyCompany();
+  db.Insert("Manager",
+            Value::Tuple({{"name", Value::Str("Nan")},
+                          {"age", Value::Int(45)},
+                          {"salary", Value::Real(std::nan(""))},
+                          {"children", Value::Set({})}}));
+  for (const char* cmp : {"e.salary > m.salary", "e.salary >= m.salary",
+                          "e.salary < m.salary", "e.salary <= m.salary"}) {
+    Check(db, "select distinct struct(E: e.name, M: max(select m.age from m "
+              "in Managers where " + std::string(cmp) + ")) from e in "
+              "Employees",
+          "sorted");
+  }
+}
+
+TEST_F(GroupJoinTest, AggregateStrategy) {
+  const Database big = NestedWorkloadCompany();
+  for (const char* q : {
+           // type-A, the count bug, and a collection (bag) head.
+           "select distinct struct(D: d.name, total: sum(select e.salary "
+           "from e in Employees where e.dno = d.dno)) from d in Departments",
+           "select distinct d.name from d in Departments where count(select "
+           "e from e in Employees where e.dno = d.dno) = 0",
+           "select distinct struct(D: d.name, E: (select e.name from e in "
+           "Employees where e.dno = d.dno)) from d in Departments",
+           // An R-only filter and an L-only guard.
+           "select distinct struct(D: d.name, total: sum(select e.salary "
+           "from e in Employees where e.dno = d.dno and e.age > 26 and "
+           "d.budget > 500.0)) from d in Departments",
+           // No equality key: one aggregate for every left row.
+           "select distinct struct(D: d.name, n: count(select m from m in "
+           "Managers where m.age > 45)) from d in Departments",
+       }) {
+    Check(db_, q, "aggregate");
+    Check(big, q, "aggregate");
+  }
+}
+
+TEST_F(GroupJoinTest, LoopStrategy) {
+  const Database big = NestedWorkloadCompany();
+  for (const char* q : {
+           // A hash bucket with a residual that reads both sides.
+           "select distinct struct(D: d.name, total: sum(select e.salary "
+           "from e in Employees where e.dno = d.dno and e.salary > "
+           "d.budget * 50)) from d in Departments",
+           // A head that reads the left row, and a saturating quantifier.
+           "select distinct d.name from d in Departments where for all e in "
+           "Employees: e.dno = d.dno or e.salary > d.budget",
+           "select distinct struct(E: e.name, x: exists m in Managers: "
+           "m.age = e.age and m.salary > e.salary) from e in Employees",
+           // A head that can fail: only Sales is paired, and its employees
+           // divide by dno - 1 = -1, but a summary would also fold R&D's
+           // (dno - 1 = 0). The pair-by-pair loop evaluates only what the
+           // nested query evaluates.
+           "select distinct struct(D: d.name, x: sum(select e.salary / "
+           "(e.dno - 1) from e in Employees where e.dno = d.dno)) from d in "
+           "Departments where d.dno = 0",
+       }) {
+    Check(db_, q, "loop");
+    Check(big, q, "loop");
+  }
+}
+
+TEST_F(GroupJoinTest, EmptyRightExtent) {
+  // Departments but no employees or managers: every summary is empty and
+  // every left row leaves with the monoid's zero.
+  Database db(workload::CompanySchema());
+  for (int dno : {0, 1}) {
+    db.Insert("Department", Value::Tuple({{"dno", Value::Int(dno)},
+                                          {"name", Value::Str("d")},
+                                          {"budget", Value::Real(10.0)}}));
+  }
+  Check(db,
+        "select distinct struct(D: d.dno, total: sum(select e.salary from e "
+        "in Employees where e.dno = d.dno)) from d in Departments",
+        "aggregate");
+  Check(db,
+        "select distinct struct(D: d.dno, top: max(select e.salary from e in "
+        "Employees where d.budget > e.salary)) from d in Departments",
+        "sorted");
+  Check(db,
+        "select distinct d.dno from d in Departments where for all e in "
+        "Employees: e.salary > d.budget",
+        "loop");
+}
+
+TEST_F(GroupJoinTest, ParameterOnTheRightSide) {
+  // The summary is built per execution, after parameters are written: two
+  // bindings of one compiled plan see different right sides.
+  const Database big = NestedWorkloadCompany();
+  const std::string q =
+      "select distinct struct(D: d.name, total: sum(select e.salary from e "
+      "in Employees where e.dno = d.dno and e.age > $1)) from d in "
+      "Departments";
+  Optimizer opt(big.schema());
+  CompiledQuery compiled = opt.Compile(ParseOQL(q));
+  SlotPlan plan = CompileSlotPlan(PlanPhysical(compiled.simplified, big), big);
+  for (int age : {25, 40}) {
+    std::string literal = q;
+    literal.replace(literal.find("$1"), 2, std::to_string(age));
+    const Value want = Check(big, literal, "aggregate");
+    std::map<std::string, Value> params = {{"1", Value::Int(age)}};
+    for (int threads : {1, 4}) {
+      ExecOptions exec;
+      exec.params = &params;
+      exec.n_threads = threads;
+      exec.morsel_size = 2;
+      EXPECT_EQ(ExecuteSlotPlan(plan, big, exec), want)
+          << "$1=" << age << " threads=" << threads;
+    }
+  }
 }
 
 TEST_F(SlotFrameTest, MorselSizeExtremes) {

@@ -375,6 +375,70 @@ TEST(VerifySlotPlanTest, BrokenPreorderNumberingRejected) {
   EXPECT_TRUE(HasRule(r, "preorder-id")) << r.ToString();
 }
 
+// A compiled Reduce(GroupJoin(Scan d, Scan e)) plan whose GroupJoin is a
+// private copy, so a test can corrupt one field of it.
+struct GroupJoinPlan {
+  SlotPlan plan;
+  std::shared_ptr<SlotOp> gj;
+  int left_slot = -1;   // d
+  int right_slot = -1;  // e
+};
+
+GroupJoinPlan CompileGroupJoin(const Database& db) {
+  CompiledQuery q = CompileOQL(
+      db.schema(),
+      "select d.name, sum(select e.salary from e in Employees "
+      "where e.dno = d.dno) from d in Departments");
+  GroupJoinPlan out;
+  out.plan = CompileSlotPlan(PlanPhysical(q.simplified, db), db);
+  auto root = std::make_shared<SlotOp>(*out.plan.root);
+  out.gj = std::make_shared<SlotOp>(*root->left);
+  root->left = out.gj;
+  out.plan.root = root;
+  out.left_slot = out.gj->left->var_slot;
+  out.right_slot = out.gj->right->var_slot;
+  return out;
+}
+
+TEST(VerifySlotPlanTest, GroupJoinPlanPasses) {
+  GroupJoinPlan p = CompileGroupJoin(TinyCompany());
+  ASSERT_EQ(p.gj->kind, PhysKind::kGroupJoin);
+  EXPECT_EQ(p.gj->strategy, GroupJoinStrategy::kAggregate);
+  VerifyReport r = VerifySlotPlan(p.plan);
+  EXPECT_TRUE(r.ok()) << r.ToString();
+}
+
+TEST(VerifySlotPlanTest, GroupJoinKeyNotTheLeftRowRejected) {
+  // Grouping by the right input's variable: left rows no longer map one to
+  // one onto groups, so the fused operator would not be Figure 5's nest.
+  GroupJoinPlan p = CompileGroupJoin(TinyCompany());
+  ASSERT_EQ(p.gj->group_slots.size(), 1u);
+  p.gj->group_slots[0].second = CSlot(p.right_slot);
+  VerifyReport r = VerifySlotPlan(p.plan);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(HasRule(r, "groupjoin-keys")) << r.ToString();
+}
+
+TEST(VerifySlotPlanTest, GroupJoinSummaryReadingTheLeftRowRejected) {
+  // An aggregate summary is built before any left row flows: a head that
+  // reads the left input would fold slots nobody has written yet.
+  GroupJoinPlan p = CompileGroupJoin(TinyCompany());
+  p.gj->head = CSlot(p.left_slot);
+  VerifyReport r = VerifySlotPlan(p.plan);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(HasRule(r, "groupjoin-summary")) << r.ToString();
+}
+
+TEST(VerifySlotPlanTest, GroupJoinNullSlotOutsideRightInputRejected) {
+  // O7 converts NULLs of the padded (right) side; a null-slot on the left
+  // row disagrees with the outer join the operator fuses.
+  GroupJoinPlan p = CompileGroupJoin(TinyCompany());
+  p.gj->null_slots = {p.left_slot};
+  VerifyReport r = VerifySlotPlan(p.plan);
+  ASSERT_FALSE(r.ok());
+  EXPECT_TRUE(HasRule(r, "O7-null-zero")) << r.ToString();
+}
+
 // ---------------------------------------------------------------------------
 // Pipeline integration.
 
