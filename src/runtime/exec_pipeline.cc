@@ -36,22 +36,18 @@ inline void PollCancel(const CancelToken* cancel) {
 // charge their buffered bytes through the owning evaluator's MemoryTracker
 // (src/obs/resource.h) and release them in Close() AND the destructor, so an
 // abort unwind (cancel, budget, error) leaves no reservation behind. Byte
-// sizing is gated on `tracker.armed() || stats != nullptr` at every site —
-// untracked unprofiled runs never walk a value.
+// sizing is gated on `tracker.armed() || stats != nullptr` at every build and
+// drain (on `armed()` alone in the root fold, whose bytes are the result's)
+// — untracked unprofiled runs never walk a value.
 
-// Publishes root-fold rows into the resource context in batches of 1024
-// (the live rows-so-far of the active-query view; docs/OBSERVABILITY.md)
-// and flushes the remainder on scope exit, including unwinds.
-struct RowPulse {
-  obs::QueryResourceContext* rc;
-  uint64_t pending = 0;
-  void Tick() {
-    if (rc != nullptr && (++pending & 1023u) == 0) rc->AddRows(1024);
-  }
-  ~RowPulse() {
-    if (rc != nullptr) rc->AddRows(pending & 1023u);
-  }
-};
+// Charges `bytes` of held state to operator class `cls`. *charged grows
+// first, so an over-budget throw still leaves every applied byte for the
+// caller to release.
+void ChargeBytes(FrameEvaluator* fev, PhysKind cls, size_t bytes,
+                 size_t* charged) {
+  *charged += bytes;
+  fev->mem().Charge(static_cast<int>(cls), bytes);
+}
 
 // Releases a root fold's collection-element charges on scope exit: the
 // result Value leaves the engine when the fold finishes, so its bytes stop
@@ -69,10 +65,10 @@ struct FoldChargeGuard {
 // -- profiling helpers -------------------------------------------------------
 //
 // Profiling is gated on ExecOptions::profiler. When it is null the iterator
-// trees below are built exactly as before (no decorator, no per-row branch);
-// when set, every operator is wrapped in a timing/counting decorator and the
-// operators that buffer state (joins, nests) additionally report build sizes
-// through a nullable OperatorStats* they carry.
+// trees below are built without decorators; when set, every operator is
+// wrapped in a timing/counting decorator, and the builds, the nest drain's
+// caller and the root fold report through a nullable OperatorStats*, which
+// they write once, when they finish.
 
 using ProfClock = std::chrono::steady_clock;
 
@@ -80,20 +76,6 @@ double NsSince(ProfClock::time_point t0) {
   return std::chrono::duration<double, std::nano>(ProfClock::now() - t0)
       .count();
 }
-
-// Flushes a serial run's root-row count into ExecOptions::totals on scope
-// exit, so a QueryCancelled unwind still reports the partial total. The
-// counter stays a plain local on the fold loop's hot path.
-struct SerialTotalsGuard {
-  ExecTotals* totals;
-  const uint64_t* rows;
-  ~SerialTotalsGuard() {
-    if (totals != nullptr) {
-      totals->root_rows += *rows;
-      totals->mode = "serial";
-    }
-  }
-};
 
 // Short operator label: the kind plus the extent for scans.
 std::string ProfLabel(PhysKind kind, const std::string& extent) {
@@ -104,6 +86,13 @@ std::string ProfLabel(PhysKind kind, const std::string& extent) {
     out += ')';
   }
   return out;
+}
+
+// `op`'s stats slot in `prof`, or null when the run is not profiled.
+OperatorStats* StatsFor(QueryProfiler* prof, const SlotOp& op) {
+  return prof == nullptr
+             ? nullptr
+             : prof->Register(op.id, op.kind, ProfLabel(op.kind, op.extent));
 }
 
 // ===========================================================================
@@ -141,11 +130,6 @@ struct SharedTables {
   std::unordered_map<int, JoinTable> join_tables;
   std::unordered_map<int, std::vector<BufRow>> buffers;
   std::unordered_map<int, GroupJoinSide> group_joins;
-  // (op class, bytes) charged per prebuilt table. Entries are pushed before
-  // the rows charge against them, so an over-budget throw mid-build still
-  // leaves every applied byte recorded; the parallel executor's scope guard
-  // releases them when the tables die.
-  std::vector<std::pair<int, size_t>> charges;
 };
 
 struct NestGroup {
@@ -157,8 +141,16 @@ struct NestGroup {
 struct PartialGroups {
   std::vector<NestGroup> groups;  // first-encounter order
   std::unordered_map<Value, size_t, ValueHash> index;
-  size_t charged = 0;  // bytes charged for this state, updated pre-Charge so
-                       // an over-budget throw still leaves it releasable
+  size_t charged = 0;  // bytes charged for this state
+};
+
+// A spine HashNest's groups, merged from parallel mode B's per-morsel
+// tables, for the serial driver to replay instead of draining the nest's
+// input.
+struct PrebuiltNest {
+  int id;
+  std::vector<NestGroup> groups;
+  size_t bytes = 0;  // the workers' charges; the parallel executor owns them
 };
 
 void LoadSpan(Frame& frame, int lo, const BufRow& row) {
@@ -206,9 +198,7 @@ const Value* EvalKeyPtr(FrameEvaluator* fev, Frame& frame,
 
 // Writes the caller's parameter bindings into the plan's reserved slots.
 // Every parameter the plan declares must be bound (a missing binding is an
-// EvalError); extra bindings are ignored. Called once per frame — each
-// executing thread (serial, prebuild, worker, tail) owns its frame, so
-// parameters are plain slot reads afterwards.
+// EvalError); extra bindings are ignored.
 void FillParams(const SlotPlan& sp, const ExecOptions& opt, Frame& frame) {
   for (const auto& [name, slot] : sp.param_slots) {
     if (opt.params != nullptr) {
@@ -222,12 +212,23 @@ void FillParams(const SlotPlan& sp, const ExecOptions& opt, Frame& frame) {
   }
 }
 
-// Routes the caller's cancellation token and resource context onto a
-// thread's frame evaluator.
-void ArmEvaluator(FrameEvaluator* fev, const ExecOptions& opt) {
-  fev->SetCancel(opt.cancel);
-  fev->SetResource(opt.resource);
-}
+// One executing thread's evaluator and frame (the serial driver, the
+// prebuild, each worker): armed with the caller's cancellation token and
+// resource context, with the plan's parameters written, so parameters are
+// plain slot reads afterwards. Iterators keep pointers into it.
+struct ThreadFrame {
+  FrameEvaluator fev;
+  Frame frame;
+
+  ThreadFrame(const SlotPlan& sp, const Database& db, const ExecOptions& opt)
+      : fev(db), frame(static_cast<size_t>(sp.n_slots)) {
+    fev.SetCancel(opt.cancel);
+    fev.SetResource(opt.resource);
+    FillParams(sp, opt, frame);
+  }
+  ThreadFrame(const ThreadFrame&) = delete;
+  ThreadFrame& operator=(const ThreadFrame&) = delete;
+};
 
 // The O7 padding test: a row whose null-var slots hold NULL adds nothing.
 bool NullPadded(const SlotOp& op, const Frame& frame) {
@@ -237,41 +238,17 @@ bool NullPadded(const SlotOp& op, const Frame& frame) {
   return false;
 }
 
-// Folds the current frame into the group table exactly the way the serial
-// HashNest does; shared by the serial iterator and the parallel workers so
-// grouping logic cannot drift between them. Buffered bytes (group keys, and
-// head values for collection monoids) are charged through the evaluator and
-// recorded in pg->charged; the caller owns the release.
-void AccumulateNestRow(const SlotOp& nest, FrameEvaluator* fev, Frame& frame,
-                       PartialGroups* pg, OperatorStats* stats) {
-  const bool sized = fev->mem().armed() || stats != nullptr;
-  Elems key;
-  key.reserve(nest.group_slots.size());
-  for (const auto& [slot, expr] : nest.group_slots) {
-    key.push_back(fev->Eval(*expr, frame));
-  }
-  auto [it, inserted] = pg->index.emplace(Value::List(key), pg->groups.size());
-  if (inserted) {
-    pg->groups.push_back(NestGroup{std::move(key), Accumulator(nest.monoid)});
-    if (sized) {
-      size_t b = EstimateValueBytes(it->first);
-      if (stats) stats->mem_bytes += b;
-      pg->charged += b;
-      fev->mem().Charge(static_cast<int>(PhysKind::kHashNest), b);
-    }
-  }
-  NestGroup& g = pg->groups[it->second];
-  if (!NullPadded(nest, frame) && fev->EvalPred(*nest.pred, frame)) {
-    Value scratch;
-    const Value* hv = fev->EvalPtr(*nest.head, frame, &scratch);
-    if (sized && IsCollectionMonoid(nest.monoid)) {
-      size_t b = EstimateValueBytes(*hv);
-      if (stats) stats->mem_bytes += b;
-      pg->charged += b;
-      fev->mem().Charge(static_cast<int>(PhysKind::kHashNest), b);
-    }
-    g.acc.Add(*hv);
-  }
+// A hash join's build input, the side it hashes.
+const SlotOpPtr& BuildInput(const SlotOp& op) {
+  return op.build_is_left ? op.left : op.right;
+}
+
+// The input a row streams in from: a hash join's probe side, every other
+// operator's left input (null below a scan).
+const SlotOpPtr& StreamedInput(const SlotOp& op) {
+  const bool hash_join =
+      op.kind == PhysKind::kHashJoin || op.kind == PhysKind::kHashOuterJoin;
+  return hash_join && op.build_is_left ? op.right : op.left;
 }
 
 // Iterators communicate through the shared per-thread frame: Next() writes
@@ -465,300 +442,58 @@ class FUnnestIter : public FrameIter {
   bool emitted_ = false;
 };
 
-// Streams the left child; the right child is buffered as span copies (or
-// injected prebuilt by the parallel executor, in which case right_ is null).
-class FNLJoinIter : public FrameIter {
- public:
-  FNLJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
-              std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
-              Frame* frame, const std::vector<BufRow>* shared_buffer)
-      : op_(op), outer_(op.kind == PhysKind::kNLOuterJoin),
-        left_(std::move(left)), right_(std::move(right)), fev_(fev),
-        frame_(frame), shared_buffer_(shared_buffer) {}
+// -- builds and the nest drain -----------------------------------------------
+//
+// One build per buffering operator, called by its iterator's Open and by
+// the parallel prebuild alike. Each opens and drains its input, polls
+// cancellation per row, charges what it keeps to the operator's class when
+// the tracker is armed or the run is profiled (see ChargeBytes), and writes
+// its stats once, after the loop. DrainNest is the HashNest's counterpart.
 
-  ~FNLJoinIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    if (shared_buffer_ != nullptr) {
-      buffer_ = shared_buffer_;  // prebuilt: the parallel executor owns the charge
-    } else {
-      own_buffer_.clear();
-      right_->Open();
-      const bool sized = fev_->mem().armed() || stats_ != nullptr;
-      while (right_->Next()) {
-        PollCancel(fev_->cancel());
-        own_buffer_.push_back(
-            CopySpan(*frame_, op_.right->out_lo, op_.right->out_hi));
-        if (sized) {
-          size_t b = SpanBytes(own_buffer_.back());
-          if (stats_) stats_->mem_bytes += b;
-          charged_ += b;
-          fev_->mem().Charge(static_cast<int>(op_.kind), b);
-        }
-      }
-      right_->Close();
-      if (stats_) stats_->build_rows += own_buffer_.size();
-      buffer_ = &own_buffer_;
-    }
-    left_->Open();
-    have_row_ = false;
+// An NL join's right side, buffered as span copies.
+void BuildBuffer(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
+                 Frame& frame, OperatorStats* stats, size_t* charged,
+                 std::vector<BufRow>* buffer) {
+  const bool sized = fev->mem().armed() || stats != nullptr;
+  const size_t charged0 = *charged;
+  right->Open();
+  while (right->Next()) {
+    PollCancel(fev->cancel());
+    buffer->push_back(CopySpan(frame, op.right->out_lo, op.right->out_hi));
+    if (sized) ChargeBytes(fev, op.kind, SpanBytes(buffer->back()), charged);
   }
-
-  bool Next() override {
-    while (true) {
-      if (!have_row_) {
-        if (!left_->Next()) return false;
-        pos_ = 0;
-        matched_ = false;
-        have_row_ = true;
-      }
-      while (pos_ < buffer_->size()) {
-        LoadSpan(*frame_, op_.right->out_lo, (*buffer_)[pos_++]);
-        if (fev_->EvalPred(*op_.pred, *frame_)) {
-          matched_ = true;
-          return true;
-        }
-      }
-      have_row_ = false;
-      if (outer_ && !matched_) {
-        FillNullSpan(*frame_, op_.right->out_lo, op_.right->out_hi);
-        return true;
-      }
-    }
+  right->Close();
+  if (stats != nullptr) {
+    stats->build_rows += buffer->size();
+    stats->mem_bytes += *charged - charged0;
   }
-  void Close() override {
-    left_->Close();
-    own_buffer_.clear();
-    ReleaseCharge();
+}
+
+// A hash join's build side, hashed on the build keys as span copies; rows
+// with a NULL key never match and are dropped.
+void BuildJoinTable(const SlotOp& op, FrameIter* build, FrameEvaluator* fev,
+                    Frame& frame, OperatorStats* stats, size_t* charged,
+                    JoinTable* table) {
+  const bool sized = fev->mem().armed() || stats != nullptr;
+  const size_t charged0 = *charged;
+  const SlotOp& input = *BuildInput(op);
+  uint64_t built = 0;
+  build->Open();
+  while (build->Next()) {
+    PollCancel(fev->cancel());
+    Value key = EvalKeyTuple(fev, frame, op.build_keys);
+    if (key.is_null()) continue;
+    BufRow row = CopySpan(frame, input.out_lo, input.out_hi);
+    if (sized) ChargeBytes(fev, op.kind, SpanBytes(row), charged);
+    (*table)[std::move(key)].push_back(std::move(row));
+    ++built;
   }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      fev_->mem().Release(static_cast<int>(op_.kind), charged_);
-      charged_ = 0;
-    }
+  build->Close();
+  if (stats != nullptr) {
+    stats->build_rows += built;
+    stats->mem_bytes += *charged - charged0;
   }
-
-  const SlotOp& op_;
-  bool outer_;
-  std::unique_ptr<FrameIter> left_, right_;
-  FrameEvaluator* fev_;
-  Frame* frame_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  const std::vector<BufRow>* shared_buffer_;
-  std::vector<BufRow> own_buffer_;
-  const std::vector<BufRow>* buffer_ = nullptr;
-  size_t pos_ = 0;
-  bool have_row_ = false;
-  bool matched_ = false;
-};
-
-class FHashJoinIter : public FrameIter {
- public:
-  FHashJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
-                std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
-                Frame* frame, const JoinTable* shared_table)
-      : op_(op), outer_(op.kind == PhysKind::kHashOuterJoin),
-        left_(std::move(left)), right_(std::move(right)), fev_(fev),
-        frame_(frame), shared_table_(shared_table) {
-    build_op_ = (op_.build_is_left ? op_.left : op_.right).get();
-  }
-
-  ~FHashJoinIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    FrameIter* build = op_.build_is_left ? left_.get() : right_.get();
-    probe_ = op_.build_is_left ? right_.get() : left_.get();
-    if (shared_table_ != nullptr) {
-      table_ = shared_table_;  // prebuilt: the parallel executor owns the charge
-    } else {
-      own_table_.clear();
-      size_t built = 0;
-      build->Open();
-      const bool sized = fev_->mem().armed() || stats_ != nullptr;
-      while (build->Next()) {
-        PollCancel(fev_->cancel());
-        Value key = EvalKeyTuple(fev_, *frame_, op_.build_keys);
-        if (!key.is_null()) {
-          BufRow row = CopySpan(*frame_, build_op_->out_lo, build_op_->out_hi);
-          if (sized) {
-            size_t b = SpanBytes(row);
-            if (stats_) stats_->mem_bytes += b;
-            charged_ += b;
-            fev_->mem().Charge(static_cast<int>(op_.kind), b);
-          }
-          own_table_[std::move(key)].push_back(std::move(row));
-          ++built;
-        }
-      }
-      build->Close();
-      if (stats_) stats_->build_rows += built;
-      table_ = &own_table_;
-    }
-    probe_->Open();
-    have_row_ = false;
-  }
-
-  bool Next() override {
-    while (true) {
-      if (!have_row_) {
-        if (!probe_->Next()) return false;
-        Value key_scratch;
-        const Value* key = EvalKeyPtr(fev_, *frame_, op_.probe_keys,
-                                      &key_scratch);
-        bucket_ = nullptr;
-        if (!key->is_null()) {
-          auto it = table_->find(*key);
-          if (it != table_->end()) bucket_ = &it->second;
-        }
-        pos_ = 0;
-        matched_ = false;
-        have_row_ = true;
-      }
-      if (bucket_ != nullptr) {
-        while (pos_ < bucket_->size()) {
-          LoadSpan(*frame_, build_op_->out_lo, (*bucket_)[pos_++]);
-          if (fev_->EvalPred(*op_.pred, *frame_)) {
-            matched_ = true;
-            return true;
-          }
-        }
-      }
-      have_row_ = false;
-      if (outer_ && !matched_) {
-        // Outer joins always probe left, so the padded side is the right.
-        FillNullSpan(*frame_, op_.right->out_lo, op_.right->out_hi);
-        return true;
-      }
-    }
-  }
-  void Close() override {
-    if (left_) left_->Close();
-    if (right_) right_->Close();
-    own_table_.clear();
-    ReleaseCharge();
-  }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      fev_->mem().Release(static_cast<int>(op_.kind), charged_);
-      charged_ = 0;
-    }
-  }
-
-  const SlotOp& op_;
-  bool outer_;
-  std::unique_ptr<FrameIter> left_, right_;
-  FrameEvaluator* fev_;
-  Frame* frame_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  const SlotOp* build_op_;
-  const JoinTable* shared_table_;
-  JoinTable own_table_;
-  FrameIter* probe_ = nullptr;
-  const JoinTable* table_ = nullptr;
-  const std::vector<BufRow>* bucket_ = nullptr;
-  size_t pos_ = 0;
-  bool have_row_ = false;
-  bool matched_ = false;
-};
-
-// Blocking grouping. Either drains its child on Open, or replays groups
-// merged from parallel workers (prebuilt constructor; no child).
-class FHashNestIter : public FrameIter {
- public:
-  FHashNestIter(const SlotOp& op, std::unique_ptr<FrameIter> child,
-                FrameEvaluator* fev, Frame* frame)
-      : op_(op), child_(std::move(child)), fev_(fev), frame_(frame) {}
-
-  // Prebuilt groups were charged by the parallel executor (which owns the
-  // release); `prebuilt_bytes` only feeds this operator's profile line.
-  FHashNestIter(const SlotOp& op, std::vector<NestGroup> prebuilt,
-                size_t prebuilt_bytes, FrameEvaluator* fev, Frame* frame)
-      : op_(op), fev_(fev), frame_(frame),
-        prebuilt_(std::move(prebuilt)), prebuilt_bytes_(prebuilt_bytes),
-        has_prebuilt_(true) {}
-
-  ~FHashNestIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
-
-  void Open() override {
-    ReleaseCharge();
-    if (has_prebuilt_) {
-      groups_ = std::move(prebuilt_);
-      has_prebuilt_ = false;
-      if (stats_) stats_->mem_bytes += prebuilt_bytes_;
-    } else {
-      PartialGroups pg;
-      child_->Open();
-      try {
-        while (child_->Next()) {
-          PollCancel(fev_->cancel());
-          AccumulateNestRow(op_, fev_, *frame_, &pg, stats_);
-        }
-      } catch (...) {
-        // pg dies with the unwind; its reservation must die with it.
-        charged_ = pg.charged;
-        ReleaseCharge();
-        throw;
-      }
-      child_->Close();
-      charged_ = pg.charged;
-      groups_ = std::move(pg.groups);
-    }
-    // Scalar aggregation (no keys) always yields one row (see eval_algebra).
-    if (op_.group_slots.empty() && groups_.empty()) {
-      groups_.push_back(NestGroup{{}, Accumulator(op_.monoid)});
-    }
-    if (stats_) stats_->groups += groups_.size();
-    pos_ = 0;
-  }
-
-  bool Next() override {
-    if (pos_ >= groups_.size()) return false;
-    NestGroup& g = groups_[pos_++];
-    for (size_t i = 0; i < op_.group_slots.size(); ++i) {
-      (*frame_)[op_.group_slots[i].first] = g.key[i];
-    }
-    (*frame_)[op_.var_slot] = g.acc.Finish();
-    return true;
-  }
-  void Close() override {
-    groups_.clear();
-    ReleaseCharge();
-  }
-
- private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      fev_->mem().Release(static_cast<int>(PhysKind::kHashNest), charged_);
-      charged_ = 0;
-    }
-  }
-
-  const SlotOp& op_;
-  std::unique_ptr<FrameIter> child_;
-  FrameEvaluator* fev_;
-  Frame* frame_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  std::vector<NestGroup> prebuilt_;
-  size_t prebuilt_bytes_ = 0;
-  bool has_prebuilt_ = false;
-  std::vector<NestGroup> groups_;
-  size_t pos_ = 0;
-};
+}
 
 // A value Value::Compare orders strictly: anything else (NaN, bools, records)
 // sends a sorted GroupJoin back to its loop.
@@ -773,20 +508,13 @@ Value Snapshot(const Accumulator& acc) {
   return copy.Finish();
 }
 
-// Builds a GroupJoin's right side: drains `right`, keeping what the plan's
-// strategy needs (docs/EXECUTOR.md). The one build path for the serial
-// iterator and the parallel prebuild. Charges go to the GroupJoin class, and
-// *charged grows before each charge so an over-budget throw mid-build still
-// leaves every applied byte for the caller to release.
+// A GroupJoin's right side: drains `right`, keeping what the plan's strategy
+// needs (docs/EXECUTOR.md).
 void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
                         Frame& frame, OperatorStats* stats, size_t* charged,
                         GroupJoinSide* side) {
   const bool sized = fev->mem().armed() || stats != nullptr;
-  auto charge = [&](size_t b) {
-    if (stats) stats->mem_bytes += b;
-    *charged += b;
-    fev->mem().Charge(static_cast<int>(PhysKind::kGroupJoin), b);
-  };
+  const size_t charged0 = *charged;
   side->zero = Accumulator(op.monoid).Finish();
   std::unordered_map<Value, Accumulator, ValueHash> accs;  // kAggregate
   uint64_t read = 0;
@@ -800,7 +528,7 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
         Value key = EvalKeyTuple(fev, frame, op.build_keys);
         if (key.is_null()) break;
         BufRow row = CopySpan(frame, op.right->out_lo, op.right->out_hi);
-        if (sized) charge(SpanBytes(row));
+        if (sized) ChargeBytes(fev, op.kind, SpanBytes(row), charged);
         side->table[std::move(key)].push_back(std::move(row));
         break;
       }
@@ -811,10 +539,12 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
           break;
         }
         auto [it, inserted] = accs.try_emplace(std::move(key), op.monoid);
-        if (inserted && sized) charge(EstimateValueBytes(it->first));
+        if (inserted && sized) {
+          ChargeBytes(fev, op.kind, EstimateValueBytes(it->first), charged);
+        }
         const Value* hv = fev->EvalPtr(*op.head, frame, &scratch);
         if (sized && IsCollectionMonoid(op.monoid)) {
-          charge(EstimateValueBytes(*hv));
+          ChargeBytes(fev, op.kind, EstimateValueBytes(*hv), charged);
         }
         it->second.Add(*hv);
         break;
@@ -826,7 +556,10 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
           break;
         }
         Value h = fev->Eval(*op.head, frame);
-        if (sized) charge(EstimateValueBytes(b) + EstimateValueBytes(h));
+        if (sized) {
+          ChargeBytes(fev, op.kind,
+                      EstimateValueBytes(b) + EstimateValueBytes(h), charged);
+        }
         side->entries.emplace_back(std::move(b), std::move(h));
         break;
       }
@@ -872,13 +605,307 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
       entries.clear();
     }
   }
-  if (stats) {
+  if (stats != nullptr) {
     stats->build_rows += read;
     stats->groups += summary;
+    stats->mem_bytes += *charged - charged0;
   }
 }
 
-// Folds one left row's matches into its aggregate.
+// The HashNest drain, shared by the serial iterator and parallel mode B's
+// workers so grouping cannot drift between them: folds every row `child`
+// yields into *pg, grouping by the nest's keys in first-encounter order.
+// With `sized`, group keys (and heads, for collection monoids) are charged
+// to the HashNest class and added up in pg->charged, which the caller owns
+// once the drain returns; on an unwind the drain returns them itself, since
+// *pg dies with the unwind. Returns the rows drained.
+uint64_t DrainNest(const SlotOp& nest, FrameIter* child, FrameEvaluator* fev,
+                   Frame& frame, bool sized, PartialGroups* pg) {
+  uint64_t rows = 0;
+  Value scratch;
+  child->Open();
+  try {
+    while (child->Next()) {
+      PollCancel(fev->cancel());
+      ++rows;
+      Elems key;
+      key.reserve(nest.group_slots.size());
+      for (const auto& [slot, expr] : nest.group_slots) {
+        key.push_back(fev->Eval(*expr, frame));
+      }
+      auto [it, inserted] =
+          pg->index.emplace(Value::List(key), pg->groups.size());
+      if (inserted) {
+        pg->groups.push_back(
+            NestGroup{std::move(key), Accumulator(nest.monoid)});
+        if (sized) {
+          ChargeBytes(fev, PhysKind::kHashNest, EstimateValueBytes(it->first),
+                      &pg->charged);
+        }
+      }
+      if (NullPadded(nest, frame) || !fev->EvalPred(*nest.pred, frame)) {
+        continue;
+      }
+      const Value* hv = fev->EvalPtr(*nest.head, frame, &scratch);
+      if (sized && IsCollectionMonoid(nest.monoid)) {
+        ChargeBytes(fev, PhysKind::kHashNest, EstimateValueBytes(*hv),
+                    &pg->charged);
+      }
+      pg->groups[it->second].acc.Add(*hv);
+    }
+  } catch (...) {
+    fev->mem().Release(static_cast<int>(PhysKind::kHashNest), pg->charged);
+    pg->charged = 0;
+    fev->mem().FlushNoThrow();
+    throw;
+  }
+  child->Close();
+  return rows;
+}
+
+// A buffering operator's built side (an NL join's buffer, a hash join's
+// table, a GroupJoin's right side): shared read-only from the parallel
+// prebuild, which owns its charge, or built from `input` by `build` on each
+// Open, its charge released on Close and on destruction, an unwind included.
+template <typename Side>
+class BuiltSide {
+ public:
+  using Build = void (*)(const SlotOp&, FrameIter*, FrameEvaluator*, Frame&,
+                         OperatorStats*, size_t*, Side*);
+
+  BuiltSide(Build build, const SlotOp& op, std::unique_ptr<FrameIter> input,
+            const Side* shared, FrameEvaluator* fev, Frame* frame,
+            OperatorStats* stats)
+      : build_(build), op_(op), input_(std::move(input)), shared_(shared),
+        fev_(fev), frame_(frame), stats_(stats) {}
+  BuiltSide(const BuiltSide&) = delete;
+  BuiltSide& operator=(const BuiltSide&) = delete;
+  ~BuiltSide() { Release(); }
+
+  const Side& Open() {
+    Release();
+    if (shared_ != nullptr) return *shared_;
+    own_ = Side{};
+    build_(op_, input_.get(), fev_, *frame_, stats_, &charged_, &own_);
+    return own_;
+  }
+  void Close() {
+    own_ = Side{};
+    Release();
+  }
+
+ private:
+  void Release() {
+    fev_->mem().Release(static_cast<int>(op_.kind), charged_);
+    charged_ = 0;
+  }
+
+  Build build_;
+  const SlotOp& op_;
+  std::unique_ptr<FrameIter> input_;  // null when shared
+  const Side* shared_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  OperatorStats* stats_;
+  Side own_;
+  size_t charged_ = 0;
+};
+
+// Streams the left child against the right side's buffered span copies.
+class FNLJoinIter : public FrameIter {
+ public:
+  FNLJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
+              std::unique_ptr<FrameIter> right,
+              const std::vector<BufRow>* shared, FrameEvaluator* fev,
+              Frame* frame, OperatorStats* stats)
+      : op_(op), outer_(op.kind == PhysKind::kNLOuterJoin),
+        left_(std::move(left)),
+        built_(BuildBuffer, op, std::move(right), shared, fev, frame, stats),
+        fev_(fev), frame_(frame) {}
+
+  void Open() override {
+    buffer_ = &built_.Open();
+    left_->Open();
+    have_row_ = false;
+  }
+
+  bool Next() override {
+    while (true) {
+      if (!have_row_) {
+        if (!left_->Next()) return false;
+        pos_ = 0;
+        matched_ = false;
+        have_row_ = true;
+      }
+      while (pos_ < buffer_->size()) {
+        LoadSpan(*frame_, op_.right->out_lo, (*buffer_)[pos_++]);
+        if (fev_->EvalPred(*op_.pred, *frame_)) {
+          matched_ = true;
+          return true;
+        }
+      }
+      have_row_ = false;
+      if (outer_ && !matched_) {
+        FillNullSpan(*frame_, op_.right->out_lo, op_.right->out_hi);
+        return true;
+      }
+    }
+  }
+  void Close() override {
+    left_->Close();
+    built_.Close();
+  }
+
+ private:
+  const SlotOp& op_;
+  bool outer_;
+  std::unique_ptr<FrameIter> left_;
+  BuiltSide<std::vector<BufRow>> built_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  const std::vector<BufRow>* buffer_ = nullptr;
+  size_t pos_ = 0;
+  bool have_row_ = false;
+  bool matched_ = false;
+};
+
+class FHashJoinIter : public FrameIter {
+ public:
+  FHashJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> probe,
+                std::unique_ptr<FrameIter> build, const JoinTable* shared,
+                FrameEvaluator* fev, Frame* frame, OperatorStats* stats)
+      : op_(op), outer_(op.kind == PhysKind::kHashOuterJoin),
+        build_op_(*BuildInput(op)), probe_(std::move(probe)),
+        built_(BuildJoinTable, op, std::move(build), shared, fev, frame,
+               stats),
+        fev_(fev), frame_(frame) {}
+
+  void Open() override {
+    table_ = &built_.Open();
+    probe_->Open();
+    have_row_ = false;
+  }
+
+  bool Next() override {
+    while (true) {
+      if (!have_row_) {
+        if (!probe_->Next()) return false;
+        Value key_scratch;
+        const Value* key = EvalKeyPtr(fev_, *frame_, op_.probe_keys,
+                                      &key_scratch);
+        bucket_ = nullptr;
+        if (!key->is_null()) {
+          auto it = table_->find(*key);
+          if (it != table_->end()) bucket_ = &it->second;
+        }
+        pos_ = 0;
+        matched_ = false;
+        have_row_ = true;
+      }
+      if (bucket_ != nullptr) {
+        while (pos_ < bucket_->size()) {
+          LoadSpan(*frame_, build_op_.out_lo, (*bucket_)[pos_++]);
+          if (fev_->EvalPred(*op_.pred, *frame_)) {
+            matched_ = true;
+            return true;
+          }
+        }
+      }
+      have_row_ = false;
+      if (outer_ && !matched_) {
+        // Outer joins always probe left, so the padded side is the right.
+        FillNullSpan(*frame_, op_.right->out_lo, op_.right->out_hi);
+        return true;
+      }
+    }
+  }
+  void Close() override {
+    probe_->Close();
+    built_.Close();
+  }
+
+ private:
+  const SlotOp& op_;
+  bool outer_;
+  const SlotOp& build_op_;
+  std::unique_ptr<FrameIter> probe_;
+  BuiltSide<JoinTable> built_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  const JoinTable* table_ = nullptr;
+  const std::vector<BufRow>* bucket_ = nullptr;
+  size_t pos_ = 0;
+  bool have_row_ = false;
+  bool matched_ = false;
+};
+
+// Blocking grouping: drains its child on Open, or replays the groups
+// parallel mode B's workers merged (`prebuilt`; then there is no child).
+class FHashNestIter : public FrameIter {
+ public:
+  FHashNestIter(const SlotOp& op, std::unique_ptr<FrameIter> child,
+                PrebuiltNest* prebuilt, FrameEvaluator* fev, Frame* frame,
+                OperatorStats* stats)
+      : op_(op), child_(std::move(child)), prebuilt_(prebuilt), fev_(fev),
+        frame_(frame), stats_(stats) {}
+
+  ~FHashNestIter() override { ReleaseCharge(); }
+
+  void Open() override {
+    ReleaseCharge();
+    size_t bytes;
+    if (prebuilt_ != nullptr) {
+      groups_ = std::move(prebuilt_->groups);
+      bytes = prebuilt_->bytes;  // the parallel executor releases these
+    } else {
+      PartialGroups pg;
+      DrainNest(op_, child_.get(), fev_, *frame_,
+                fev_->mem().armed() || stats_ != nullptr, &pg);
+      groups_ = std::move(pg.groups);
+      bytes = charged_ = pg.charged;
+    }
+    // Scalar aggregation (no keys) always yields one row (see eval_algebra).
+    if (op_.group_slots.empty() && groups_.empty()) {
+      groups_.push_back(NestGroup{{}, Accumulator(op_.monoid)});
+    }
+    if (stats_ != nullptr) {
+      stats_->groups += groups_.size();
+      stats_->mem_bytes += bytes;
+    }
+    pos_ = 0;
+  }
+
+  bool Next() override {
+    if (pos_ >= groups_.size()) return false;
+    NestGroup& g = groups_[pos_++];
+    for (size_t i = 0; i < op_.group_slots.size(); ++i) {
+      (*frame_)[op_.group_slots[i].first] = g.key[i];
+    }
+    (*frame_)[op_.var_slot] = g.acc.Finish();
+    return true;
+  }
+  void Close() override {
+    groups_.clear();
+    ReleaseCharge();
+  }
+
+ private:
+  void ReleaseCharge() {
+    fev_->mem().Release(static_cast<int>(PhysKind::kHashNest), charged_);
+    charged_ = 0;
+  }
+
+  const SlotOp& op_;
+  std::unique_ptr<FrameIter> child_;
+  PrebuiltNest* prebuilt_;
+  FrameEvaluator* fev_;
+  Frame* frame_;
+  OperatorStats* stats_;
+  size_t charged_ = 0;
+  std::vector<NestGroup> groups_;
+  size_t pos_ = 0;
+};
+
 // Adds one match to a left row's fold; true when the fold saturated
 // (some/all), which ends it and counts as a short circuit.
 bool AddMatch(Accumulator* acc, const Value& v, OperatorStats* stats) {
@@ -958,30 +985,19 @@ Value FoldGroupJoinRow(const SlotOp& op, const GroupJoinSide& side,
 
 // Nest(OuterJoin(L, R)) in one pass over L: each left row leaves with its
 // group slots copied from the row (HashNest's output convention) and the
-// aggregate of its matches. The right side is built on Open, or injected
-// prebuilt by the parallel executor (then right_ is null).
+// aggregate of its matches against the built right side.
 class FGroupJoinIter : public FrameIter {
  public:
   FGroupJoinIter(const SlotOp& op, std::unique_ptr<FrameIter> left,
-                 std::unique_ptr<FrameIter> right, FrameEvaluator* fev,
-                 Frame* frame, const GroupJoinSide* shared_side)
-      : op_(op), left_(std::move(left)), right_(std::move(right)), fev_(fev),
-        frame_(frame), shared_side_(shared_side) {}
-
-  ~FGroupJoinIter() override { ReleaseCharge(); }
-
-  void set_stats(OperatorStats* s) { stats_ = s; }
+                 std::unique_ptr<FrameIter> right, const GroupJoinSide* shared,
+                 FrameEvaluator* fev, Frame* frame, OperatorStats* stats)
+      : op_(op), left_(std::move(left)),
+        built_(BuildGroupJoinSide, op, std::move(right), shared, fev, frame,
+               stats),
+        fev_(fev), frame_(frame), stats_(stats) {}
 
   void Open() override {
-    ReleaseCharge();
-    if (shared_side_ != nullptr) {
-      side_ = shared_side_;  // prebuilt: the parallel executor owns the charge
-    } else {
-      own_side_ = GroupJoinSide{};
-      BuildGroupJoinSide(op_, right_.get(), fev_, *frame_, stats_, &charged_,
-                         &own_side_);
-      side_ = &own_side_;
-    }
+    side_ = &built_.Open();
     left_->Open();
     emitted_ = false;
     done_ = false;
@@ -1009,55 +1025,51 @@ class FGroupJoinIter : public FrameIter {
 
   void Close() override {
     left_->Close();
-    own_side_ = GroupJoinSide{};
-    ReleaseCharge();
+    built_.Close();
   }
 
  private:
-  void ReleaseCharge() {
-    if (charged_ > 0) {
-      fev_->mem().Release(static_cast<int>(PhysKind::kGroupJoin), charged_);
-      charged_ = 0;
-    }
-  }
-
   const SlotOp& op_;
-  std::unique_ptr<FrameIter> left_, right_;
+  std::unique_ptr<FrameIter> left_;
+  BuiltSide<GroupJoinSide> built_;
   FrameEvaluator* fev_;
   Frame* frame_;
-  OperatorStats* stats_ = nullptr;
-  size_t charged_ = 0;
-  const GroupJoinSide* shared_side_;
-  GroupJoinSide own_side_;
+  OperatorStats* stats_;
   const GroupJoinSide* side_ = nullptr;
   bool emitted_ = false;
   bool done_ = false;
 };
 
-// Construction context: the per-thread frame/evaluator, plus the parallel
+// Construction context: the thread's frame and evaluator, plus the parallel
 // executor's injections (shared build tables, the morsel-ranged driver scan,
-// pre-merged nest groups for the serial tail).
+// a spine HashNest's merged groups for mode B's serial tail).
 struct FrameExecCtx {
-  FrameEvaluator* fev = nullptr;
-  Frame* frame = nullptr;
+  FrameExecCtx(ThreadFrame& t, QueryProfiler* prof)
+      : fev(&t.fev), frame(&t.frame), profiler(prof) {}
+
+  FrameEvaluator* fev;
+  Frame* frame;
+  QueryProfiler* profiler;  // null = build the uninstrumented tree
   const SharedTables* shared = nullptr;
   int driver_id = -1;
   FTableScanIter* driver = nullptr;  // out: the driver scan, if driver_id hit
-  int prebuilt_nest_id = -1;
-  std::vector<NestGroup>* prebuilt_groups = nullptr;  // moved from when hit
-  size_t prebuilt_bytes = 0;  // bytes the executor charged for those groups
-  QueryProfiler* profiler = nullptr;  // null = build the uninstrumented tree
+  PrebuiltNest* nest = nullptr;
 };
+
+// The side the parallel prebuild made for operator `id`, if any.
+template <typename Side>
+const Side* SharedSide(const std::unordered_map<int, Side>& sides, int id) {
+  auto it = sides.find(id);
+  return it == sides.end() ? nullptr : &it->second;
+}
 
 std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
                                              FrameExecCtx& ctx) {
   LDB_INTERNAL_CHECK(op != nullptr, "null slot operator");
-  OperatorStats* stats =
-      ctx.profiler == nullptr
-          ? nullptr
-          : ctx.profiler->Register(op->id, op->kind,
-                                   ProfLabel(op->kind, op->extent));
+  OperatorStats* stats = StatsFor(ctx.profiler, *op);
+  const SharedTables* shared = ctx.shared;
   std::unique_ptr<FrameIter> out;
+  // A side that is shared never instantiates the subtree it was built from.
   switch (op->kind) {
     case PhysKind::kUnitRow:
       out = std::make_unique<FUnitRowIter>();
@@ -1082,67 +1094,36 @@ std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
       break;
     case PhysKind::kNLJoin:
     case PhysKind::kNLOuterJoin: {
-      const std::vector<BufRow>* shared_buffer = nullptr;
-      if (ctx.shared != nullptr) {
-        auto it = ctx.shared->buffers.find(op->id);
-        if (it != ctx.shared->buffers.end()) shared_buffer = &it->second;
-      }
-      // With a shared buffer the buffered subtree is never instantiated.
-      auto right = shared_buffer ? nullptr : MakeFrameIterator(op->right, ctx);
-      auto join = std::make_unique<FNLJoinIter>(
-          *op, MakeFrameIterator(op->left, ctx), std::move(right), ctx.fev,
-          ctx.frame, shared_buffer);
-      join->set_stats(stats);
-      out = std::move(join);
+      auto* buffer = shared ? SharedSide(shared->buffers, op->id) : nullptr;
+      out = std::make_unique<FNLJoinIter>(
+          *op, MakeFrameIterator(op->left, ctx),
+          buffer ? nullptr : MakeFrameIterator(op->right, ctx), buffer,
+          ctx.fev, ctx.frame, stats);
       break;
     }
     case PhysKind::kHashJoin:
     case PhysKind::kHashOuterJoin: {
-      const JoinTable* shared_table = nullptr;
-      if (ctx.shared != nullptr) {
-        auto it = ctx.shared->join_tables.find(op->id);
-        if (it != ctx.shared->join_tables.end()) shared_table = &it->second;
-      }
-      const SlotOpPtr& build = op->build_is_left ? op->left : op->right;
-      const SlotOpPtr& probe = op->build_is_left ? op->right : op->left;
-      std::unique_ptr<FrameIter> build_it =
-          shared_table ? nullptr : MakeFrameIterator(build, ctx);
-      std::unique_ptr<FrameIter> probe_it = MakeFrameIterator(probe, ctx);
-      auto left = op->build_is_left ? std::move(build_it) : std::move(probe_it);
-      auto right = op->build_is_left ? std::move(probe_it) : std::move(build_it);
-      auto join = std::make_unique<FHashJoinIter>(*op, std::move(left),
-                                                  std::move(right), ctx.fev,
-                                                  ctx.frame, shared_table);
-      join->set_stats(stats);
-      out = std::move(join);
+      auto* table = shared ? SharedSide(shared->join_tables, op->id) : nullptr;
+      out = std::make_unique<FHashJoinIter>(
+          *op, MakeFrameIterator(StreamedInput(*op), ctx),
+          table ? nullptr : MakeFrameIterator(BuildInput(*op), ctx), table,
+          ctx.fev, ctx.frame, stats);
       break;
     }
     case PhysKind::kHashNest: {
-      std::unique_ptr<FHashNestIter> nest;
-      if (op->id == ctx.prebuilt_nest_id) {
-        nest = std::make_unique<FHashNestIter>(
-            *op, std::move(*ctx.prebuilt_groups), ctx.prebuilt_bytes,
-            ctx.fev, ctx.frame);
-      } else {
-        nest = std::make_unique<FHashNestIter>(
-            *op, MakeFrameIterator(op->left, ctx), ctx.fev, ctx.frame);
-      }
-      nest->set_stats(stats);
-      out = std::move(nest);
+      PrebuiltNest* nest =
+          ctx.nest != nullptr && ctx.nest->id == op->id ? ctx.nest : nullptr;
+      out = std::make_unique<FHashNestIter>(
+          *op, nest ? nullptr : MakeFrameIterator(op->left, ctx), nest,
+          ctx.fev, ctx.frame, stats);
       break;
     }
     case PhysKind::kGroupJoin: {
-      const GroupJoinSide* shared_side = nullptr;
-      if (ctx.shared != nullptr) {
-        auto it = ctx.shared->group_joins.find(op->id);
-        if (it != ctx.shared->group_joins.end()) shared_side = &it->second;
-      }
-      auto right = shared_side ? nullptr : MakeFrameIterator(op->right, ctx);
-      auto gj = std::make_unique<FGroupJoinIter>(
-          *op, MakeFrameIterator(op->left, ctx), std::move(right), ctx.fev,
-          ctx.frame, shared_side);
-      gj->set_stats(stats);
-      out = std::move(gj);
+      auto* side = shared ? SharedSide(shared->group_joins, op->id) : nullptr;
+      out = std::make_unique<FGroupJoinIter>(
+          *op, MakeFrameIterator(op->left, ctx),
+          side ? nullptr : MakeFrameIterator(op->right, ctx), side, ctx.fev,
+          ctx.frame, stats);
       break;
     }
     case PhysKind::kReduce:
@@ -1154,74 +1135,75 @@ std::unique_ptr<FrameIter> MakeFrameIterator(const SlotOpPtr& op,
   return out;
 }
 
-Value ExecuteSlotSerial(const SlotPlan& sp, const Database& db,
-                        const ExecOptions& opt, QueryProfiler* prof) {
-  FrameEvaluator fev(db);
-  ArmEvaluator(&fev, opt);
-  Frame frame(static_cast<size_t>(sp.n_slots));
-  FillParams(sp, opt, frame);
-  FrameExecCtx ctx;
-  ctx.fev = &fev;
-  ctx.frame = &frame;
-  ctx.profiler = prof;
-  Accumulator acc(sp.root->monoid);
-  Value scratch;
-  uint64_t folded = 0;
-  SerialTotalsGuard totals_guard{opt.totals, &folded};
-  RowPulse pulse{opt.resource};
-  const bool fold_sized =
-      fev.mem().armed() && IsCollectionMonoid(sp.root->monoid);
-  size_t fold_charged = 0;
-  FoldChargeGuard fold_guard{&fev.mem(), &fold_charged};
-  if (prof == nullptr) {
-    std::unique_ptr<FrameIter> input = MakeFrameIterator(sp.root->left, ctx);
-    input->Open();
-    while (input->Next()) {
-      PollCancel(opt.cancel);
-      if (!fev.EvalPred(*sp.root->pred, frame)) continue;
-      const Value* hv = fev.EvalPtr(*sp.root->head, frame, &scratch);
-      if (fold_sized) {
-        size_t b = EstimateValueBytes(*hv);
-        fold_charged += b;
-        fev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-      }
-      acc.Add(*hv);
-      ++folded;
-      pulse.Tick();
-      if (acc.Saturated()) break;  // the pipeline stops pulling here
-    }
-    input->Close();
-    return acc.Finish();
-  }
-  prof->parallel_mode = "serial";
-  OperatorStats* rstats =
-      prof->Register(sp.root->id, PhysKind::kReduce, "Reduce");
-  std::unique_ptr<FrameIter> input = MakeFrameIterator(sp.root->left, ctx);
+// The root fold: the one loop where a pipeline's rows reach the Reduce, run
+// by the serial driver and by every morsel of parallel mode A. It opens
+// `input` and folds the head of each row that passes the Reduce's predicate
+// into *acc, until the input ends or *acc saturates (a saturated quantifier
+// stops the pull). Per row it polls cancellation and, when the tracker is
+// armed, charges a collection head to the Reduce class (*charged, see
+// ChargeBytes). Its counters stay in locals and land once, on the way out,
+// an unwind included: the folded rows in *rows (when given) and in `rc`'s
+// live rows-so-far, in batches of 1024 (docs/OBSERVABILITY.md), and the
+// Reduce's counters and time in *stats when profiled.
+void FoldRoot(const SlotOp& root, FrameIter* input, FrameEvaluator* fev,
+              Frame& frame, obs::QueryResourceContext* rc,
+              OperatorStats* stats, Accumulator* acc, size_t* charged,
+              uint64_t* rows) {
+  const bool sized = fev->mem().armed() && IsCollectionMonoid(root.monoid);
+  const size_t charged0 = *charged;
+  uint64_t pulled = 0, folded = 0;
   input->Open();
-  ++rstats->opens;
-  auto t0 = ProfClock::now();
-  while (input->Next()) {
-    PollCancel(opt.cancel);
-    ++rstats->next_calls;
-    if (!fev.EvalPred(*sp.root->pred, frame)) continue;
-    const Value* hv = fev.EvalPtr(*sp.root->head, frame, &scratch);
-    if (fold_sized) {
-      size_t b = EstimateValueBytes(*hv);
-      rstats->mem_bytes += b;
-      fold_charged += b;
-      fev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
+  const ProfClock::time_point t0 =
+      stats != nullptr ? ProfClock::now() : ProfClock::time_point();
+  auto land = [&] {
+    if (rc != nullptr) rc->AddRows(folded & 1023u);
+    if (rows != nullptr) *rows += folded;
+    if (stats == nullptr) return;
+    ++stats->opens;
+    stats->next_calls += pulled;
+    stats->rows_out += folded;
+    if (acc->Saturated()) ++stats->short_circuits;
+    stats->mem_bytes += *charged - charged0;
+    stats->next_ns += NsSince(t0);
+  };
+  Value scratch;
+  try {
+    while (input->Next()) {
+      PollCancel(fev->cancel());
+      ++pulled;
+      if (!fev->EvalPred(*root.pred, frame)) continue;
+      const Value* hv = fev->EvalPtr(*root.head, frame, &scratch);
+      if (sized) {
+        ChargeBytes(fev, PhysKind::kReduce, EstimateValueBytes(*hv), charged);
+      }
+      acc->Add(*hv);
+      if ((++folded & 1023u) == 0 && rc != nullptr) rc->AddRows(1024);
+      if (acc->Saturated()) break;
     }
-    acc.Add(*hv);
-    ++rstats->rows_out;
-    ++folded;
-    pulse.Tick();
-    if (acc.Saturated()) {
-      ++rstats->short_circuits;
-      break;
-    }
+  } catch (...) {
+    land();
+    throw;
   }
-  rstats->next_ns += NsSince(t0);
+  land();
   input->Close();
+}
+
+// The one serial driver: the serial execution, and parallel mode B's tail
+// above the spine HashNest whose merged groups `nest` hands in (else null).
+// It builds the iterator tree on this thread and runs the root fold over
+// it, accumulating straight into the caller's profiler and totals.
+Value RunSerial(const SlotPlan& sp, const Database& db, const ExecOptions& opt,
+                PrebuiltNest* nest) {
+  ThreadFrame t(sp, db, opt);
+  FrameExecCtx ctx(t, opt.profiler);
+  ctx.nest = nest;
+  std::unique_ptr<FrameIter> input = MakeFrameIterator(sp.root->left, ctx);
+  Accumulator acc(sp.root->monoid);
+  size_t charged = 0;
+  FoldChargeGuard fold_guard{&t.fev.mem(), &charged};
+  FoldRoot(*sp.root, input.get(), &t.fev, t.frame, opt.resource,
+           StatsFor(opt.profiler, *sp.root), &acc, &charged,
+           opt.totals == nullptr ? nullptr : &opt.totals->root_rows);
   return acc.Finish();
 }
 
@@ -1230,9 +1212,8 @@ Value ExecuteSlotSerial(const SlotPlan& sp, const Database& db,
 // ===========================================================================
 
 // The streaming spine: the chain of operators a driver-scan row flows
-// through without being buffered. Joins and GroupJoins continue along their
-// probe/streamed side; HashNest is a barrier but is still spine (mode B
-// parallelizes below the lowest one).
+// through without being buffered, following StreamedInput. HashNest is a
+// barrier but is still spine (mode B parallelizes below the lowest one).
 struct SpineInfo {
   SlotOpPtr driver;       // the driving kTableScan (null = not parallelizable)
   SlotOpPtr lowest_nest;  // deepest kHashNest on the spine, if any
@@ -1240,144 +1221,78 @@ struct SpineInfo {
 
 SpineInfo AnalyzeSpine(const SlotOpPtr& root) {
   SpineInfo info;
-  SlotOpPtr cur = root->left;
-  while (cur) {
+  for (SlotOpPtr cur = root->left; cur; cur = StreamedInput(*cur)) {
     switch (cur->kind) {
-      case PhysKind::kFilter:
-      case PhysKind::kUnnest:
-      case PhysKind::kOuterUnnest:
-      case PhysKind::kNLJoin:
-      case PhysKind::kNLOuterJoin:
-      case PhysKind::kGroupJoin:
-        cur = cur->left;
-        break;
-      case PhysKind::kHashJoin:
-      case PhysKind::kHashOuterJoin:
-        cur = cur->build_is_left ? cur->right : cur->left;
-        break;
       case PhysKind::kHashNest:
         info.lowest_nest = cur;
-        cur = cur->left;
         break;
       case PhysKind::kTableScan:
         info.driver = cur;
         return info;
-      default:  // kUnitRow / kIndexScan drivers: stay serial
+      case PhysKind::kUnitRow:  // kUnitRow / kIndexScan drivers: stay serial
+      case PhysKind::kIndexScan:
         return SpineInfo{};
+      default:
+        break;
     }
   }
   return SpineInfo{};
 }
 
-// Builds every spine join's build/buffer side (and every spine GroupJoin's
-// right side) once, serially, so workers share them read-only. With a profiler, the build subtrees' counters
-// and the joins' build_rows land in *prof — once, matching the serial run —
-// while the workers (who only read the shared tables) record nothing for
-// them.
-void PrebuildSpineTables(const SlotOpPtr& sub_root, const Database& db,
-                         const SlotPlan& sp, const ExecOptions& opt,
-                         SharedTables* shared, QueryProfiler* prof) {
-  FrameEvaluator fev(db);
-  ArmEvaluator(&fev, opt);
-  Frame frame(static_cast<size_t>(sp.n_slots));
-  FillParams(sp, opt, frame);
-  for (SlotOpPtr cur = sub_root; cur;) {
-    switch (cur->kind) {
-      case PhysKind::kFilter:
-      case PhysKind::kUnnest:
-      case PhysKind::kOuterUnnest:
-        cur = cur->left;
-        break;
+// Bytes charged for state that outlives the tracker that charged it — the
+// prebuilt tables, mode A's partial folds, mode B's partial group tables —
+// as (op class, bytes). Every applied byte is recorded before anything can
+// throw past it (a worker writes only its own morsel's entry), and all of it
+// is released when the parallel run's scope ends, an unwind included. The
+// release goes through a tracker armed like the ones that charged, so a run
+// that charged nothing (no context, or -DLDB_METRICS=OFF) releases nothing.
+struct HeldCharges {
+  explicit HeldCharges(obs::QueryResourceContext* context) : rc(context) {}
+  HeldCharges(const HeldCharges&) = delete;
+  HeldCharges& operator=(const HeldCharges&) = delete;
+  ~HeldCharges() {
+    obs::MemoryTracker mem;
+    mem.Arm(rc);
+    for (const auto& [cls, bytes] : charges) mem.Release(cls, bytes);
+  }
+
+  obs::QueryResourceContext* rc;
+  std::vector<std::pair<int, size_t>> charges;
+};
+
+// Builds every spine join's build side or buffer, and every spine
+// GroupJoin's right side, once, serially, so workers share them read-only.
+// With a profiler, the build subtrees' counters and the builds' stats land
+// in the caller's profiler once, matching the serial run, while the workers
+// (who only read the shared tables) record nothing for them.
+void PrebuildSpineTables(const SlotOpPtr& sub_root, const SlotPlan& sp,
+                         const Database& db, const ExecOptions& opt,
+                         SharedTables* shared, HeldCharges* held) {
+  ThreadFrame t(sp, db, opt);
+  FrameExecCtx ctx(t, opt.profiler);
+  auto prebuild = [&](const SlotOp& op, const SlotOpPtr& input, auto build,
+                      auto& sides) {
+    std::unique_ptr<FrameIter> it = MakeFrameIterator(input, ctx);
+    held->charges.emplace_back(static_cast<int>(op.kind), 0);
+    build(op, it.get(), &t.fev, t.frame, StatsFor(opt.profiler, op),
+          &held->charges.back().second, &sides[op.id]);
+  };
+  for (const SlotOp* op = sub_root.get(); op != nullptr;
+       op = StreamedInput(*op).get()) {
+    switch (op->kind) {
       case PhysKind::kNLJoin:
-      case PhysKind::kNLOuterJoin: {
-        FrameExecCtx ctx;
-        ctx.fev = &fev;
-        ctx.frame = &frame;
-        ctx.profiler = prof;
-        auto it = MakeFrameIterator(cur->right, ctx);
-        it->Open();
-        std::vector<BufRow> buf;
-        const bool sized = fev.mem().armed() || prof != nullptr;
-        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
-        size_t& bytes = shared->charges.back().second;
-        while (it->Next()) {
-          PollCancel(opt.cancel);
-          buf.push_back(CopySpan(frame, cur->right->out_lo, cur->right->out_hi));
-          if (sized) {
-            size_t b = SpanBytes(buf.back());
-            bytes += b;
-            fev.mem().Charge(static_cast<int>(cur->kind), b);
-          }
-        }
-        it->Close();
-        if (prof) {
-          OperatorStats* s = prof->Register(
-              cur->id, cur->kind, ProfLabel(cur->kind, cur->extent));
-          s->build_rows += buf.size();
-          s->mem_bytes += bytes;
-        }
-        shared->buffers.emplace(cur->id, std::move(buf));
-        cur = cur->left;
+      case PhysKind::kNLOuterJoin:
+        prebuild(*op, op->right, BuildBuffer, shared->buffers);
         break;
-      }
       case PhysKind::kHashJoin:
-      case PhysKind::kHashOuterJoin: {
-        const SlotOpPtr& build = cur->build_is_left ? cur->left : cur->right;
-        FrameExecCtx ctx;
-        ctx.fev = &fev;
-        ctx.frame = &frame;
-        ctx.profiler = prof;
-        auto it = MakeFrameIterator(build, ctx);
-        it->Open();
-        JoinTable table;
-        size_t built = 0;
-        const bool sized = fev.mem().armed() || prof != nullptr;
-        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
-        size_t& bytes = shared->charges.back().second;
-        while (it->Next()) {
-          PollCancel(opt.cancel);
-          Value key = EvalKeyTuple(&fev, frame, cur->build_keys);
-          if (!key.is_null()) {
-            BufRow row = CopySpan(frame, build->out_lo, build->out_hi);
-            if (sized) {
-              size_t b = SpanBytes(row);
-              bytes += b;
-              fev.mem().Charge(static_cast<int>(cur->kind), b);
-            }
-            table[std::move(key)].push_back(std::move(row));
-            ++built;
-          }
-        }
-        it->Close();
-        if (prof) {
-          OperatorStats* s = prof->Register(
-              cur->id, cur->kind, ProfLabel(cur->kind, cur->extent));
-          s->build_rows += built;
-          s->mem_bytes += bytes;
-        }
-        shared->join_tables.emplace(cur->id, std::move(table));
-        cur = cur->build_is_left ? cur->right : cur->left;
+      case PhysKind::kHashOuterJoin:
+        prebuild(*op, BuildInput(*op), BuildJoinTable, shared->join_tables);
         break;
-      }
-      case PhysKind::kGroupJoin: {
-        FrameExecCtx ctx;
-        ctx.fev = &fev;
-        ctx.frame = &frame;
-        ctx.profiler = prof;
-        auto it = MakeFrameIterator(cur->right, ctx);
-        OperatorStats* s =
-            prof == nullptr ? nullptr
-                            : prof->Register(cur->id, cur->kind,
-                                             ProfLabel(cur->kind, cur->extent));
-        shared->charges.emplace_back(static_cast<int>(cur->kind), 0);
-        BuildGroupJoinSide(*cur, it.get(), &fev, frame, s,
-                           &shared->charges.back().second,
-                           &shared->group_joins[cur->id]);
-        cur = cur->left;
+      case PhysKind::kGroupJoin:
+        prebuild(*op, op->right, BuildGroupJoinSide, shared->group_joins);
         break;
-      }
-      default:  // the driver scan
-        return;
+      default:  // streams, or the driver scan
+        break;
     }
   }
 }
@@ -1467,9 +1382,7 @@ void RunMorsels(MorselQueue& mq, int n_workers, std::atomic<bool>& stop,
 // worker also owns a private QueryProfiler (its iterators are wrapped
 // against it — no shared counters, no atomics) plus its utilization totals;
 // TryExecuteParallel merges them into the caller's profiler after join.
-struct WorkerPipeline {
-  FrameEvaluator fev;
-  Frame frame;
+struct WorkerPipeline : ThreadFrame {
   std::unique_ptr<FrameIter> pipe;
   FTableScanIter* driver = nullptr;
   QueryProfiler prof;   // used only when `profiled`
@@ -1480,21 +1393,17 @@ struct WorkerPipeline {
                  const ExecOptions& opt, const SlotOpPtr& sub_root,
                  const SharedTables& shared, int driver_id, int worker_id,
                  bool with_profiling)
-      : fev(db), frame(static_cast<size_t>(sp.n_slots)),
-        profiled(with_profiling) {
-    ArmEvaluator(&fev, opt);
-    FillParams(sp, opt, frame);
+      : ThreadFrame(sp, db, opt), profiled(with_profiling) {
     wstats.worker = worker_id;
-    FrameExecCtx ctx;
-    ctx.fev = &fev;
-    ctx.frame = &frame;
+    FrameExecCtx ctx(*this, profiler());
     ctx.shared = &shared;
     ctx.driver_id = driver_id;
-    ctx.profiler = profiled ? &prof : nullptr;
     pipe = MakeFrameIterator(sub_root, ctx);
     driver = ctx.driver;
     LDB_INTERNAL_CHECK(driver != nullptr, "parallel driver scan not found");
   }
+
+  QueryProfiler* profiler() { return profiled ? &prof : nullptr; }
 };
 
 // Collects the per-worker pipeline states created during a parallel run so
@@ -1548,26 +1457,23 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
 
   const SlotOpPtr sub_root = spine.lowest_nest ? spine.lowest_nest->left
                                                : root->left;
+  HeldCharges held(opt.resource);
   SharedTables shared;
-  // The prebuilt tables' reservations live exactly as long as the tables:
-  // released here on every exit path (success, cancel, over-budget unwind).
-  struct SharedChargeGuard {
-    const ExecOptions* opt;
-    const SharedTables* shared;
-    ~SharedChargeGuard() {
-      if (opt->resource == nullptr) return;
-      for (const auto& [cls, b] : shared->charges) {
-        if (b > 0) opt->resource->Apply(cls, -static_cast<int64_t>(b));
-      }
-    }
-  } shared_guard{&opt, &shared};
-  PrebuildSpineTables(sub_root, db, sp, opt, &shared, uprof);
+  PrebuildSpineTables(sub_root, sp, db, opt, &shared, &held);
 
   MorselQueue mq{extent.size(), morsel};
   const size_t n_morsels = mq.count();
   const int n_workers = static_cast<int>(
       std::min<size_t>(static_cast<size_t>(opt.n_threads), n_morsels));
   std::atomic<bool> stop{false};
+  // One held entry per morsel for its partial state: mode A's fold, mode B's
+  // group table. The entries exist before any worker starts.
+  const size_t first_part = held.charges.size();
+  held.charges.resize(
+      first_part + n_morsels,
+      {static_cast<int>(spine.lowest_nest ? PhysKind::kHashNest
+                                          : PhysKind::kReduce),
+       0});
 
   // Worker states are kept alive past RunMorsels (which drops its own
   // reference at thread exit) so their private profilers can be harvested.
@@ -1587,10 +1493,16 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   // worker from these offsets).
   const auto run_epoch = ProfClock::now();
 
-  // Records the morsel into the worker's totals and the per-morsel table
-  // (only ever this worker's slot: each index is grabbed exactly once).
-  auto record_morsel = [&](WorkerPipeline& w, size_t idx, size_t lo, size_t hi,
-                           uint64_t rows, ProfClock::time_point t0) {
+  // Ends a morsel: flushes the worker's pending tracker deltas to the
+  // context now (HeldCharges releases against the context, so nothing may
+  // stay batched past the join; this is also where a morsel's charges meet
+  // the budget), then records the morsel into the worker's totals and the
+  // per-morsel table (only ever this worker's slot: each index is grabbed
+  // exactly once).
+  auto finish_morsel = [&](WorkerPipeline& w, size_t idx, size_t lo,
+                           size_t hi, uint64_t rows, ProfClock::time_point t0) {
+    w.fev.mem().Flush();
+    if (!track) return;
     double dur = NsSince(t0);
     w.wstats.morsels += 1;
     w.wstats.rows += rows;
@@ -1645,101 +1557,27 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   };
 
   if (!spine.lowest_nest) {
-    // Mode A: workers run the whole spine including the root reduce; one
+    // Mode A: workers run the whole spine including the root fold; one
     // partial accumulator per morsel, merged in morsel order.
     std::vector<std::optional<Accumulator>> parts(n_morsels);
-    // Collection-monoid fold charges, recorded per morsel slot as they are
-    // applied (each slot is written by exactly one worker) and released when
-    // the partials die with this scope — merged or unwound alike.
-    std::vector<size_t> part_charged(n_morsels, 0);
-    const bool fold_coll = IsCollectionMonoid(root->monoid);
-    struct PartsChargeGuard {
-      const ExecOptions* opt;
-      const std::vector<size_t>* charged;
-      ~PartsChargeGuard() {
-        if (opt->resource == nullptr) return;
-        size_t total = 0;
-        for (size_t b : *charged) total += b;
-        if (total > 0) {
-          opt->resource->Apply(static_cast<int>(PhysKind::kReduce),
-                               -static_cast<int64_t>(total));
-        }
-      }
-    } parts_guard{&opt, &part_charged};
-    auto run_a = [&] {
-      RunMorsels(mq, n_workers, stop, make_state,
-               [&](size_t idx, size_t lo, size_t hi, WorkerPipeline& w) {
-                 auto t0 = ProfClock::now();
-                 w.driver->SetRange(lo, hi);
-                 w.pipe->Open();
-                 Accumulator acc(root->monoid);
-                 Value scratch;
-                 const bool fold_sized = fold_coll && w.fev.mem().armed();
-                 size_t& pb = part_charged[idx];
-                 if (!w.profiled) {
-                   uint64_t plain_rows = 0;
-                   while (w.pipe->Next()) {
-                     if (!w.fev.EvalPred(*root->pred, w.frame)) continue;
-                     const Value* hv =
-                         w.fev.EvalPtr(*root->head, w.frame, &scratch);
-                     if (fold_sized) {
-                       size_t b = EstimateValueBytes(*hv);
-                       pb += b;
-                       w.fev.mem().Charge(static_cast<int>(PhysKind::kReduce),
-                                          b);
-                     }
-                     acc.Add(*hv);
-                     ++plain_rows;
-                     if (acc.Saturated()) {
-                       // The saturated value is the final result whichever
-                       // morsel produces it first; stop dispatching.
-                       stop.store(true, std::memory_order_relaxed);
-                       break;
-                     }
-                   }
-                   w.pipe->Close();
-                   // Land this morsel's pending deltas in the context now:
-                   // the fold-charge guard releases against the context
-                   // directly, so nothing may stay batched past the join.
-                   w.fev.mem().Flush();
-                   parts[idx].emplace(std::move(acc));
-                   if (opt.resource != nullptr) opt.resource->AddRows(plain_rows);
-                   if (track) record_morsel(w, idx, lo, hi, plain_rows, t0);
-                   return;
-                 }
-                 OperatorStats* rstats =
-                     w.prof.Register(root->id, PhysKind::kReduce, "Reduce");
-                 ++rstats->opens;
-                 uint64_t folded = 0;
-                 while (w.pipe->Next()) {
-                   ++rstats->next_calls;
-                   if (!w.fev.EvalPred(*root->pred, w.frame)) continue;
-                   const Value* hv =
-                       w.fev.EvalPtr(*root->head, w.frame, &scratch);
-                   if (fold_sized) {
-                     size_t b = EstimateValueBytes(*hv);
-                     rstats->mem_bytes += b;
-                     pb += b;
-                     w.fev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-                   }
-                   acc.Add(*hv);
-                   ++folded;
-                   if (acc.Saturated()) {
-                     ++rstats->short_circuits;
-                     stop.store(true, std::memory_order_relaxed);
-                     break;
-                   }
-                 }
-                 rstats->rows_out += folded;
-                 w.pipe->Close();
-                 w.fev.mem().Flush();
-                 parts[idx].emplace(std::move(acc));
-                 if (opt.resource != nullptr) opt.resource->AddRows(folded);
-                 record_morsel(w, idx, lo, hi, folded, t0);
-               });
-    };
     try {
-      run_a();
+      RunMorsels(mq, n_workers, stop, make_state,
+                 [&](size_t idx, size_t lo, size_t hi, WorkerPipeline& w) {
+                   auto t0 = ProfClock::now();
+                   w.driver->SetRange(lo, hi);
+                   Accumulator acc(root->monoid);
+                   uint64_t rows = 0;
+                   FoldRoot(*root, w.pipe.get(), &w.fev, w.frame, opt.resource,
+                            StatsFor(w.profiler(), *root), &acc,
+                            &held.charges[first_part + idx].second, &rows);
+                   // The saturated value is the final result whichever
+                   // morsel produces it first; stop dispatching.
+                   if (acc.Saturated()) {
+                     stop.store(true, std::memory_order_relaxed);
+                   }
+                   finish_morsel(w, idx, lo, hi, rows, t0);
+                   parts[idx].emplace(std::move(acc));
+                 });
     } catch (...) {
       // Cancellation (or any per-morsel error) still merges the worker
       // profilers into *uprof — exactly once — before the unwind continues.
@@ -1755,68 +1593,40 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
     return true;
   }
 
-  // Mode B: workers run the sub-spine below the lowest HashNest and group
-  // into per-morsel tables; groups merge in morsel order (first-encounter
+  // Mode B: workers drain the sub-spine below the lowest HashNest into
+  // per-morsel group tables; groups merge in morsel order (first-encounter
   // group order and within-group stream order both match the serial run),
-  // then the plan above the nest executes serially over the merged groups.
+  // then the serial driver runs the plan above the nest over the merged
+  // groups. Workers size their groups when profiled too, so the nest's
+  // mem_bytes matches the serial run's.
   const SlotOp& nest = *spine.lowest_nest;
   std::vector<std::optional<PartialGroups>> parts(n_morsels);
-  // Per-morsel nest charges stay reserved while the groups live on — through
-  // the merge and the prebuilt tail — and are released here when the merged
-  // groups die with this scope, or on the unwind after summing the partials'
-  // records below.
-  size_t nest_outstanding = 0;
-  struct NestChargeGuard {
-    const ExecOptions* opt;
-    const size_t* bytes;
-    ~NestChargeGuard() {
-      if (opt->resource != nullptr && *bytes > 0) {
-        opt->resource->Apply(static_cast<int>(PhysKind::kHashNest),
-                             -static_cast<int64_t>(*bytes));
-      }
-    }
-  } nest_guard{&opt, &nest_outstanding};
   try {
     RunMorsels(mq, n_workers, stop, make_state,
-             [&](size_t idx, size_t lo, size_t hi, WorkerPipeline& w) {
-               auto t0 = ProfClock::now();
-               w.driver->SetRange(lo, hi);
-               w.pipe->Open();
-               PartialGroups pg;
-               uint64_t rows = 0;
-               try {
-                 while (w.pipe->Next()) {
-                   AccumulateNestRow(nest, &w.fev, w.frame, &pg, nullptr);
-                   ++rows;
-                 }
-               } catch (...) {
-                 // pg dies with this morsel; return its reservation through
-                 // the worker's own tracker before the unwind continues.
-                 w.fev.mem().Release(static_cast<int>(PhysKind::kHashNest),
-                                     pg.charged);
-                 w.fev.mem().FlushNoThrow();
-                 throw;
-               }
-               w.pipe->Close();
-               w.fev.mem().Flush();
-               parts[idx].emplace(std::move(pg));
-               if (track) record_morsel(w, idx, lo, hi, rows, t0);
-             });
+               [&](size_t idx, size_t lo, size_t hi, WorkerPipeline& w) {
+                 auto t0 = ProfClock::now();
+                 w.driver->SetRange(lo, hi);
+                 PartialGroups pg;
+                 const uint64_t rows =
+                     DrainNest(nest, w.pipe.get(), &w.fev, w.frame,
+                               w.fev.mem().armed() || w.profiled, &pg);
+                 held.charges[first_part + idx].second = pg.charged;
+                 finish_morsel(w, idx, lo, hi, rows, t0);
+                 parts[idx].emplace(std::move(pg));
+               });
   } catch (...) {
-    for (std::optional<PartialGroups>& p : parts) {
-      if (p) nest_outstanding += p->charged;
-    }
     finish("spine-nest", /*rows_are_root=*/false);
     throw;
   }
 
-  PartialGroups merged;
+  PrebuiltNest merged{nest.id, {}, 0};
+  std::unordered_map<Value, size_t, ValueHash> index;
   for (std::optional<PartialGroups>& p : parts) {
     if (!p) continue;
-    nest_outstanding += p->charged;
+    merged.bytes += p->charged;
     for (NestGroup& g : p->groups) {
       auto [it, inserted] =
-          merged.index.emplace(Value::List(g.key), merged.groups.size());
+          index.emplace(Value::List(g.key), merged.groups.size());
       if (inserted) {
         merged.groups.push_back(
             NestGroup{std::move(g.key), Accumulator(nest.monoid)});
@@ -1824,88 +1634,10 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
       merged.groups[it->second].acc.Absorb(g.acc);
     }
   }
+  // `finish` runs before the tail, so a tail unwind cannot re-merge the
+  // worker profilers; the tail adds its root rows to the totals itself.
   finish("spine-nest", /*rows_are_root=*/false);
-
-  // The serial tail above the nest accumulates straight into the caller's
-  // profiler (it runs once, exactly like the serial path). `finish` already
-  // ran, so a tail unwind cannot re-merge the worker profilers; the guard
-  // below still flushes the tail's partial root-row count into the totals.
-  FrameEvaluator fev(db);
-  ArmEvaluator(&fev, opt);
-  Frame frame(static_cast<size_t>(sp.n_slots));
-  FillParams(sp, opt, frame);
-  FrameExecCtx ctx;
-  ctx.fev = &fev;
-  ctx.frame = &frame;
-  ctx.prebuilt_nest_id = nest.id;
-  ctx.prebuilt_groups = &merged.groups;
-  ctx.prebuilt_bytes = nest_outstanding;
-  ctx.profiler = uprof;
-  Accumulator acc(root->monoid);
-  Value scratch;
-  uint64_t tail_rows = 0;
-  struct TailTotalsGuard {
-    ExecTotals* totals;
-    const uint64_t* rows;
-    ~TailTotalsGuard() {
-      if (totals != nullptr) totals->root_rows += *rows;
-    }
-  } tail_guard{opt.totals, &tail_rows};
-  RowPulse pulse{opt.resource};
-  const bool fold_sized =
-      fev.mem().armed() && IsCollectionMonoid(root->monoid);
-  size_t fold_charged = 0;
-  FoldChargeGuard fold_guard{&fev.mem(), &fold_charged};
-  if (!profiling) {
-    std::unique_ptr<FrameIter> input = MakeFrameIterator(root->left, ctx);
-    input->Open();
-    while (input->Next()) {
-      PollCancel(opt.cancel);
-      if (!fev.EvalPred(*root->pred, frame)) continue;
-      const Value* hv = fev.EvalPtr(*root->head, frame, &scratch);
-      if (fold_sized) {
-        size_t b = EstimateValueBytes(*hv);
-        fold_charged += b;
-        fev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-      }
-      acc.Add(*hv);
-      ++tail_rows;
-      pulse.Tick();
-      if (acc.Saturated()) break;
-    }
-    input->Close();
-    *out = acc.Finish();
-    return true;
-  }
-  OperatorStats* rstats =
-      uprof->Register(root->id, PhysKind::kReduce, "Reduce");
-  std::unique_ptr<FrameIter> input = MakeFrameIterator(root->left, ctx);
-  input->Open();
-  ++rstats->opens;
-  auto t0 = ProfClock::now();
-  while (input->Next()) {
-    PollCancel(opt.cancel);
-    ++rstats->next_calls;
-    if (!fev.EvalPred(*root->pred, frame)) continue;
-    const Value* hv = fev.EvalPtr(*root->head, frame, &scratch);
-    if (fold_sized) {
-      size_t b = EstimateValueBytes(*hv);
-      rstats->mem_bytes += b;
-      fold_charged += b;
-      fev.mem().Charge(static_cast<int>(PhysKind::kReduce), b);
-    }
-    acc.Add(*hv);
-    ++rstats->rows_out;
-    ++tail_rows;
-    pulse.Tick();
-    if (acc.Saturated()) {
-      ++rstats->short_circuits;
-      break;
-    }
-  }
-  rstats->next_ns += NsSince(t0);
-  input->Close();
-  *out = acc.Finish();
+  *out = RunSerial(sp, db, opt, &merged);
   return true;
 }
 
@@ -1915,29 +1647,24 @@ Value ExecuteSlotPlan(const SlotPlan& plan, const Database& db,
                       const ExecOptions& options) {
   LDB_INTERNAL_CHECK(plan.root && plan.root->kind == PhysKind::kReduce,
                      "slot execution expects a Reduce root");
-  if (options.profiler == nullptr) {
-    if (options.n_threads > 1) {
-      Value out;
-      if (TryExecuteParallel(plan, db, options, &out)) return out;
+  // With a profiler, the run's wall time, recorded on every exit: a
+  // cancelled (or failed) run still records how long it ran.
+  struct WallTime {
+    QueryProfiler* prof;
+    ProfClock::time_point t0;
+    ~WallTime() {
+      if (prof != nullptr) prof->wall_ns += NsSince(t0);
     }
-    return ExecuteSlotSerial(plan, db, options, nullptr);
+  } wall{options.profiler, options.profiler != nullptr
+                               ? ProfClock::now()
+                               : ProfClock::time_point()};
+  Value out;
+  if (options.n_threads > 1 && TryExecuteParallel(plan, db, options, &out)) {
+    return out;
   }
-  auto wall0 = ProfClock::now();
-  Value result;
-  bool done = false;
-  try {
-    if (options.n_threads > 1) {
-      done = TryExecuteParallel(plan, db, options, &result);
-    }
-    if (!done) result = ExecuteSlotSerial(plan, db, options, options.profiler);
-  } catch (...) {
-    // A cancelled (or failed) run still records how long it ran; the worker
-    // profilers were already merged by the executor's unwind path.
-    options.profiler->wall_ns += NsSince(wall0);
-    throw;
-  }
-  options.profiler->wall_ns += NsSince(wall0);
-  return result;
+  if (options.profiler != nullptr) options.profiler->parallel_mode = "serial";
+  if (options.totals != nullptr) options.totals->mode = "serial";
+  return RunSerial(plan, db, options, nullptr);
 }
 
 Value ExecutePipelined(const PhysPtr& plan, const Database& db,

@@ -68,12 +68,15 @@ struct ExecOptions {
   /// Rows per morsel handed to a worker at a time.
   size_t morsel_size = 2048;
   /// Per-operator runtime profiling sink (docs/OBSERVABILITY.md). Null (the
-  /// default) disables profiling entirely: the executor builds exactly the
-  /// uninstrumented iterator tree, so the off cost is one pointer test per
-  /// operator at plan setup, not per row. Non-null: row counts, Next() call
-  /// counts, open/build and cumulative execution times, hash-build sizes,
-  /// and quantifier short-circuits accumulate into *profiler; under morsel
-  /// parallelism each worker keeps private counters merged at pipeline end.
+  /// default) disables profiling: the executor builds the iterator tree
+  /// without counting decorators, and the root fold, the builds and the
+  /// nest drain's caller test the pointer once, when they finish. The off
+  /// cost is a pointer test per operator at plan setup, per build or fold,
+  /// and per saturated GroupJoin fold, not per row. Non-null: row counts,
+  /// Next() call counts, open/build and cumulative execution times,
+  /// hash-build sizes, and quantifier short-circuits accumulate into
+  /// *profiler; under morsel parallelism each worker keeps private counters
+  /// merged at pipeline end.
   QueryProfiler* profiler = nullptr;
   /// Cooperative cancellation token (src/runtime/cancel.h). Null (the
   /// default) disables the checks entirely. Non-null: the executor polls it

@@ -3,10 +3,13 @@
 // A QueryProfiler collects one OperatorStats per physical operator, keyed by
 // the operator's stable pre-order id — the numbering CompileSlotPlan assigns
 // (root Reduce = 0, then left subtree, then right), which the EXPLAIN
-// ANALYZE printer reproduces by walking the PhysOp tree in the same order. Profiling is opt-in through
-// ExecOptions::profiler: when the pointer is null the executor builds the
-// exact uninstrumented iterator tree, so disabled profiling costs one
-// branch per operator at pipeline construction and nothing per row.
+// ANALYZE printer reproduces by walking the PhysOp tree in the same order.
+// Profiling is opt-in through ExecOptions::profiler: when the pointer is
+// null the executor builds the iterator tree without counting decorators,
+// and the root fold, the builds and the nest drain's caller keep their
+// counters in locals and test the pointer once, when they finish. Disabled
+// profiling costs a pointer test per operator at pipeline construction, per
+// build or fold, and per saturated GroupJoin fold, and nothing per row.
 //
 // Under morsel-driven parallelism every worker owns a private QueryProfiler
 // (no shared counters, no atomics on the hot path); the workers' profilers,

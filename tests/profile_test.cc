@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -39,11 +40,13 @@ int FindOpId(const std::vector<const PhysOp*>& ops, PhysKind kind,
 struct ProfiledRun {
   Value value;
   QueryProfiler prof;
+  ExecTotals totals;
   PhysPtr phys;
 };
 
 // Compiles `oql` through the full pipeline and executes it with a profiler
-// attached, returning the result, the profile, and the physical plan.
+// and the always-on totals attached, returning the result, the profile, the
+// totals, and the physical plan.
 ProfiledRun RunProfiled(const Database& db, const std::string& oql,
                         int threads = 1, size_t morsel = 2048) {
   OptimizerOptions options;
@@ -55,6 +58,7 @@ ProfiledRun RunProfiled(const Database& db, const std::string& oql,
   exec.n_threads = threads;
   exec.morsel_size = morsel;
   exec.profiler = &r.prof;
+  exec.totals = &r.totals;
   r.value = ExecutePipelined(r.phys, db, exec);
   return r;
 }
@@ -156,9 +160,10 @@ TEST_F(ProfileTest, QuantifierShortCircuitCounted) {
 }
 
 TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
-  // A workload large enough for real morsels. Only the row counters are
-  // compared: next_calls and times legitimately differ (each worker pays its
-  // own end-of-stream Next(), times accumulate across threads).
+  // A workload large enough for real morsels. Only the row and byte
+  // counters are compared: next_calls and times legitimately differ (each
+  // worker pays its own end-of-stream Next(), times accumulate across
+  // threads).
   workload::CompanyParams params;
   params.n_departments = 7;
   params.n_employees = 500;
@@ -171,19 +176,32 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
       "from Employees e group by e.dno",
       "select distinct struct(D: d.name, n: count(select e from e in "
       "Employees where e.dno = d.dno)) from d in Departments",
+      // A nest over an outer unnest stays a HashNest: the spine-nest mode,
+      // one group per employee, so each group's bytes live in one morsel.
+      "select distinct struct(E: e.name, K: count(select c from c in "
+      "e.children where c.age > 3)) from e in Employees",
   };
   struct Setting {
     int threads;
     size_t morsel;
   };
   const Setting settings[] = {{4, 16}, {8, 7}, {2, 64}};
+  std::set<std::string> modes;
   for (const char* q : queries) {
     SCOPED_TRACE(q);
     ProfiledRun serial = RunProfiled(db, q);
+    modes.insert(serial.prof.parallel_mode);
+    // No query here saturates, so every run folds the same root rows.
+    ASSERT_EQ(serial.prof.Find(0)->short_circuits, 0u);
+    EXPECT_EQ(serial.totals.root_rows, serial.prof.Find(0)->rows_out);
+    EXPECT_EQ(std::string(serial.totals.mode), "serial");
+    EXPECT_EQ(serial.totals.workers, 0);
+    EXPECT_EQ(serial.totals.morsels, 0u);
     for (const Setting& s : settings) {
       SCOPED_TRACE(std::to_string(s.threads) + " threads, morsel " +
                    std::to_string(s.morsel));
       ProfiledRun par = RunProfiled(db, q, s.threads, s.morsel);
+      modes.insert(par.prof.parallel_mode);
       EXPECT_EQ(par.value, serial.value);
       auto sops = serial.prof.Operators();
       auto pops = par.prof.Operators();
@@ -194,7 +212,15 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
             << sops[i]->label << " (op " << sops[i]->op_id << ")";
         EXPECT_EQ(sops[i]->build_rows, pops[i]->build_rows) << sops[i]->label;
         EXPECT_EQ(sops[i]->groups, pops[i]->groups) << sops[i]->label;
+        EXPECT_EQ(sops[i]->mem_bytes, pops[i]->mem_bytes) << sops[i]->label;
       }
+      // The always-on totals agree with the profile.
+      uint64_t worker_morsels = 0;
+      for (const WorkerStats& w : par.prof.workers) worker_morsels += w.morsels;
+      EXPECT_EQ(par.totals.root_rows, serial.totals.root_rows);
+      EXPECT_EQ(std::string(par.totals.mode), par.prof.parallel_mode);
+      EXPECT_LE(par.totals.workers, s.threads);
+      EXPECT_EQ(par.totals.morsels, worker_morsels);
       if (par.prof.parallel_mode != "serial") {
         // Worker/morsel accounting is internally consistent.
         EXPECT_LE(par.prof.workers.size(), static_cast<size_t>(s.threads));
@@ -206,6 +232,8 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
       }
     }
   }
+  EXPECT_EQ(modes, (std::set<std::string>{"serial", "spine-reduce",
+                                          "spine-nest"}));
 }
 
 TEST_F(ProfileTest, ProfileJsonRoundTrips) {

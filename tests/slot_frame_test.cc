@@ -166,6 +166,9 @@ TEST_F(SlotFrameTest, ParallelParityOnGeneratedWorkload) {
       "select distinct e.name from e in Employees "
       "where e.salary < max(select m.salary from m in Managers "
       "where e.age > m.age)",
+      // A nest over an outer unnest stays a HashNest: the spine-nest mode.
+      "select distinct struct(E: e.name, K: count(select c from c in "
+      "e.children where c.age > 3)) from e in Employees",
   };
   OptimizerOptions par;
   par.exec.n_threads = 8;
