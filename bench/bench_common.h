@@ -21,6 +21,7 @@
 #endif
 
 #include "src/lambdadb.h"
+#include "src/runtime/json.h"
 
 namespace ldb::bench {
 
@@ -238,9 +239,9 @@ class JsonReporter {
       return false;
     }
     out << "{\n";
-    out << "  \"bench\": \"" << Escape(bench_name) << "\",\n";
-    out << "  \"commit\": \"" << Escape(GitCommitId()) << "\",\n";
-    out << "  \"timestamp\": \"" << Escape(IsoTimestampUtc()) << "\",\n";
+    out << "  \"bench\": " << JsonQuote(bench_name) << ",\n";
+    out << "  \"commit\": " << JsonQuote(GitCommitId()) << ",\n";
+    out << "  \"timestamp\": " << JsonQuote(IsoTimestampUtc()) << ",\n";
     out << "  \"host_cpus\": " << UsableCpus() << ",\n";
     out << "  \"hardware_concurrency\": "
         << std::thread::hardware_concurrency() << ",\n";
@@ -250,9 +251,9 @@ class JsonReporter {
     out << "  \"results\": [\n";
     for (size_t i = 0; i < records_.size(); ++i) {
       const JsonRecord& r = records_[i];
-      out << "    {\"experiment\": \"" << Escape(r.experiment) << "\", "
-          << "\"query\": \"" << Escape(r.query) << "\", "
-          << "\"engine\": \"" << Escape(r.engine) << "\", "
+      out << "    {\"experiment\": " << JsonQuote(r.experiment) << ", "
+          << "\"query\": " << JsonQuote(r.query) << ", "
+          << "\"engine\": " << JsonQuote(r.engine) << ", "
           << "\"scale\": " << r.scale << ", "
           << "\"threads\": " << r.threads << ", "
           << "\"rows\": " << r.rows << ", "
@@ -279,20 +280,6 @@ class JsonReporter {
   }
 
  private:
-  static std::string Escape(const std::string& s) {
-    std::string out;
-    out.reserve(s.size());
-    for (char c : s) {
-      if (c == '"' || c == '\\') out.push_back('\\');
-      if (c == '\n') {
-        out += "\\n";
-      } else {
-        out.push_back(c);
-      }
-    }
-    return out;
-  }
-
   std::string path_;
   bool quick_ = false;
   bool verify_ = false;

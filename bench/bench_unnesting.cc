@@ -9,12 +9,12 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/obs/introspect.h"
 #include "src/workload/company.h"
 #include "src/workload/travel.h"
 #include "src/workload/university.h"
@@ -263,7 +263,7 @@ void RunServiceExperiment(int n_clients, bool quick) {
   bench::JsonReporter::Get().Add(std::move(r));
 
   // --metrics: embed the registry snapshot in the JSON report and write the
-  // Prometheus text + a Perfetto trace of one profiled parallel execution as
+  // Prometheus text + a Perfetto trace of one profiled parallel request as
   // standalone artifacts (CI uploads and validates them).
   if (bench::JsonReporter::Get().metrics()) {
     auto session = svc.OpenSession();
@@ -275,7 +275,8 @@ void RunServiceExperiment(int n_clients, bool quick) {
     session->options().n_threads = 2;
     session->options().morsel_size = 16;
     QueryProfiler prof;
-    svc.Execute(*session, kTypeA.oql, nullptr, &prof);
+    QueryStats stats;
+    svc.Execute(*session, kTypeA.oql, &stats, &prof);
     svc.Execute(*session, kScan.oql);
 
     // Live-introspection probe: run one query on a worker thread and
@@ -296,39 +297,31 @@ void RunServiceExperiment(int n_clients, bool quick) {
     }
 
     obs::MetricsSnapshot snap = svc.metrics().Snapshot();
+    // Splice the probe into the snapshot document:
+    // {"samples": [...], "active_queries": [...]}.
     std::string metrics_json = snap.ToJson();
-    {
-      // Splice the probe into the snapshot document:
-      // {"samples": [...], "active_queries": [...]}.
-      std::ostringstream aq;
-      aq << ", \"active_queries\": [";
-      for (size_t i = 0; i < seen.size(); ++i) {
-        const obs::ActiveQueryInfo& q = seen[i];
-        if (i > 0) aq << ", ";
-        aq << "{\"query_id\": " << q.query_id
-           << ", \"session\": " << q.session << ", \"phase\": \"" << q.phase
-           << "\", \"elapsed_ms\": " << q.elapsed_ms
-           << ", \"rows\": " << q.rows
-           << ", \"mem_in_use_bytes\": " << q.mem_in_use_bytes
-           << ", \"mem_peak_bytes\": " << q.mem_peak_bytes
-           << ", \"remote\": \"" << q.remote << "\"}";
-      }
-      aq << "]";
-      metrics_json.insert(metrics_json.rfind('}'), aq.str());
-    }
+    metrics_json.insert(metrics_json.rfind('}'),
+                        ", \"active_queries\": " +
+                            obs::ActiveQueriesToJson(seen));
     bench::JsonReporter::Get().SetMetricsJson(std::move(metrics_json));
     {
       std::ofstream prom("bench_metrics.prom");
       prom << snap.ToPrometheusText();
     }
     {
+      obs::RequestTrace t;
+      t.trace_id = stats.trace_id;
+      t.status = "ok";
+      obs::BuildRequestTrace(
+          {0, stats.queue_ms, stats.compile_ms, stats.exec_ms}, 0, nullptr,
+          prof.run, &prof, &t);
       std::ofstream trace("bench_trace.json");
-      trace << obs::TraceEventsJson(prof);
+      trace << obs::TraceToChromeJson(t);
     }
     std::printf("metrics: %zu series -> bench_metrics.prom; "
                 "trace (%zu operators, %zu morsels) -> bench_trace.json\n",
                 snap.samples.size(), prof.Operators().size(),
-                prof.morsels.size());
+                prof.run.morsels.size());
   }
 }
 

@@ -178,8 +178,10 @@ double MsOf(const std::function<void()>& fn) {
 }
 
 // `.trace`: compiles with the optimizer trace on, executes with a profiler,
-// and writes the combined compile + execution timeline as Chrome trace-event
-// JSON (one lane per worker; load in ui.perfetto.dev or chrome://tracing).
+// and writes the compile + execution timeline as Chrome trace-event JSON
+// (the request-trace span model: compile stages, morsels on one lane per
+// worker, one lane per operator; load in ui.perfetto.dev or
+// chrome://tracing).
 void TraceQuery(const Database& db, const std::string& file,
                 const std::string& oql) {
   OptimizerOptions options;
@@ -196,9 +198,14 @@ void TraceQuery(const Database& db, const std::string& file,
     std::printf("error: cannot write '%s'\n", file.c_str());
     return;
   }
-  out << obs::TraceEventsJson(prof, q.trace.get());
+  obs::RequestTrace t;
+  t.trace_id = obs::MintTraceId();
+  t.status = "ok";
+  obs::BuildRequestTrace({0, 0, q.trace->total_ms, prof.run.wall_ns / 1e6}, 0,
+                         q.trace.get(), prof.run, &prof, &t);
+  out << obs::TraceToChromeJson(t);
   std::printf("wrote %s (%zu operators, %zu morsels)\n", file.c_str(),
-              prof.Operators().size(), prof.morsels.size());
+              prof.Operators().size(), prof.run.morsels.size());
   PrintResult(result);
 }
 

@@ -298,11 +298,11 @@ void ExplainWalk(const PhysPtr& op, int indent, int* next_id,
 std::string ExplainAnalyze(const PhysPtr& plan, const QueryProfiler& profiler,
                            const Catalog* catalog) {
   std::ostringstream os;
-  os << "EXPLAIN ANALYZE (mode="
-     << (profiler.parallel_mode.empty() ? "?" : profiler.parallel_mode)
-     << " threads=" << profiler.threads_used;
-  if (profiler.morsel_size > 0) os << " morsel=" << profiler.morsel_size;
-  os << " wall=" << FormatMs(static_cast<double>(profiler.wall_ns));
+  const ExecTotals& run = profiler.run;
+  os << "EXPLAIN ANALYZE (mode=" << (run.mode.empty() ? "?" : run.mode)
+     << " threads=" << run.threads;
+  if (run.morsel_size > 0) os << " morsel=" << run.morsel_size;
+  os << " wall=" << FormatMs(run.wall_ns);
   if (profiler.cache_hits + profiler.cache_misses > 0) {
     os << " plan=" << (profiler.plan_cached ? "cached" : "compiled")
        << " cache=" << profiler.cache_hits << "h/" << profiler.cache_misses
@@ -320,9 +320,9 @@ std::string ExplainAnalyze(const PhysPtr& plan, const QueryProfiler& profiler,
        << "\n";
   }
 
-  if (!profiler.workers.empty()) {
+  if (!run.workers.empty()) {
     os << "workers:\n";
-    for (const WorkerStats& w : profiler.workers) {
+    for (const WorkerStats& w : run.workers) {
       os << "  w" << w.worker << ": morsels=" << w.morsels
          << " rows=" << w.rows
          << " busy=" << FormatMs(static_cast<double>(w.busy_ns)) << "\n";

@@ -34,7 +34,7 @@
 #include "src/core/unnest.h"
 #include "src/obs/metrics.h"
 #include "src/obs/query_log.h"
-#include "src/obs/trace_export.h"
+#include "src/obs/trace.h"
 #include "src/oql/odl.h"
 #include "src/oql/parser.h"
 #include "src/oql/translate.h"

@@ -1,56 +1,9 @@
 #include "src/obs/introspect.h"
 
-#include <cinttypes>
-#include <cstdio>
+#include "src/runtime/json.h"
 
 namespace ldb {
 namespace obs {
-
-namespace {
-
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Num(double v) {
-  char buf[40];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::string Hex16(uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, v);
-  return std::string(buf, 16);
-}
-
-}  // namespace
 
 std::string ActiveQueriesToJson(const std::vector<ActiveQueryInfo>& queries) {
   std::string out = "[";
@@ -59,12 +12,12 @@ std::string ActiveQueriesToJson(const std::vector<ActiveQueryInfo>& queries) {
     if (i > 0) out += ", ";
     out += "{\"query_id\": " + std::to_string(q.query_id);
     out += ", \"session\": " + std::to_string(q.session);
-    out += ", \"phase\": \"" + Escape(q.phase) + "\"";
-    out += ", \"elapsed_ms\": " + Num(q.elapsed_ms);
+    out += ", \"phase\": " + JsonQuote(q.phase);
+    out += ", \"elapsed_ms\": " + JsonDouble(q.elapsed_ms);
     out += ", \"rows\": " + std::to_string(q.rows);
     out += ", \"mem_in_use_bytes\": " + std::to_string(q.mem_in_use_bytes);
     out += ", \"mem_peak_bytes\": " + std::to_string(q.mem_peak_bytes);
-    out += ", \"remote\": \"" + Escape(q.remote) + "\"}";
+    out += ", \"remote\": " + JsonQuote(q.remote) + "}";
   }
   out += "]";
   return out;
@@ -77,23 +30,23 @@ std::string QueryLogToJson(const std::vector<QueryLogRecord>& records) {
     if (i > 0) out += ",\n";
     out += "{\"id\": " + std::to_string(r.id);
     out += ", \"session\": " + std::to_string(r.session);
-    out += ", \"remote\": \"" + Escape(r.remote) + "\"";
-    out += ", \"query_hash\": \"" + Hex16(r.query_hash) + "\"";
-    out += ", \"status\": \"" + Escape(r.status) + "\"";
-    out += ", \"error\": \"" + Escape(r.error) + "\"";
+    out += ", \"remote\": " + JsonQuote(r.remote);
+    out += ", \"query_hash\": " + JsonQuote(Hex16(r.query_hash));
+    out += ", \"status\": " + JsonQuote(r.status);
+    out += ", \"error\": " + JsonQuote(r.error);
     out += ", \"plan_cached\": ";
     out += r.plan_cached ? "true" : "false";
-    out += ", \"trace_id\": \"" + Hex16(r.trace_id) + "\"";
-    out += ", \"queue_wait_ms\": " + Num(r.queue_wait_ms);
-    out += ", \"queue_ms\": " + Num(r.queue_ms);
-    out += ", \"compile_ms\": " + Num(r.compile_ms);
-    out += ", \"exec_ms\": " + Num(r.exec_ms);
-    out += ", \"serialize_ms\": " + Num(r.serialize_ms);
+    out += ", \"trace_id\": " + JsonQuote(Hex16(r.trace_id));
+    out += ", \"queue_wait_ms\": " + JsonDouble(r.queue_wait_ms);
+    out += ", \"queue_ms\": " + JsonDouble(r.queue_ms);
+    out += ", \"compile_ms\": " + JsonDouble(r.compile_ms);
+    out += ", \"exec_ms\": " + JsonDouble(r.exec_ms);
+    out += ", \"serialize_ms\": " + JsonDouble(r.serialize_ms);
     out += ", \"rows\": " + std::to_string(r.rows);
     out += ", \"mem_peak_bytes\": " + std::to_string(r.mem_peak_bytes);
-    out += ", \"mem_op\": \"" + Escape(r.mem_op) + "\"";
+    out += ", \"mem_op\": " + JsonQuote(r.mem_op);
     out += ", \"threads\": " + std::to_string(r.threads);
-    out += ", \"verify\": \"" + Escape(r.verify) + "\"";
+    out += ", \"verify\": " + JsonQuote(r.verify);
     out += ", \"slow\": ";
     out += r.slow ? "true" : "false";
     out += "}";

@@ -10,6 +10,7 @@
 #include <sstream>
 
 #include "src/runtime/error.h"
+#include "src/runtime/json.h"
 
 namespace ldb {
 namespace obs {
@@ -220,43 +221,11 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
 }
 
 // ---------------------------------------------------------------------------
-// Rendering. Same hand-rolled JSON discipline as src/runtime/profile.cc:
-// doubles print with %.17g so SnapshotFromJson round-trips bit-exactly.
+// Rendering, through src/runtime/json.h: doubles print with %.17g so
+// SnapshotFromJson round-trips bit-exactly.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void JsonEscape(const std::string& s, std::ostringstream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void JsonDouble(double d, std::ostringstream& os) {
-  if (!std::isfinite(d)) {
-    os << 0;  // JSON has no Inf/NaN; le=+Inf is encoded as a string instead
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os << buf;
-}
 
 /// Prometheus `le` label value: finite bounds are exact powers of two and
 /// print as integers; the overflow bucket prints as "+Inf".
@@ -275,12 +244,6 @@ std::string FormatValue(double v) {
   } else {
     std::snprintf(buf, sizeof buf, "%.17g", v);
   }
-  return buf;
-}
-
-std::string TraceHex(uint64_t id) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx", static_cast<unsigned long long>(id));
   return buf;
 }
 
@@ -309,107 +272,6 @@ std::string RenderLabels(const std::map<std::string, std::string>& labels,
   return out;
 }
 
-// Minimal recursive-descent JSON reader (same shape as the file-local one in
-// src/runtime/profile.cc, which is deliberately not exported).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  void ExpectObjectStart() { Skip(); Expect('{'); }
-  bool NextKey(std::string* key) {
-    Skip();
-    if (Peek() == '}') { ++pos_; return false; }
-    if (Peek() == ',') ++pos_;
-    Skip();
-    *key = ParseString();
-    Skip();
-    Expect(':');
-    return true;
-  }
-  void ExpectArrayStart() { Skip(); Expect('['); }
-  bool NextElement() {
-    Skip();
-    if (Peek() == ']') { ++pos_; return false; }
-    if (Peek() == ',') { ++pos_; Skip(); }
-    return true;
-  }
-
-  std::string ParseString() {
-    Skip();
-    Expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    Expect('"');
-    return out;
-  }
-
-  double ParseNumber() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            std::strchr("+-.eE", s_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) throw ParseError("expected number in metrics JSON");
-    return std::strtod(s_.c_str() + start, nullptr);
-  }
-
-  uint64_t ParseUint() { return static_cast<uint64_t>(ParseNumber()); }
-
-  void SkipValue() {
-    Skip();
-    char c = Peek();
-    if (c == '"') { ParseString(); return; }
-    if (c == '{') {
-      ExpectObjectStart();
-      std::string k;
-      while (NextKey(&k)) SkipValue();
-      return;
-    }
-    if (c == '[') {
-      ExpectArrayStart();
-      while (NextElement()) SkipValue();
-      return;
-    }
-    ParseNumber();
-  }
-
- private:
-  char Peek() const {
-    if (pos_ >= s_.size()) throw ParseError("truncated metrics JSON");
-    return s_[pos_];
-  }
-  void Skip() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  void Expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ParseError(std::string("metrics JSON: expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
-
 }  // namespace
 
 std::string MetricsSnapshot::ToPrometheusText() const {
@@ -431,7 +293,7 @@ std::string MetricsSnapshot::ToPrometheusText() const {
            << RenderLabels(s.labels, "le", FormatLe(le)) << ' ' << cum;
         if (ex_i < s.exemplars.size() && s.exemplars[ex_i].le == le) {
           const MetricSample::Exemplar& ex = s.exemplars[ex_i++];
-          os << " # {trace_id=\"" << TraceHex(ex.trace_id) << "\"} "
+          os << " # {trace_id=\"" << Hex16(ex.trace_id) << "\"} "
              << FormatValue(ex.value);
         }
         os << '\n';
@@ -458,20 +320,14 @@ std::string MetricsSnapshot::ToJson() const {
   for (const MetricSample& s : samples) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"name\": ";
-    JsonEscape(s.name, os);
-    os << ", \"type\": ";
-    JsonEscape(s.type, os);
-    os << ", \"help\": ";
-    JsonEscape(s.help, os);
-    os << ", \"labels\": {";
+    os << "{\"name\": " << JsonQuote(s.name)
+       << ", \"type\": " << JsonQuote(s.type)
+       << ", \"help\": " << JsonQuote(s.help) << ", \"labels\": {";
     bool lf = true;
     for (const auto& [k, v] : s.labels) {
       if (!lf) os << ", ";
       lf = false;
-      JsonEscape(k, os);
-      os << ": ";
-      JsonEscape(v, os);
+      os << JsonQuote(k) << ": " << JsonQuote(v);
     }
     os << "}";
     if (s.type == "histogram") {
@@ -480,9 +336,8 @@ std::string MetricsSnapshot::ToJson() const {
       for (const auto& [le, cum] : s.buckets) {
         if (!bf) os << ", ";
         bf = false;
-        os << "{\"le\": ";
-        JsonEscape(FormatLe(le), os);
-        os << ", \"cum\": " << cum << "}";
+        os << "{\"le\": " << JsonQuote(FormatLe(le)) << ", \"cum\": " << cum
+           << "}";
       }
       os << "]";
       if (!s.exemplars.empty()) {
@@ -491,29 +346,19 @@ std::string MetricsSnapshot::ToJson() const {
         for (const MetricSample::Exemplar& ex : s.exemplars) {
           if (!ef) os << ", ";
           ef = false;
-          os << "{\"le\": ";
-          JsonEscape(FormatLe(ex.le), os);
-          os << ", \"trace_id\": ";
-          JsonEscape(TraceHex(ex.trace_id), os);
-          os << ", \"value\": ";
-          JsonDouble(ex.value, os);
-          os << "}";
+          os << "{\"le\": " << JsonQuote(FormatLe(ex.le))
+             << ", \"trace_id\": " << JsonQuote(Hex16(ex.trace_id))
+             << ", \"value\": " << JsonDouble(ex.value) << "}";
         }
         os << "]";
       }
-      os << ", \"count\": " << s.count << ", \"sum\": ";
-      JsonDouble(s.sum, os);
-      os << ", \"max\": ";
-      JsonDouble(s.max, os);
-      os << ", \"p50\": ";
-      JsonDouble(s.p50, os);
-      os << ", \"p90\": ";
-      JsonDouble(s.p90, os);
-      os << ", \"p99\": ";
-      JsonDouble(s.p99, os);
+      os << ", \"count\": " << s.count << ", \"sum\": " << JsonDouble(s.sum)
+         << ", \"max\": " << JsonDouble(s.max)
+         << ", \"p50\": " << JsonDouble(s.p50)
+         << ", \"p90\": " << JsonDouble(s.p90)
+         << ", \"p99\": " << JsonDouble(s.p99);
     } else {
-      os << ", \"value\": ";
-      JsonDouble(s.value, os);
+      os << ", \"value\": " << JsonDouble(s.value);
     }
     os << "}";
   }
@@ -577,7 +422,7 @@ MetricsSnapshot SnapshotFromJson(const std::string& json) {
                             ? std::numeric_limits<double>::infinity()
                             : std::strtod(tok.c_str(), nullptr);
               } else if (ef == "trace_id") {
-                ex.trace_id = std::strtoull(r.ParseString().c_str(), nullptr, 16);
+                ex.trace_id = FromHex16(r.ParseString());
               } else if (ef == "value") {
                 ex.value = r.ParseNumber();
               } else {

@@ -1,10 +1,14 @@
 #include "src/obs/trace.h"
 
+#include <algorithm>
 #include <chrono>
-#include <cinttypes>
 #include <cstdio>
 #include <functional>
 #include <thread>
+#include <utility>
+
+#include "src/core/optimizer.h"
+#include "src/runtime/profile.h"
 
 namespace ldb {
 namespace obs {
@@ -26,72 +30,24 @@ uint64_t MintTraceId() {
   return z != 0 ? z : 1;
 }
 
-std::string TraceIdHex(uint64_t id) {
-  char buf[17];
-  std::snprintf(buf, sizeof(buf), "%016" PRIx64, id);
-  return std::string(buf, 16);
-}
-
-uint64_t TraceIdFromHex(const std::string& hex) {
-  if (hex.empty() || hex.size() > 16) return 0;
-  uint64_t v = 0;
-  for (char c : hex) {
-    uint64_t d;
-    if (c >= '0' && c <= '9') {
-      d = static_cast<uint64_t>(c - '0');
-    } else if (c >= 'a' && c <= 'f') {
-      d = static_cast<uint64_t>(c - 'a') + 10;
-    } else if (c >= 'A' && c <= 'F') {
-      d = static_cast<uint64_t>(c - 'A') + 10;
-    } else {
-      return 0;
-    }
-    v = (v << 4) | d;
-  }
-  return v;
-}
-
 namespace {
 
-std::string Escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string Ms(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.6g", v);
+// Span offsets print at nanosecond resolution whatever their size: as
+// milliseconds with 6 decimals in ring documents, as microseconds with 3 in
+// Chrome events. (Significant-digit formats round a late span's start past
+// its predecessor's end.)
+std::string Fixed(double v, int decimals) {
+  char buf[48];
+  std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
   return buf;
 }
 
+std::string Ms(double ms) { return Fixed(ms, 6); }
+std::string Us(double ms) { return Fixed(ms * 1000.0, 3); }
+
 /// Stable lane -> Chrome tid mapping: lanes appear as thread rows in the
-/// order they first show up in the span list ("io" and "worker" first by
-/// construction, morsel lanes after).
+/// order they first show up in the span list ("worker" and "io" first by
+/// construction, then the morsel lanes and the operator lanes).
 int LaneTid(std::vector<std::string>* lanes, const std::string& lane) {
   for (size_t i = 0; i < lanes->size(); ++i) {
     if ((*lanes)[i] == lane) return static_cast<int>(i) + 1;
@@ -103,8 +59,8 @@ int LaneTid(std::vector<std::string>* lanes, const std::string& lane) {
 std::string SpanJson(const TraceSpan& s) {
   std::string out = "{\"span_id\":" + std::to_string(s.span_id);
   out += ",\"parent_span_id\":" + std::to_string(s.parent_span_id);
-  out += ",\"name\":\"" + Escape(s.name) + "\"";
-  out += ",\"lane\":\"" + Escape(s.lane) + "\"";
+  out += ",\"name\":" + JsonQuote(s.name);
+  out += ",\"lane\":" + JsonQuote(s.lane);
   out += ",\"start_ms\":" + Ms(s.start_ms);
   out += ",\"dur_ms\":" + Ms(s.dur_ms);
   out += "}";
@@ -114,9 +70,9 @@ std::string SpanJson(const TraceSpan& s) {
 std::string TraceJson(const RequestTrace& t) {
   std::string out = "{\"trace_id\":\"" + TraceIdHex(t.trace_id) + "\"";
   out += ",\"session\":" + std::to_string(t.session);
-  out += ",\"query_hash\":\"" + TraceIdHex(t.query_hash) + "\"";
-  out += ",\"status\":\"" + Escape(t.status) + "\"";
-  out += ",\"sample_reason\":\"" + Escape(t.sample_reason) + "\"";
+  out += ",\"query_hash\":\"" + Hex16(t.query_hash) + "\"";
+  out += ",\"status\":" + JsonQuote(t.status);
+  out += ",\"sample_reason\":" + JsonQuote(t.sample_reason);
   out += ",\"client_context\":";
   out += t.client_context ? "true" : "false";
   out += ",\"total_ms\":" + Ms(t.total_ms);
@@ -131,6 +87,68 @@ std::string TraceJson(const RequestTrace& t) {
 
 }  // namespace
 
+void BuildRequestTrace(const RequestPhases& phases, double total_ms,
+                       const CompileTrace* compile, const ExecTotals& run,
+                       const QueryProfiler* profile, RequestTrace* t) {
+  t->spans.clear();
+  uint64_t next_id = 1;
+  auto add = [t, &next_id](uint64_t parent, std::string name,
+                           std::string lane, double start, double dur) {
+    TraceSpan s;
+    s.span_id = next_id++;
+    s.parent_span_id = parent;
+    s.name = std::move(name);
+    s.lane = std::move(lane);
+    s.start_ms = start;
+    s.dur_ms = dur;
+    t->spans.push_back(std::move(s));
+    return t->spans.back().span_id;
+  };
+  const double phases_ms = phases.wire_queue_ms + phases.admission_ms +
+                           phases.compile_ms + phases.exec_ms;
+  t->total_ms = std::max(total_ms, phases_ms);
+  t->root_span_id = add(0, "request", "worker", 0, t->total_ms);
+  const uint64_t root = t->root_span_id;
+  if (phases.wire_queue_ms > 0)
+    add(root, "wire-queue", "io", 0, phases.wire_queue_ms);
+  double at = phases.wire_queue_ms;
+  add(root, "admission", "worker", at, phases.admission_ms);
+  at += phases.admission_ms;
+  const uint64_t compile_id =
+      add(root, "compile", "worker", at, phases.compile_ms);
+  if (compile != nullptr) {
+    double stage_at = at;
+    for (const StageTiming& stage : compile->stages) {
+      add(compile_id, "compile:" + stage.stage, "worker", stage_at, stage.ms);
+      stage_at += stage.ms;
+    }
+  }
+  at += phases.compile_ms;
+  const uint64_t exec = add(root, "execute", "worker", at, phases.exec_ms);
+  if (run.prebuild_ns > 0)
+    add(exec, "prebuild", "worker", at, run.prebuild_ns / 1e6);
+  // Bounded, so a huge scan cannot bloat the ring; the remainder collapses
+  // into one marker at the end of execute.
+  constexpr size_t kMaxMorselSpans = 256;
+  const size_t n = run.morsels.size();
+  for (size_t i = 0; i < n && i < kMaxMorselSpans; ++i) {
+    const MorselStats& m = run.morsels[i];
+    add(exec, "morsel " + std::to_string(m.index),
+        "morsel-" + std::to_string(m.worker), at + m.start_ns / 1e6,
+        m.dur_ns / 1e6);
+  }
+  if (n > kMaxMorselSpans)
+    add(exec, "+" + std::to_string(n - kMaxMorselSpans) + " morsels",
+        "worker", at + phases.exec_ms, 0);
+  if (profile != nullptr) {
+    for (const OperatorStats* op : profile->Operators()) {
+      const std::string id = std::to_string(op->op_id);
+      add(exec, "#" + id + " " + op->label, "op-" + id, at,
+          (op->open_ns + op->next_ns) / 1e6);
+    }
+  }
+}
+
 std::string TraceToChromeJson(const RequestTrace& t) {
   std::vector<std::string> lanes;
   std::string ev;
@@ -140,22 +158,21 @@ std::string TraceToChromeJson(const RequestTrace& t) {
   };
   // Process + thread name metadata so Perfetto labels the rows.
   emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
-       "\"args\":{\"name\":\"request " +
-       TraceIdHex(t.trace_id) + " (" + Escape(t.status) + ")\"}}");
+       "\"args\":{\"name\":" +
+       JsonQuote("request " + TraceIdHex(t.trace_id) + " (" + t.status + ")") +
+       "}}");
   for (const TraceSpan& s : t.spans) {
     int tid = LaneTid(&lanes, s.lane);
-    double ts_us = s.start_ms * 1000.0;
-    double dur_us = s.dur_ms * 1000.0;
     emit("{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
-         ",\"name\":\"" + Escape(s.name) + "\",\"ts\":" + Ms(ts_us) +
-         ",\"dur\":" + Ms(dur_us) + ",\"args\":{\"span_id\":" +
+         ",\"name\":" + JsonQuote(s.name) + ",\"ts\":" + Us(s.start_ms) +
+         ",\"dur\":" + Us(s.dur_ms) + ",\"args\":{\"span_id\":" +
          std::to_string(s.span_id) + ",\"parent_span_id\":" +
          std::to_string(s.parent_span_id) + "}}");
   }
   for (size_t i = 0; i < lanes.size(); ++i) {
     emit("{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(i + 1) +
-         ",\"name\":\"thread_name\",\"args\":{\"name\":\"" +
-         Escape(lanes[i]) + "\"}}");
+         ",\"name\":\"thread_name\",\"args\":{\"name\":" +
+         JsonQuote(lanes[i]) + "}}");
   }
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" + ev + "\n]}\n";
 }
@@ -221,7 +238,12 @@ bool TraceRing::AppendSpan(uint64_t trace_id, const TraceSpan& span) {
     if (s.parent_span_id == 0) s.parent_span_id = it->root_span_id;
     double end_ms = s.start_ms + s.dur_ms;
     it->spans.push_back(std::move(s));
-    if (end_ms > it->total_ms) it->total_ms = end_ms;
+    if (end_ms > it->total_ms) {
+      // The root span carries the whole request, so it grows too.
+      it->total_ms = end_ms;
+      for (TraceSpan& have : it->spans)
+        if (have.span_id == it->root_span_id) have.dur_ms = end_ms;
+    }
     return true;
   }
   return false;

@@ -6,9 +6,12 @@
 // service worker, morsel workers — and the aggregate histograms cannot say
 // where one slow request spent its life. Tracing stitches the timings the
 // stack already measures (wire read timestamp, admission wait, CompileTrace
-// stage times, per-worker morsel stats, serialize time) into one
+// stage times, the executor's run record, serialize time) into one
 // RequestTrace: a flat list of parented spans with wall offsets from the
-// moment the request's frame was read off the socket.
+// moment the request's frame was read off the socket. BuildRequestTrace is
+// the one place that turns those timings into spans, and TraceToChromeJson
+// the one Chrome trace-event renderer, for served requests and for the
+// shell's and the benchmark's local traces alike.
 //
 //  * TraceContext — what travels on the wire (trace_id / parent span /
 //    flags), minted by net::Client, oqlsh, and ldb_loadgen and appended to
@@ -32,7 +35,8 @@
 // clients interoperate with untraced servers and vice versa.
 //
 // Layering: obs — may be included by service and net, never by runtime
-// (the runtime's only obs dependency stays src/obs/resource.h).
+// (the runtime's only obs dependency stays src/obs/resource.h). It reads
+// the runtime's run record and profile and the optimizer's compile trace.
 
 #ifndef LAMBDADB_OBS_TRACE_H_
 #define LAMBDADB_OBS_TRACE_H_
@@ -44,12 +48,18 @@
 #include <vector>
 
 #include "src/core/thread_annotations.h"
+#include "src/runtime/json.h"
 
 #ifndef LDB_METRICS_ENABLED
 #define LDB_METRICS_ENABLED 1
 #endif
 
 namespace ldb {
+
+struct CompileTrace;   // src/core/optimizer.h
+struct ExecTotals;     // src/runtime/physical.h
+class QueryProfiler;   // src/runtime/profile.h
+
 namespace obs {
 
 /// The wire-propagated part of a trace: enough for the server to parent its
@@ -71,10 +81,12 @@ struct TraceContext {
 /// bounded ring, with no cross-thread contention).
 uint64_t MintTraceId();
 
-/// 16-digit lowercase hex rendering used everywhere a trace id appears in
-/// text (exemplars, JSON, logs), and its inverse ("" / malformed -> 0).
-std::string TraceIdHex(uint64_t id);
-uint64_t TraceIdFromHex(const std::string& hex);
+/// How a trace id appears in text (exemplars, JSON, logs): Hex16
+/// (src/runtime/json.h), and its inverse ("" / malformed -> 0).
+inline std::string TraceIdHex(uint64_t id) { return Hex16(id); }
+inline uint64_t TraceIdFromHex(const std::string& hex) {
+  return FromHex16(hex);
+}
 
 /// One span. Offsets are wall milliseconds from the trace origin — the
 /// moment the server read the request frame (or, for in-process requests,
@@ -83,8 +95,9 @@ struct TraceSpan {
   uint64_t span_id = 0;         ///< unique within the trace; root = 1
   uint64_t parent_span_id = 0;  ///< 0 = the trace root itself
   std::string name;             ///< "request", "admission", "compile:unnest",
-                                ///< "morsel 3", "serialize", ...
-  std::string lane;             ///< thread domain: "io", "worker", "morsel-0"
+                                ///< "morsel 3", "#2 HashJoin", "serialize"...
+  std::string lane;             ///< thread domain: "io", "worker",
+                                ///< "morsel-0", or an operator's "op-2"
   double start_ms = 0;
   double dur_ms = 0;
 };
@@ -105,8 +118,45 @@ struct RequestTrace {
   std::vector<TraceSpan> spans;
 };
 
+/// Wall milliseconds of one request's phases, which run end to end from the
+/// trace origin in this order.
+struct RequestPhases {
+  double wire_queue_ms = 0;  ///< socket read -> service (0: in-process)
+  double admission_ms = 0;
+  double compile_ms = 0;
+  double exec_ms = 0;
+};
+
+/// Fills t->spans, t->root_span_id and t->total_ms with one request's span
+/// tree; the caller sets the trace's identity and outcome:
+///
+///   request                 [0, total), the larger of `total_ms` and the
+///   |                       phases' sum
+///   +- wire-queue           io lane, when wire_queue_ms > 0
+///   +- admission
+///   +- compile
+///   |  +- compile:<stage>   one per stage of `compile` (null: the plan came
+///   |                       from the cache)
+///   +- execute
+///      +- prebuild          a parallel run's serial build of the shared
+///      |                    join tables (run.prebuild_ns > 0)
+///      +- morsel <i>        lane morsel-<worker>, at its offset from the
+///      |                    execution's start; at most 256, the rest as
+///      |                    one "+N morsels" marker
+///      +- #<id> <label>     with a `profile`: one per operator, on lane
+///                           op-<id>, lasting its open_ns + next_ns summed
+///                           over workers (so in a parallel run it may
+///                           outlast execute)
+///
+/// Spans on the worker lane are laid end to end and nest; every other lane
+/// holds non-overlapping spans.
+void BuildRequestTrace(const RequestPhases& phases, double total_ms,
+                       const CompileTrace* compile, const ExecTotals& run,
+                       const QueryProfiler* profile, RequestTrace* t);
+
 /// Chrome trace-event JSON for one trace (open at ui.perfetto.dev). Each
-/// lane becomes a thread row; spans are "X" events at their wall offsets.
+/// lane becomes a thread row; spans are "X" events at their wall offsets,
+/// in microseconds with 3 decimals, carrying their span and parent ids.
 std::string TraceToChromeJson(const RequestTrace& t);
 
 /// Self-contained JSON document for a ring snapshot: counters plus every
@@ -143,8 +193,9 @@ class TraceRing {
   bool Submit(RequestTrace t) LDB_EXCLUDES(mu_);
 
   /// Appends a late span (the server's serialize/reply work happens after
-  /// the service finalized the trace) to a kept trace; extends total_ms to
-  /// cover it. No-op (false) when the trace was sampled out or evicted.
+  /// the service finalized the trace) to a kept trace; extends total_ms and
+  /// the root span to cover it. No-op (false) when the trace was sampled
+  /// out or evicted.
   bool AppendSpan(uint64_t trace_id, const TraceSpan& span)
       LDB_EXCLUDES(mu_);
 

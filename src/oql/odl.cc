@@ -92,7 +92,13 @@ class OdlParser {
     AcceptSymbol(";");  // optional trailing semicolon
   }
 
-  TypePtr ParseType() {
+  // `depth` counts the collection types enclosing this one; deeper than
+  // kMaxParseDepth fails before the deeper type is read.
+  TypePtr ParseType(int depth = 1) {
+    if (depth > kMaxParseDepth) {
+      Fail("type nests deeper than " + std::to_string(kMaxParseDepth) +
+           " levels");
+    }
     std::string name = ExpectIdent();
     std::string lower;
     for (char c : name) lower.push_back(static_cast<char>(std::tolower(c)));
@@ -107,7 +113,7 @@ class OdlParser {
     if (lower == "string") return Type::Str();
     if (lower == "set" || lower == "bag" || lower == "list") {
       ExpectSymbol("<");
-      TypePtr elem = ParseType();
+      TypePtr elem = ParseType(depth + 1);
       ExpectSymbol(">");
       if (lower == "set") return Type::Set(elem);
       if (lower == "bag") return Type::Bag(elem);

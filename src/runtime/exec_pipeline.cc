@@ -1191,7 +1191,8 @@ void FoldRoot(const SlotOp& root, FrameIter* input, FrameEvaluator* fev,
 // The one serial driver: the serial execution, and parallel mode B's tail
 // above the spine HashNest whose merged groups `nest` hands in (else null).
 // It builds the iterator tree on this thread and runs the root fold over
-// it, accumulating straight into the caller's profiler and totals.
+// it, accumulating straight into the caller's profiler and run record
+// (ExecuteSlotPlan always sets opt.totals).
 Value RunSerial(const SlotPlan& sp, const Database& db, const ExecOptions& opt,
                 PrebuiltNest* nest) {
   ThreadFrame t(sp, db, opt);
@@ -1203,7 +1204,7 @@ Value RunSerial(const SlotPlan& sp, const Database& db, const ExecOptions& opt,
   FoldChargeGuard fold_guard{&t.fev.mem(), &charged};
   FoldRoot(*sp.root, input.get(), &t.fev, t.frame, opt.resource,
            StatsFor(opt.profiler, *sp.root), &acc, &charged,
-           opt.totals == nullptr ? nullptr : &opt.totals->root_rows);
+           &opt.totals->root_rows);
   return acc.Finish();
 }
 
@@ -1264,7 +1265,8 @@ struct HeldCharges {
 // GroupJoin's right side, once, serially, so workers share them read-only.
 // With a profiler, the build subtrees' counters and the builds' stats land
 // in the caller's profiler once, matching the serial run, while the workers
-// (who only read the shared tables) record nothing for them.
+// (who only read the shared tables) record nothing for them. Each build's
+// time goes to its operator's open_ns, where the serial Open() puts it.
 void PrebuildSpineTables(const SlotOpPtr& sub_root, const SlotPlan& sp,
                          const Database& db, const ExecOptions& opt,
                          SharedTables* shared, HeldCharges* held) {
@@ -1274,8 +1276,11 @@ void PrebuildSpineTables(const SlotOpPtr& sub_root, const SlotPlan& sp,
                       auto& sides) {
     std::unique_ptr<FrameIter> it = MakeFrameIterator(input, ctx);
     held->charges.emplace_back(static_cast<int>(op.kind), 0);
-    build(op, it.get(), &t.fev, t.frame, StatsFor(opt.profiler, op),
-          &held->charges.back().second, &sides[op.id]);
+    OperatorStats* stats = StatsFor(opt.profiler, op);
+    const ProfClock::time_point t0 = ProfClock::now();
+    build(op, it.get(), &t.fev, t.frame, stats, &held->charges.back().second,
+          &sides[op.id]);
+    if (stats != nullptr) stats->open_ns += NsSince(t0);
   };
   for (const SlotOp* op = sub_root.get(); op != nullptr;
        op = StreamedInput(*op).get()) {
@@ -1378,9 +1383,9 @@ void RunMorsels(MorselQueue& mq, int n_workers, std::atomic<bool>& stop,
   }
 }
 
-// Per-worker pipeline over the parallel sub-spine. Under profiling each
-// worker also owns a private QueryProfiler (its iterators are wrapped
-// against it — no shared counters, no atomics) plus its utilization totals;
+// Per-worker pipeline over the parallel sub-spine, with its utilization
+// totals. Under profiling each worker also owns a private QueryProfiler
+// (its iterators are wrapped against it — no shared counters, no atomics);
 // TryExecuteParallel merges them into the caller's profiler after join.
 struct WorkerPipeline : ThreadFrame {
   std::unique_ptr<FrameIter> pipe;
@@ -1407,7 +1412,7 @@ struct WorkerPipeline : ThreadFrame {
 };
 
 // Collects the per-worker pipeline states created during a parallel run so
-// their private profilers / utilization counters survive the join and can
+// their utilization counters and private profilers survive the join and can
 // be merged. Add races between workers (hence the annotated mutex); the
 // merge side only runs once every worker thread has joined.
 struct WorkerStateRegistry {
@@ -1438,8 +1443,12 @@ bool ParallelRootEligible(MonoidKind root_monoid) {
   return root_monoid != MonoidKind::kProd;
 }
 
+// Runs the plan morsel-parallel when its spine allows, filling the run
+// record *opt.totals; morsel offsets count from `start`, the execution's
+// start. Returns false, having done nothing, when the run must be serial.
 bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
-                        const ExecOptions& opt, Value* out) {
+                        const ExecOptions& opt, ProfClock::time_point start,
+                        Value* out) {
   const SlotOpPtr& root = sp.root;
   SpineInfo spine = AnalyzeSpine(root);
   if (!spine.driver) return false;
@@ -1448,18 +1457,17 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   const size_t morsel = std::max<size_t>(1, opt.morsel_size);
   if (extent.size() <= morsel) return false;  // one morsel: serial is exact
 
+  ExecTotals& run = *opt.totals;
   QueryProfiler* uprof = opt.profiler;
   const bool profiling = uprof != nullptr;
-  // ExecTotals collection rides on the same per-worker counters profiling
-  // uses (plain fields, summed after the join) — worker states are retained
-  // whenever either consumer is attached.
-  const bool track = profiling || opt.totals != nullptr;
 
   const SlotOpPtr sub_root = spine.lowest_nest ? spine.lowest_nest->left
                                                : root->left;
   HeldCharges held(opt.resource);
   SharedTables shared;
+  const ProfClock::time_point prebuild_start = ProfClock::now();
   PrebuildSpineTables(sub_root, sp, db, opt, &shared, &held);
+  run.prebuild_ns = NsSince(prebuild_start);
 
   MorselQueue mq{extent.size(), morsel};
   const size_t n_morsels = mq.count();
@@ -1476,22 +1484,18 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
        0});
 
   // Worker states are kept alive past RunMorsels (which drops its own
-  // reference at thread exit) so their private profilers can be harvested.
+  // reference at thread exit) so their counters can be harvested.
   std::atomic<int> worker_seq{0};
   WorkerStateRegistry registry;
-  std::vector<MorselStats> morsel_stats(profiling ? n_morsels : 0);
+  std::vector<MorselStats> morsel_stats(n_morsels);
 
   auto make_state = [&]() {
     auto state = std::make_shared<WorkerPipeline>(
         db, sp, opt, sub_root, shared, spine.driver->id,
         worker_seq.fetch_add(1, std::memory_order_relaxed), profiling);
-    if (track) registry.Add(state);
+    registry.Add(state);
     return state;
   };
-
-  // Timeline origin for MorselStats spans (trace export draws one lane per
-  // worker from these offsets).
-  const auto run_epoch = ProfClock::now();
 
   // Ends a morsel: flushes the worker's pending tracker deltas to the
   // context now (HeldCharges releases against the context, so nothing may
@@ -1502,26 +1506,23 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
   auto finish_morsel = [&](WorkerPipeline& w, size_t idx, size_t lo,
                            size_t hi, uint64_t rows, ProfClock::time_point t0) {
     w.fev.mem().Flush();
-    if (!track) return;
     double dur = NsSince(t0);
     w.wstats.morsels += 1;
     w.wstats.rows += rows;
     w.wstats.busy_ns += dur;
-    if (profiling) {
-      double start =
-          std::chrono::duration<double, std::nano>(t0 - run_epoch).count();
-      morsel_stats[idx] =
-          MorselStats{idx, lo, hi, rows, w.wstats.worker, start, dur};
-    }
+    double offset =
+        std::chrono::duration<double, std::nano>(t0 - start).count();
+    morsel_stats[idx] =
+        MorselStats{idx, lo, hi, rows, w.wstats.worker, offset, dur};
   };
 
-  // Merges prebuild/worker counters and parallel metadata into *uprof and
-  // flushes ExecTotals. Runs exactly once — on the success path or on a
+  // Fills the run record from the workers and merges their profilers into
+  // *uprof. Runs exactly once — on the success path or on a
   // QueryCancelled/error unwind, never both. The exactly-once flag matters
   // beyond idempotence: mode B's serial tail executes *after* this and
-  // accumulates straight into *uprof, so a second merge of the worker
-  // profilers (e.g. from a catch-all around the tail) would double-count
-  // every sub-spine operator.
+  // accumulates straight into *uprof and the record, so a second merge
+  // (e.g. from a catch-all around the tail) would double-count every
+  // sub-spine operator.
   bool finished = false;
   auto finish = [&](const char* mode, bool rows_are_root) {
     if (finished) return;
@@ -1533,26 +1534,16 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
               [](const auto& a, const auto& b) {
                 return a->wstats.worker < b->wstats.worker;
               });
-    if (opt.totals != nullptr) {
-      ExecTotals& t = *opt.totals;
-      t.mode = mode;
-      t.workers = static_cast<int>(states.size());
-      for (const auto& s : states) {
-        t.morsels += s->wstats.morsels;
-        t.busy_ns += s->wstats.busy_ns;
-        if (rows_are_root) t.root_rows += s->wstats.rows;
-      }
-    }
-    if (!profiling) return;
-    uprof->parallel_mode = mode;
-    uprof->threads_used = n_workers;
-    uprof->morsel_size = morsel;
+    run.mode = mode;
+    run.threads = n_workers;
+    run.morsel_size = morsel;
     for (const auto& s : states) {
-      uprof->MergeFrom(s->prof);
-      uprof->workers.push_back(s->wstats);
+      run.workers.push_back(s->wstats);
+      if (rows_are_root) run.root_rows += s->wstats.rows;
+      if (profiling) uprof->MergeFrom(s->prof);
     }
     for (const MorselStats& m : morsel_stats) {
-      if (m.hi > m.lo) uprof->morsels.push_back(m);  // hi == 0: never grabbed
+      if (m.hi > m.lo) run.morsels.push_back(m);  // hi == 0: never grabbed
     }
   };
 
@@ -1635,7 +1626,7 @@ bool TryExecuteParallel(const SlotPlan& sp, const Database& db,
     }
   }
   // `finish` runs before the tail, so a tail unwind cannot re-merge the
-  // worker profilers; the tail adds its root rows to the totals itself.
+  // worker profilers; the tail adds its root rows to the record itself.
   finish("spine-nest", /*rows_are_root=*/false);
   *out = RunSerial(sp, db, opt, &merged);
   return true;
@@ -1647,24 +1638,36 @@ Value ExecuteSlotPlan(const SlotPlan& plan, const Database& db,
                       const ExecOptions& options) {
   LDB_INTERNAL_CHECK(plan.root && plan.root->kind == PhysKind::kReduce,
                      "slot execution expects a Reduce root");
-  // With a profiler, the run's wall time, recorded on every exit: a
-  // cancelled (or failed) run still records how long it ran.
-  struct WallTime {
-    QueryProfiler* prof;
-    ProfClock::time_point t0;
-    ~WallTime() {
-      if (prof != nullptr) prof->wall_ns += NsSince(t0);
-    }
-  } wall{options.profiler, options.profiler != nullptr
-                               ? ProfClock::now()
-                               : ProfClock::time_point()};
-  Value out;
-  if (options.n_threads > 1 && TryExecuteParallel(plan, db, options, &out)) {
-    return out;
+  // Every run fills one run record: the caller's, else the profiler's,
+  // else a local one. Its wall time, and the profiler's copy, are written
+  // on every exit: a cancelled (or failed) run still records how long it
+  // ran and what its workers did.
+  ExecTotals local;
+  ExecOptions opt = options;
+  if (opt.totals == nullptr) {
+    opt.totals = opt.profiler != nullptr ? &opt.profiler->run : &local;
   }
-  if (options.profiler != nullptr) options.profiler->parallel_mode = "serial";
-  if (options.totals != nullptr) options.totals->mode = "serial";
-  return RunSerial(plan, db, options, nullptr);
+  *opt.totals = ExecTotals{};
+  const ProfClock::time_point start = ProfClock::now();
+  auto seal = [&] {
+    opt.totals->wall_ns = NsSince(start);
+    if (opt.profiler != nullptr && opt.totals != &opt.profiler->run) {
+      opt.profiler->run = *opt.totals;
+    }
+  };
+  Value out;
+  try {
+    if (opt.n_threads <= 1 ||
+        !TryExecuteParallel(plan, db, opt, start, &out)) {
+      opt.totals->mode = "serial";
+      out = RunSerial(plan, db, opt, nullptr);
+    }
+  } catch (...) {
+    seal();
+    throw;
+  }
+  seal();
+  return out;
 }
 
 Value ExecutePipelined(const PhysPtr& plan, const Database& db,

@@ -14,6 +14,7 @@
 #ifndef LAMBDADB_RUNTIME_PHYSICAL_H_
 #define LAMBDADB_RUNTIME_PHYSICAL_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -43,19 +44,45 @@ struct PhysicalOptions {
 
 class QueryProfiler;  // fwd (src/runtime/profile.h)
 
-/// Always-on execution totals, filled by the executor regardless of whether
-/// a profiler is attached. The counters are kept by each run with plain
-/// locals (one increment per root row; no atomics, no per-operator state)
-/// and written out once at pipeline end, so they are cheap enough for the
-/// service to collect on every query. The runtime layer knows nothing about
-/// metrics; the QueryService flushes these into its MetricsRegistry
-/// (src/obs/metrics.h).
+/// Per-worker utilization under morsel parallelism.
+struct WorkerStats {
+  int worker = -1;
+  uint64_t morsels = 0;   ///< morsels this worker executed
+  uint64_t rows = 0;      ///< spine rows this worker produced
+  double busy_ns = 0;     ///< time spent executing morsels
+};
+
+/// One morsel: its extent range, the spine rows it produced, and its span
+/// on the execution timeline, which request traces draw on one lane per
+/// worker (src/obs/trace.h).
+struct MorselStats {
+  uint64_t index = 0;
+  uint64_t lo = 0;
+  uint64_t hi = 0;
+  uint64_t rows = 0;
+  int worker = -1;      ///< worker that executed this morsel
+  double start_ns = 0;  ///< offset from the start of the execution
+  double dur_ns = 0;    ///< wall time this worker spent on the morsel
+};
+
+/// The run record: everything about one execution that is not per
+/// operator. The executor fills it on every run, profiled or not, once, at
+/// pipeline end, including on a QueryCancelled unwind (a partial record).
+/// Its per-worker and per-morsel entries come from plain per-worker fields
+/// summed after the join (no atomics), so the service keeps one for every
+/// query: its counters feed the metrics registry (src/obs/metrics.h) and
+/// its morsels become trace spans. A QueryProfiler holds a copy of the
+/// record it ran with.
 struct ExecTotals {
-  uint64_t root_rows = 0;   ///< rows folded by the root Reduce
-  uint64_t morsels = 0;     ///< morsels dispatched (0 for serial runs)
-  int workers = 0;          ///< worker threads that ran (0 for serial)
-  double busy_ns = 0;       ///< summed worker busy time (0 for serial)
-  const char* mode = "serial";  ///< "serial" | "spine-reduce" | "spine-nest"
+  std::string mode;          ///< "serial" | "spine-reduce" | "spine-nest"
+  int threads = 1;           ///< workers a parallel run started
+  uint64_t morsel_size = 0;  ///< 0 unless the run went parallel
+  double wall_ns = 0;        ///< the execution's wall time
+  double prebuild_ns = 0;    ///< a parallel run's serial build of the
+                             ///< shared join tables, before any morsel
+  uint64_t root_rows = 0;    ///< rows folded by the root Reduce
+  std::vector<WorkerStats> workers;  ///< by worker id (empty when serial)
+  std::vector<MorselStats> morsels;  ///< by morsel index (empty when serial)
 };
 
 /// Options for the pipelined executor (ExecutePipelined).
@@ -87,9 +114,10 @@ struct ExecOptions {
   /// executing a parameterized plan without its bindings is an EvalError.
   /// The executor writes these into reserved frame slots before rows flow.
   const std::map<std::string, Value>* params = nullptr;
-  /// Always-on execution totals sink. Null (the default) skips the writes;
-  /// non-null: filled at pipeline end, including on a QueryCancelled unwind
-  /// (partial totals), so service metrics count cancelled work too.
+  /// The run record's sink. Null (the default): the executor keeps the
+  /// record in the profiler, if any, or drops it. Non-null: filled at
+  /// pipeline end, including on a QueryCancelled unwind (a partial record),
+  /// so service metrics and traces count cancelled work too.
   ExecTotals* totals = nullptr;
   /// Per-query resource context (src/obs/resource.h). Null (the default)
   /// disarms the memory trackers entirely. Non-null: the executor charges

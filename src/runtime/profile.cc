@@ -1,14 +1,11 @@
 #include "src/runtime/profile.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cmath>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "src/core/optimizer.h"
 #include "src/runtime/error.h"
+#include "src/runtime/json.h"
 
 namespace ldb {
 
@@ -46,8 +43,6 @@ void QueryProfiler::MergeFrom(const QueryProfiler& other) {
   for (const OperatorStats* s : other.Operators()) {
     Register(s->op_id, s->kind, s->label)->MergeFrom(*s);
   }
-  workers.insert(workers.end(), other.workers.begin(), other.workers.end());
-  morsels.insert(morsels.end(), other.morsels.begin(), other.morsels.end());
 }
 
 std::vector<const OperatorStats*> QueryProfiler::Operators() const {
@@ -62,158 +57,11 @@ std::vector<const OperatorStats*> QueryProfiler::Operators() const {
 }
 
 // ---------------------------------------------------------------------------
-// JSON emission. Hand-rolled (no external deps); doubles print with %.17g so
+// JSON emission (src/runtime/json.h): doubles print with %.17g so
 // ProfileFromJson(ProfileToJson(p)) reproduces every value bit-exactly.
 // ---------------------------------------------------------------------------
 
 namespace {
-
-void JsonEscape(const std::string& s, std::ostringstream& os) {
-  os << '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': os << "\\\""; break;
-      case '\\': os << "\\\\"; break;
-      case '\n': os << "\\n"; break;
-      case '\t': os << "\\t"; break;
-      case '\r': os << "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          os << buf;
-        } else {
-          os << c;
-        }
-    }
-  }
-  os << '"';
-}
-
-void JsonDouble(double d, std::ostringstream& os) {
-  if (!std::isfinite(d)) {
-    os << 0;  // JSON has no Inf/NaN; profiles never produce them anyway
-    return;
-  }
-  char buf[40];
-  std::snprintf(buf, sizeof buf, "%.17g", d);
-  os << buf;
-}
-
-// Minimal recursive-descent JSON reader — just enough for the profile and
-// trace schemas this file emits (objects, arrays, strings, numbers).
-class JsonReader {
- public:
-  explicit JsonReader(const std::string& text) : s_(text) {}
-
-  void ExpectObjectStart() { Skip(); Expect('{'); }
-  bool NextKey(std::string* key) {
-    Skip();
-    if (Peek() == '}') { ++pos_; return false; }
-    if (Peek() == ',') ++pos_;
-    Skip();
-    *key = ParseString();
-    Skip();
-    Expect(':');
-    return true;
-  }
-  void ExpectArrayStart() { Skip(); Expect('['); }
-  bool NextElement() {
-    Skip();
-    if (Peek() == ']') { ++pos_; return false; }
-    if (Peek() == ',') { ++pos_; Skip(); }
-    return true;
-  }
-
-  std::string ParseString() {
-    Skip();
-    Expect('"');
-    std::string out;
-    while (pos_ < s_.size() && s_[pos_] != '"') {
-      char c = s_[pos_++];
-      if (c == '\\' && pos_ < s_.size()) {
-        char e = s_[pos_++];
-        switch (e) {
-          case 'n': out += '\n'; break;
-          case 't': out += '\t'; break;
-          case 'r': out += '\r'; break;
-          case 'u': {
-            if (pos_ + 4 > s_.size()) throw ParseError("bad \\u escape");
-            unsigned v = 0;
-            for (int i = 0; i < 4; ++i) {
-              char h = s_[pos_++];
-              v <<= 4;
-              if (h >= '0' && h <= '9') v |= static_cast<unsigned>(h - '0');
-              else if (h >= 'a' && h <= 'f') v |= static_cast<unsigned>(h - 'a' + 10);
-              else if (h >= 'A' && h <= 'F') v |= static_cast<unsigned>(h - 'A' + 10);
-              else throw ParseError("bad \\u escape");
-            }
-            out += static_cast<char>(v);  // profiles only escape control chars
-            break;
-          }
-          default: out += e;
-        }
-      } else {
-        out += c;
-      }
-    }
-    Expect('"');
-    return out;
-  }
-
-  double ParseNumber() {
-    Skip();
-    size_t start = pos_;
-    while (pos_ < s_.size() &&
-           (std::isdigit(static_cast<unsigned char>(s_[pos_])) ||
-            std::strchr("+-.eE", s_[pos_]) != nullptr)) {
-      ++pos_;
-    }
-    if (pos_ == start) throw ParseError("expected number in profile JSON");
-    return std::strtod(s_.c_str() + start, nullptr);
-  }
-
-  uint64_t ParseUint() { return static_cast<uint64_t>(ParseNumber()); }
-
-  void SkipValue() {
-    Skip();
-    char c = Peek();
-    if (c == '"') { ParseString(); return; }
-    if (c == '{') {
-      ExpectObjectStart();
-      std::string k;
-      while (NextKey(&k)) SkipValue();
-      return;
-    }
-    if (c == '[') {
-      ExpectArrayStart();
-      while (NextElement()) SkipValue();
-      return;
-    }
-    ParseNumber();
-  }
-
- private:
-  char Peek() const {
-    if (pos_ >= s_.size()) throw ParseError("truncated profile JSON");
-    return s_[pos_];
-  }
-  void Skip() {
-    while (pos_ < s_.size() &&
-           std::isspace(static_cast<unsigned char>(s_[pos_]))) {
-      ++pos_;
-    }
-  }
-  void Expect(char c) {
-    if (pos_ >= s_.size() || s_[pos_] != c) {
-      throw ParseError(std::string("profile JSON: expected '") + c + "'");
-    }
-    ++pos_;
-  }
-
-  const std::string& s_;
-  size_t pos_ = 0;
-};
 
 PhysKind KindFromName(const std::string& name) {
   static const std::pair<const char*, PhysKind> kTable[] = {
@@ -240,13 +88,13 @@ PhysKind KindFromName(const std::string& name) {
 }  // namespace
 
 std::string ProfileToJson(const QueryProfiler& prof) {
+  const ExecTotals& run = prof.run;
   std::ostringstream os;
-  os << "{\"threads\": " << prof.threads_used
-     << ", \"morsel_size\": " << prof.morsel_size << ", \"mode\": ";
-  JsonEscape(prof.parallel_mode.empty() ? "serial" : prof.parallel_mode, os);
-  os << ", \"wall_ns\": ";
-  JsonDouble(prof.wall_ns, os);
-  os << ", \"plan_cached\": " << prof.plan_cached
+  os << "{\"threads\": " << run.threads
+     << ", \"morsel_size\": " << run.morsel_size
+     << ", \"mode\": " << JsonQuote(run.mode.empty() ? "serial" : run.mode)
+     << ", \"wall_ns\": " << JsonDouble(run.wall_ns)
+     << ", \"plan_cached\": " << prof.plan_cached
      << ", \"cache_hits\": " << prof.cache_hits
      << ", \"cache_misses\": " << prof.cache_misses
      << ", \"cache_evictions\": " << prof.cache_evictions;
@@ -255,41 +103,36 @@ std::string ProfileToJson(const QueryProfiler& prof) {
   for (const OperatorStats* s : prof.Operators()) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"id\": " << s->op_id << ", \"kind\": ";
-    JsonEscape(PhysKindName(s->kind), os);
-    os << ", \"label\": ";
-    JsonEscape(s->label, os);
-    os << ", \"opens\": " << s->opens << ", \"next_calls\": " << s->next_calls
-       << ", \"rows_out\": " << s->rows_out << ", \"open_ns\": ";
-    JsonDouble(s->open_ns, os);
-    os << ", \"next_ns\": ";
-    JsonDouble(s->next_ns, os);
-    os << ", \"build_rows\": " << s->build_rows << ", \"groups\": " << s->groups
+    os << "{\"id\": " << s->op_id
+       << ", \"kind\": " << JsonQuote(PhysKindName(s->kind))
+       << ", \"label\": " << JsonQuote(s->label)
+       << ", \"opens\": " << s->opens << ", \"next_calls\": " << s->next_calls
+       << ", \"rows_out\": " << s->rows_out
+       << ", \"open_ns\": " << JsonDouble(s->open_ns)
+       << ", \"next_ns\": " << JsonDouble(s->next_ns)
+       << ", \"build_rows\": " << s->build_rows << ", \"groups\": " << s->groups
        << ", \"short_circuits\": " << s->short_circuits
        << ", \"mem_bytes\": " << s->mem_bytes << "}";
   }
   os << "], \"workers\": [";
   first = true;
-  for (const WorkerStats& w : prof.workers) {
+  for (const WorkerStats& w : run.workers) {
     if (!first) os << ", ";
     first = false;
     os << "{\"worker\": " << w.worker << ", \"morsels\": " << w.morsels
-       << ", \"rows\": " << w.rows << ", \"busy_ns\": ";
-    JsonDouble(w.busy_ns, os);
-    os << "}";
+       << ", \"rows\": " << w.rows
+       << ", \"busy_ns\": " << JsonDouble(w.busy_ns) << "}";
   }
   os << "], \"morsels\": [";
   first = true;
-  for (const MorselStats& m : prof.morsels) {
+  for (const MorselStats& m : run.morsels) {
     if (!first) os << ", ";
     first = false;
     os << "{\"index\": " << m.index << ", \"lo\": " << m.lo
        << ", \"hi\": " << m.hi << ", \"rows\": " << m.rows
-       << ", \"worker\": " << m.worker << ", \"start_ns\": ";
-    JsonDouble(m.start_ns, os);
-    os << ", \"dur_ns\": ";
-    JsonDouble(m.dur_ns, os);
-    os << "}";
+       << ", \"worker\": " << m.worker
+       << ", \"start_ns\": " << JsonDouble(m.start_ns)
+       << ", \"dur_ns\": " << JsonDouble(m.dur_ns) << "}";
   }
   os << "]}";
   return os.str();
@@ -302,13 +145,13 @@ QueryProfiler ProfileFromJson(const std::string& json) {
   std::string key;
   while (r.NextKey(&key)) {
     if (key == "threads") {
-      prof.threads_used = static_cast<int>(r.ParseNumber());
+      prof.run.threads = static_cast<int>(r.ParseNumber());
     } else if (key == "morsel_size") {
-      prof.morsel_size = r.ParseUint();
+      prof.run.morsel_size = r.ParseUint();
     } else if (key == "mode") {
-      prof.parallel_mode = r.ParseString();
+      prof.run.mode = r.ParseString();
     } else if (key == "wall_ns") {
-      prof.wall_ns = r.ParseNumber();
+      prof.run.wall_ns = r.ParseNumber();
     } else if (key == "plan_cached") {
       prof.plan_cached = r.ParseUint();
     } else if (key == "cache_hits") {
@@ -357,7 +200,7 @@ QueryProfiler ProfileFromJson(const std::string& json) {
           else if (f == "busy_ns") w.busy_ns = r.ParseNumber();
           else r.SkipValue();
         }
-        prof.workers.push_back(w);
+        prof.run.workers.push_back(w);
       }
     } else if (key == "morsels") {
       r.ExpectArrayStart();
@@ -375,7 +218,7 @@ QueryProfiler ProfileFromJson(const std::string& json) {
           else if (f == "dur_ns") m.dur_ns = r.ParseNumber();
           else r.SkipValue();
         }
-        prof.morsels.push_back(m);
+        prof.run.morsels.push_back(m);
       }
     } else {
       r.SkipValue();
@@ -391,48 +234,36 @@ std::string CompileTraceToJson(const CompileTrace& trace) {
   for (const StageTiming& st : trace.stages) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"stage\": ";
-    JsonEscape(st.stage, os);
-    os << ", \"ms\": ";
-    JsonDouble(st.ms, os);
-    os << "}";
+    os << "{\"stage\": " << JsonQuote(st.stage)
+       << ", \"ms\": " << JsonDouble(st.ms) << "}";
   }
   os << "], \"normalize_rules\": [";
   first = true;
   for (const RuleFiring& rf : trace.normalize_rules) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"rule\": ";
-    JsonEscape(rf.rule, os);
-    os << ", \"count\": " << rf.count << "}";
+    os << "{\"rule\": " << JsonQuote(rf.rule) << ", \"count\": " << rf.count
+       << "}";
   }
   os << "], \"unnest_steps\": [";
   first = true;
   for (const UnnestStep& step : trace.unnest_steps) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"rule\": ";
-    JsonEscape(step.rule, os);
-    os << ", \"description\": ";
-    JsonEscape(step.description, os);
-    os << "}";
+    os << "{\"rule\": " << JsonQuote(step.rule)
+       << ", \"description\": " << JsonQuote(step.description) << "}";
   }
   os << "], \"verify_stages\": [";
   first = true;
   for (const VerifyStageSummary& v : trace.verify_stages) {
     if (!first) os << ", ";
     first = false;
-    os << "{\"stage\": ";
-    JsonEscape(v.stage, os);
-    os << ", \"checks\": " << v.checks << ", \"findings\": " << v.findings
-       << ", \"ms\": ";
-    JsonDouble(v.ms, os);
-    os << "}";
+    os << "{\"stage\": " << JsonQuote(v.stage) << ", \"checks\": " << v.checks
+       << ", \"findings\": " << v.findings
+       << ", \"ms\": " << JsonDouble(v.ms) << "}";
   }
   os << "], \"simplify_rewrites\": " << trace.simplify_rewrites
-     << ", \"total_ms\": ";
-  JsonDouble(trace.total_ms, os);
-  os << "}";
+     << ", \"total_ms\": " << JsonDouble(trace.total_ms) << "}";
   return os.str();
 }
 

@@ -14,14 +14,19 @@
 // Under morsel-driven parallelism every worker owns a private QueryProfiler
 // (no shared counters, no atomics on the hot path); the workers' profilers,
 // the shared-table prebuild pass, and the serial tail above a spine
-// HashNest all merge into the caller's profiler when the pipeline ends.
+// HashNest all merge into the caller's profiler when the pipeline ends. A
+// prebuilt table's build time lands in its operator's open_ns, as the
+// serial Open() would record it. Run-level data (mode, threads, wall time,
+// workers, morsels) is not per operator: the profiler holds a copy of the
+// run record, ExecTotals (src/runtime/physical.h).
 // Row counts therefore sum to exactly the serial totals (the parallel
 // executor produces identical results, see docs/EXECUTOR.md); only
 // next_calls and wall times differ, since each worker pays its own
 // end-of-stream call and times accumulate across threads.
 //
-// ProfileToJson/ProfileFromJson round-trip the whole profile so benchmarks
-// and CI can store and diff profiles (docs/OBSERVABILITY.md has the schema).
+// ProfileToJson/ProfileFromJson round-trip the whole profile, run record
+// included, so benchmarks and CI can store and diff profiles
+// (docs/OBSERVABILITY.md has the schema).
 
 #ifndef LAMBDADB_RUNTIME_PROFILE_H_
 #define LAMBDADB_RUNTIME_PROFILE_H_
@@ -64,27 +69,6 @@ struct OperatorStats {
   void MergeFrom(const OperatorStats& o);
 };
 
-/// Per-worker utilization totals under morsel parallelism.
-struct WorkerStats {
-  int worker = -1;
-  uint64_t morsels = 0;   ///< morsels this worker executed
-  uint64_t rows = 0;      ///< spine rows this worker produced
-  double busy_ns = 0;     ///< time spent executing morsels
-};
-
-/// Per-morsel accounting: extent range, spine rows produced, and the span
-/// on the execution timeline (relative to the parallel run's start) so the
-/// trace exporter (src/obs/trace_export.h) can draw one lane per worker.
-struct MorselStats {
-  uint64_t index = 0;
-  uint64_t lo = 0;
-  uint64_t hi = 0;
-  uint64_t rows = 0;
-  int worker = -1;      ///< worker that executed this morsel
-  double start_ns = 0;  ///< offset from the run's first morsel grab
-  double dur_ns = 0;    ///< wall time this worker spent on the morsel
-};
-
 /// Profile of one pipeline execution. Operator registration is single-
 /// threaded by construction: workers each own a private profiler and merge
 /// after the fact, so no member is atomic.
@@ -103,19 +87,15 @@ class QueryProfiler {
   /// Stats for an operator, or nullptr if it never registered.
   const OperatorStats* Find(int op_id) const;
 
-  /// Merges another profiler's operators (by id) and parallel metadata.
+  /// Adds another profiler's operator counters (by id).
   void MergeFrom(const QueryProfiler& other);
 
   /// All operators, sorted by pre-order id.
   std::vector<const OperatorStats*> Operators() const;
 
-  // -- execution-level metadata ---------------------------------------------
-  int threads_used = 1;
-  uint64_t morsel_size = 0;       ///< 0 until a parallel run sets it
-  std::string parallel_mode;      ///< "serial" | "spine-reduce" | "spine-nest"
-  double wall_ns = 0;             ///< end-to-end execution wall time
-  std::vector<WorkerStats> workers;
-  std::vector<MorselStats> morsels;
+  /// The run record of the execution this profile was taken from (mode,
+  /// threads, wall time, workers, morsels; src/runtime/physical.h).
+  ExecTotals run;
 
   // -- plan-cache metadata (filled by the query service; docs/SERVICE.md) ----
   uint64_t plan_cached = 0;       ///< 1 when this execution reused a cached plan

@@ -391,12 +391,16 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
   rec.trace_id = tctx.trace_id;
   rec.queue_wait_ms = pre_wait_ms;
 
-  // Client-traced requests get full fidelity: when the caller passed no
-  // profiler, attach a local one so the trace carries per-worker morsel
-  // spans. Untraced requests keep the uninstrumented iterator tree.
+  // Per-operator timing costs a decorator call per row, so only a request
+  // that asks for it pays it: a force-sampled one, whose trace the ring
+  // keeps. Every other request, client-traced or not, runs the
+  // uninstrumented iterator tree; its trace's morsel spans come from the
+  // run record, which the executor fills on every run.
+  const bool force_sample =
+      (tctx.flags & obs::TraceContext::kForceSample) != 0;
   QueryProfiler local_profiler;
-  if (profiler == nullptr && client_traced && obs::TraceRing::Enabled())
-    profiler = &local_profiler;
+  if (profiler == nullptr && force_sample) profiler = &local_profiler;
+  ExecTotals run;
 
   // One resource context per query, shared by every thread that executes it
   // and by the active-query registry (which is why it is a shared_ptr: a
@@ -455,56 +459,15 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
       t.trace_id = tctx.trace_id;
       t.client_parent_span_id = tctx.parent_span_id;
       t.client_context = client_traced;
-      t.force_sample = (tctx.flags & obs::TraceContext::kForceSample) != 0;
+      t.force_sample = force_sample;
       t.session = rec.session;
       t.query_hash = rec.query_hash;
       t.status = rec.status;
-      t.total_ms = pre_wait_ms + total_ms;
-      uint64_t next_id = 1;
-      auto add = [&t, &next_id](uint64_t parent, std::string name,
-                                std::string lane, double start, double dur) {
-        obs::TraceSpan s;
-        s.span_id = next_id++;
-        s.parent_span_id = parent;
-        s.name = std::move(name);
-        s.lane = std::move(lane);
-        s.start_ms = start;
-        s.dur_ms = dur;
-        t.spans.push_back(std::move(s));
-        return t.spans.back().span_id;
-      };
-      uint64_t root = add(0, "request", "worker", 0, t.total_ms);
-      t.root_span_id = root;
-      if (pre_wait_ms > 0) add(root, "wire-queue", "io", 0, pre_wait_ms);
-      double at = pre_wait_ms;
-      add(root, "admission", "worker", at, rec.queue_ms);
-      at += rec.queue_ms;
-      uint64_t compile = add(root, "compile", "worker", at, rec.compile_ms);
-      if (!rec.plan_cached && plan != nullptr &&
-          plan->compiled.trace != nullptr) {
-        double stage_at = at;
-        for (const StageTiming& stage : plan->compiled.trace->stages) {
-          add(compile, "compile:" + stage.stage, "worker", stage_at, stage.ms);
-          stage_at += stage.ms;
-        }
-      }
-      at += rec.compile_ms;
-      uint64_t exec = add(root, "execute", "worker", at, rec.exec_ms);
-      if (profiler != nullptr) {
-        // One span per morsel on its worker's lane, bounded so a huge scan
-        // cannot bloat the ring; the remainder collapses into one marker.
-        constexpr size_t kMaxMorselSpans = 256;
-        size_t n = profiler->morsels.size();
-        for (size_t i = 0; i < n && i < kMaxMorselSpans; ++i) {
-          const MorselStats& m = profiler->morsels[i];
-          add(exec, "morsel " + std::to_string(m.index),
-              "morsel-" + std::to_string(m.worker), at + m.start_ns / 1e6,
-              m.dur_ns / 1e6);
-        }
-        if (n > kMaxMorselSpans)
-          add(exec, "+" + std::to_string(n - kMaxMorselSpans) + " morsels",
-              "worker", at + rec.exec_ms, 0);
-      }
+      const bool compiled = !rec.plan_cached && plan != nullptr;
+      obs::BuildRequestTrace(
+          {pre_wait_ms, rec.queue_ms, rec.compile_ms, rec.exec_ms},
+          pre_wait_ms + total_ms,
+          compiled ? plan->compiled.trace.get() : nullptr, run, profiler, &t);
       trace_ring_.Submit(std::move(t));
     }
 
@@ -517,7 +480,7 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
   };
 
   try {
-    Value result = RunAdmitted(session, stmt, stats, profiler, t0, &rec,
+    Value result = RunAdmitted(session, stmt, stats, profiler, &run, t0, &rec,
                                &plan, resource.get(), active_id);
     if (ins_.enabled) ins_.queries_ok->Inc();
     finalize("ok", "");
@@ -547,7 +510,8 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
 
 Value QueryService::RunAdmitted(Session& session, Statement& stmt,
                                 QueryStats* stats, QueryProfiler* profiler,
-                                Clock::time_point t0, obs::QueryLogRecord* rec,
+                                ExecTotals* run, Clock::time_point t0,
+                                obs::QueryLogRecord* rec,
                                 std::shared_ptr<const PreparedPlan>* plan_out,
                                 obs::QueryResourceContext* resource,
                                 uint64_t active_id) {
@@ -583,17 +547,18 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
   eo.cancel = &token;
   eo.params = &session.bindings();
   eo.resource = resource;
-  ExecTotals totals;
-  if (ins_.enabled) eo.totals = &totals;
+  eo.totals = run;
 
-  // The executor fills *eo.totals even on a cancellation unwind, so the
-  // always-on counters see partial work from aborted queries too.
+  // The executor fills the run record even on a cancellation unwind, so
+  // the always-on counters see partial work from aborted queries too.
   auto flush_totals = [&] {
     if (!ins_.enabled) return;
-    ins_.root_rows->Inc(totals.root_rows);
-    ins_.morsels->Inc(totals.morsels);
-    ins_.worker_busy_ns->Inc(static_cast<uint64_t>(totals.busy_ns));
-    if (totals.workers > 0) ins_.parallel_execs->Inc();
+    double busy_ns = 0;
+    for (const WorkerStats& w : run->workers) busy_ns += w.busy_ns;
+    ins_.root_rows->Inc(run->root_rows);
+    ins_.morsels->Inc(run->morsels.size());
+    ins_.worker_busy_ns->Inc(static_cast<uint64_t>(busy_ns));
+    if (!run->workers.empty()) ins_.parallel_execs->Inc();
   };
 
   Value result;
@@ -604,6 +569,7 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
     // CompileSlotPlan here is most of what a cache hit buys.
     result = ExecuteSlotPlan(plan.slots, db_, eo);
   } catch (...) {
+    rec->exec_ms = MsBetween(t2, Clock::now());  // the trace's execute span
     flush_totals();
     throw;
   }

@@ -129,7 +129,10 @@ class QueryService {
   /// token: admission -> plan resolution -> execute. A bound handle whose
   /// plan carries the current version stamp runs that plan with no parse
   /// and no cache lookup; an unbound or stale one goes through the plan
-  /// cache and is rebound to the result.
+  /// cache and is rebound to the result. The execution is profiled when
+  /// `profiler` is given or the session's trace context carries
+  /// TraceContext::kForceSample (the service then profiles into its own);
+  /// every other query runs the uninstrumented engine.
   Value Execute(Session& session, Statement& stmt,
                 QueryStats* stats = nullptr,
                 QueryProfiler* profiler = nullptr);
@@ -224,7 +227,8 @@ class QueryService {
     obs::Gauge* mem_in_use = nullptr;
     obs::Gauge* active_queries = nullptr;
     /// rows_out per operator class, keyed by static_cast<int>(PhysKind);
-    /// fed from the profiler, so only profiled executions contribute.
+    /// fed from the profiler, so only profiled executions contribute (an
+    /// explicit profiler, or a force-sampled trace).
     std::map<int, obs::Counter*> op_rows;
     /// Highest per-query peak per operator class (tracked executions).
     std::map<int, obs::Gauge*> op_mem_peak;
@@ -256,10 +260,11 @@ class QueryService {
 
   /// The admitted part of Run (everything inside the admission slot).
   /// `*plan_out` receives the plan as soon as it is known so the caller can
-  /// render it for the slow-query log even when execution throws.
+  /// render it for the slow-query log even when execution throws; `*run`
+  /// receives the executor's run record, partial on an unwind.
   Value RunAdmitted(Session& session, Statement& stmt,
                     QueryStats* stats, QueryProfiler* profiler,
-                    std::chrono::steady_clock::time_point t0,
+                    ExecTotals* run, std::chrono::steady_clock::time_point t0,
                     obs::QueryLogRecord* rec,
                     std::shared_ptr<const PreparedPlan>* plan_out,
                     obs::QueryResourceContext* resource, uint64_t active_id);

@@ -33,6 +33,29 @@ class Parser {
                      std::to_string(p_) + " in: " + s_);
   }
 
+  // One level of term or value nesting, held while it is parsed; a parse
+  // deeper than kMaxParseDepth fails before anything deeper is built. The
+  // postfix chain of projections and applications counts as nesting too,
+  // so the height of the returned tree is bounded as well.
+  class Level {
+   public:
+    explicit Level(Parser* p) : p_(p), saved_(p->depth_) { p->Descend(); }
+    ~Level() { p_->depth_ = saved_; }
+    Level(const Level&) = delete;
+    Level& operator=(const Level&) = delete;
+
+   private:
+    Parser* p_;
+    int saved_;
+  };
+
+  void Descend() {
+    if (++depth_ > kMaxParseDepth) {
+      Fail("term nests deeper than " + std::to_string(kMaxParseDepth) +
+           " levels");
+    }
+  }
+
   void Skip() {
     while (p_ < s_.size() &&
            std::isspace(static_cast<unsigned char>(s_[p_]))) {
@@ -153,6 +176,7 @@ class Parser {
   }
 
   Value ParseValue() {
+    Level level(this);
     Skip();
     char c = Peek();
     if (c == '"') return Value::Str(ParseStringBody());
@@ -379,15 +403,18 @@ class Parser {
   }
 
   ExprPtr ParseExpr() {
+    Level level(this);
     ExprPtr e = ParsePrimary();
     // Postfix: projections and applications abut their base (no space).
     while (true) {
       if (Peek() == '.' && IdentStart(At(1))) {
+        Descend();
         ++p_;
         e = Expr::Proj(e, ParseIdent());
         continue;
       }
       if (Peek() == '(') {
+        Descend();
         ++p_;
         ExprPtr arg = ParseExpr();
         Expect(')');
@@ -400,6 +427,7 @@ class Parser {
 
   const std::string& s_;
   size_t p_ = 0;
+  int depth_ = 0;
 };
 
 }  // namespace

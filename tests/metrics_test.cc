@@ -16,7 +16,7 @@
 
 #include "src/lambdadb.h"
 #include "src/obs/query_log.h"
-#include "src/obs/trace_export.h"
+#include "src/obs/trace.h"
 #include "src/workload/company.h"
 #include "src/workload/oo7.h"
 
@@ -413,6 +413,9 @@ TEST_F(MetricsServiceTest, UpdateCatalogInvalidatesCachedPlans) {
 
 // ------------------------------------------------------------ trace exporter
 
+// A locally profiled parallel run, built into spans by the same function
+// the service uses and rendered by the one Chrome renderer: compile stages,
+// one lane per morsel worker, one lane per operator.
 TEST_F(MetricsServiceTest, TraceExportIsWellFormedAndCoversWorkers) {
   OptimizerOptions options;
   options.trace = true;
@@ -423,17 +426,30 @@ TEST_F(MetricsServiceTest, TraceExportIsWellFormedAndCoversWorkers) {
   ExecOptions exec;
   exec.profiler = &prof;
   exec.n_threads = 2;
+  exec.morsel_size = 64;
   Value result = ExecutePipelined(phys, db_, exec);
   EXPECT_EQ(result, RunOQL(db_, query_));
+  ASSERT_EQ(prof.run.mode, "spine-reduce");
 
-  std::string json = obs::TraceEventsJson(prof, q.trace.get());
+  obs::RequestTrace t;
+  obs::BuildRequestTrace({0, 0, q.trace->total_ms, prof.run.wall_ns / 1e6}, 0,
+                         q.trace.get(), prof.run, &prof, &t);
+  std::string json = obs::TraceToChromeJson(t);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
-  // Compile lane, execution lane(s), and per-operator summary lane.
-  EXPECT_NE(json.find("\"pid\": 1"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\": 2"), std::string::npos);
-  EXPECT_NE(json.find("\"pid\": 3"), std::string::npos);
-  EXPECT_NE(json.find("TableScan"), std::string::npos);
+  EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
+  // Compile stages, execution lanes per worker, and per-operator lanes.
+  EXPECT_NE(json.find("\"compile:unnest\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"morsel-0\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"morsel 0\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"op-0\""), std::string::npos) << json;
+  EXPECT_NE(json.find("TableScan"), std::string::npos) << json;
+  size_t morsel_spans = 0, op_spans = 0;
+  for (const obs::TraceSpan& s : t.spans) {
+    morsel_spans += s.lane.rfind("morsel-", 0) == 0;
+    op_spans += s.lane.rfind("op-", 0) == 0;
+  }
+  EXPECT_EQ(morsel_spans, prof.run.morsels.size());
+  EXPECT_EQ(op_spans, prof.Operators().size());
 }
 
 }  // namespace

@@ -125,5 +125,25 @@ TEST(OdlTest, CommentsAndCase) {
   EXPECT_TRUE(schema.IsExtent("Persons"));
 }
 
+// A collection type nests by recursion; past kMaxParseDepth levels the
+// parser must refuse, not overflow the stack.
+TEST(OdlTest, DeeplyNestedTypeIsAParseError) {
+  const int kLevels = 100000;
+  std::string odl = "class A (extent As) { attribute ";
+  for (int i = 0; i < kLevels; ++i) odl += "set<";
+  odl += "long";
+  for (int i = 0; i < kLevels; ++i) odl += ">";
+  odl += " x; };";
+  EXPECT_THROW(oql::ParseODL(odl), ParseError);
+
+  // Inside the bound it still parses.
+  std::string ok = "class A (extent As) { attribute ";
+  for (int i = 1; i < kMaxParseDepth; ++i) ok += "set<";
+  ok += "long";
+  for (int i = 1; i < kMaxParseDepth; ++i) ok += ">";
+  ok += " x; };";
+  EXPECT_NO_THROW(oql::ParseODL(ok));
+}
+
 }  // namespace
 }  // namespace ldb

@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "src/lambdadb.h"
+#include "src/runtime/json.h"
 #include "tests/test_util.h"
 
 namespace ldb {
@@ -93,8 +94,8 @@ TEST_F(ProfileTest, Figure1StylePlanExactRows) {
   EXPECT_EQ(r.prof.Find(gj)->groups, 2u);     // dno keys 0 and 1
   EXPECT_EQ(r.prof.Find(gj)->rows_out, 3u);   // one per department
   EXPECT_EQ(r.prof.Find(0)->rows_out, 3u);  // root Reduce folds 3 group rows
-  EXPECT_EQ(r.prof.parallel_mode, "serial");
-  EXPECT_GT(r.prof.wall_ns, 0);
+  EXPECT_EQ(r.prof.run.mode, "serial");
+  EXPECT_GT(r.prof.run.wall_ns, 0);
 
   // Every operator in the plan registered stats.
   EXPECT_EQ(r.prof.Operators().size(), ops.size());
@@ -190,18 +191,18 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
   for (const char* q : queries) {
     SCOPED_TRACE(q);
     ProfiledRun serial = RunProfiled(db, q);
-    modes.insert(serial.prof.parallel_mode);
+    modes.insert(serial.prof.run.mode);
     // No query here saturates, so every run folds the same root rows.
     ASSERT_EQ(serial.prof.Find(0)->short_circuits, 0u);
     EXPECT_EQ(serial.totals.root_rows, serial.prof.Find(0)->rows_out);
-    EXPECT_EQ(std::string(serial.totals.mode), "serial");
-    EXPECT_EQ(serial.totals.workers, 0);
-    EXPECT_EQ(serial.totals.morsels, 0u);
+    EXPECT_EQ(serial.totals.mode, "serial");
+    EXPECT_TRUE(serial.totals.workers.empty());
+    EXPECT_TRUE(serial.totals.morsels.empty());
     for (const Setting& s : settings) {
       SCOPED_TRACE(std::to_string(s.threads) + " threads, morsel " +
                    std::to_string(s.morsel));
       ProfiledRun par = RunProfiled(db, q, s.threads, s.morsel);
-      modes.insert(par.prof.parallel_mode);
+      modes.insert(par.prof.run.mode);
       EXPECT_EQ(par.value, serial.value);
       auto sops = serial.prof.Operators();
       auto pops = par.prof.Operators();
@@ -214,20 +215,23 @@ TEST_F(ProfileTest, SerialAndParallelRowTotalsAgree) {
         EXPECT_EQ(sops[i]->groups, pops[i]->groups) << sops[i]->label;
         EXPECT_EQ(sops[i]->mem_bytes, pops[i]->mem_bytes) << sops[i]->label;
       }
-      // The always-on totals agree with the profile.
+      // The always-on run record agrees with the profile's copy.
       uint64_t worker_morsels = 0;
-      for (const WorkerStats& w : par.prof.workers) worker_morsels += w.morsels;
+      for (const WorkerStats& w : par.totals.workers) {
+        worker_morsels += w.morsels;
+      }
       EXPECT_EQ(par.totals.root_rows, serial.totals.root_rows);
-      EXPECT_EQ(std::string(par.totals.mode), par.prof.parallel_mode);
-      EXPECT_LE(par.totals.workers, s.threads);
-      EXPECT_EQ(par.totals.morsels, worker_morsels);
-      if (par.prof.parallel_mode != "serial") {
+      EXPECT_EQ(par.totals.mode, par.prof.run.mode);
+      EXPECT_LE(par.totals.workers.size(), static_cast<size_t>(s.threads));
+      EXPECT_EQ(par.totals.morsels.size(), worker_morsels);
+      EXPECT_EQ(par.prof.run.morsels.size(), par.totals.morsels.size());
+      if (par.prof.run.mode != "serial") {
         // Worker/morsel accounting is internally consistent.
-        EXPECT_LE(par.prof.workers.size(), static_cast<size_t>(s.threads));
-        EXPECT_FALSE(par.prof.morsels.empty());
+        EXPECT_LE(par.prof.run.workers.size(), static_cast<size_t>(s.threads));
+        EXPECT_FALSE(par.prof.run.morsels.empty());
         uint64_t wrows = 0, mrows = 0;
-        for (const WorkerStats& w : par.prof.workers) wrows += w.rows;
-        for (const MorselStats& m : par.prof.morsels) mrows += m.rows;
+        for (const WorkerStats& w : par.prof.run.workers) wrows += w.rows;
+        for (const MorselStats& m : par.prof.run.morsels) mrows += m.rows;
         EXPECT_EQ(wrows, mrows);
       }
     }
@@ -250,8 +254,8 @@ TEST_F(ProfileTest, ProfileJsonRoundTrips) {
   QueryProfiler parsed = ProfileFromJson(s1);
   EXPECT_EQ(ProfileToJson(parsed), s1);
 
-  EXPECT_EQ(parsed.threads_used, r.prof.threads_used);
-  EXPECT_EQ(parsed.parallel_mode, r.prof.parallel_mode);
+  EXPECT_EQ(parsed.run.threads, r.prof.run.threads);
+  EXPECT_EQ(parsed.run.mode, r.prof.run.mode);
   auto want = r.prof.Operators();
   auto got = parsed.Operators();
   ASSERT_EQ(got.size(), want.size());
@@ -264,11 +268,27 @@ TEST_F(ProfileTest, ProfileJsonRoundTrips) {
     EXPECT_EQ(got[i]->open_ns, want[i]->open_ns);  // %.17g is bit-exact
     EXPECT_EQ(got[i]->next_ns, want[i]->next_ns);
   }
-  EXPECT_EQ(parsed.workers.size(), r.prof.workers.size());
-  EXPECT_EQ(parsed.morsels.size(), r.prof.morsels.size());
+  EXPECT_EQ(parsed.run.workers.size(), r.prof.run.workers.size());
+  EXPECT_EQ(parsed.run.morsels.size(), r.prof.run.morsels.size());
 
   EXPECT_THROW(ProfileFromJson("{\"threads\": }"), ParseError);
   EXPECT_THROW(ProfileFromJson("not json"), ParseError);
+}
+
+// The one JSON string writer and reader (src/runtime/json.h) agree on every
+// character that needs escaping, inside a profile document as well.
+TEST_F(ProfileTest, JsonStringWithEscapesRoundTrips) {
+  const std::string s = "q\"b\\n\nr\rt\tc\x01.";
+  const std::string quoted = JsonQuote(s);
+  EXPECT_EQ(quoted.find('\n'), std::string::npos) << quoted;
+  EXPECT_EQ(quoted.find('\x01'), std::string::npos) << quoted;
+  EXPECT_EQ(JsonReader(quoted).ParseString(), s);
+
+  QueryProfiler prof;
+  prof.Register(0, PhysKind::kReduce, s);
+  QueryProfiler parsed = ProfileFromJson(ProfileToJson(prof));
+  ASSERT_NE(parsed.Find(0), nullptr);
+  EXPECT_EQ(parsed.Find(0)->label, s);
 }
 
 TEST_F(ProfileTest, DisabledProfilingResultsIdentical) {
@@ -370,11 +390,47 @@ TEST_F(ProfileTest, ExplainAnalyzeRendersTreeAndCounters) {
   Database big = workload::MakeCompanyDatabase(params);
   ProfiledRun par = RunProfiled(
       big, "sum(select e.salary from e in Employees where e.age > 30)", 4, 16);
-  if (par.prof.parallel_mode != "serial") {
+  if (par.prof.run.mode != "serial") {
     std::string pout = ExplainAnalyze(par.phys, par.prof);
     EXPECT_NE(pout.find("workers:"), std::string::npos) << pout;
     EXPECT_NE(pout.find("mode=spine-reduce"), std::string::npos) << pout;
   }
+}
+
+// A parallel run builds its shared hash table once, before any morsel. The
+// run record times that prebuild, every morsel starts after it and ends
+// within the run, and the HashJoin's open_ns holds the build time, as in
+// the serial run, where Open() builds the table. (A build missing from
+// open_ns leaves the parallel value near 1/1600 of the serial one.)
+TEST_F(ProfileTest, PrebuiltJoinTimeLandsInOpenAndBeforeMorsels) {
+  workload::CompanyParams params;
+  params.n_employees = 16000;
+  params.seed = 11;
+  Database db = workload::MakeCompanyDatabase(params);
+  const std::string oql =
+      "count(select e1 from e1 in Employees, e2 in Employees "
+      "where e1.name = e2.name)";
+  ProfiledRun serial = RunProfiled(db, oql);
+  ProfiledRun par = RunProfiled(db, oql, 4, 2048);
+  ASSERT_EQ(par.value, serial.value);
+  ASSERT_EQ(par.totals.mode, "spine-reduce");
+  std::vector<const PhysOp*> ops;
+  Preorder(serial.phys, &ops);
+  const int join = FindOpId(ops, PhysKind::kHashJoin);
+  ASSERT_GE(join, 0) << PrintPhysicalPlan(serial.phys);
+
+  EXPECT_EQ(serial.totals.prebuild_ns, 0);
+  EXPECT_GT(par.totals.prebuild_ns, 0);
+  EXPECT_EQ(par.totals.morsels.size(), 8u);
+  for (const MorselStats& m : par.totals.morsels) {
+    EXPECT_GE(m.start_ns, par.totals.prebuild_ns) << "morsel " << m.index;
+    EXPECT_LE(m.start_ns + m.dur_ns, par.totals.wall_ns)
+        << "morsel " << m.index;
+  }
+  const double serial_open = serial.prof.Find(join)->open_ns;
+  const double par_open = par.prof.Find(join)->open_ns;
+  EXPECT_GT(par_open, serial_open / 10);
+  EXPECT_LT(par_open, serial_open * 10);
 }
 
 TEST_F(ProfileTest, PhysicalCardinalityEstimates) {

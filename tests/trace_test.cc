@@ -168,6 +168,7 @@ TEST(TraceRingTest, AppendSpanAssignsIdsAndExtendsTotal) {
   EXPECT_EQ(out.spans[1].span_id, 2u);
   EXPECT_EQ(out.spans[1].parent_span_id, out.root_span_id);
   EXPECT_DOUBLE_EQ(out.total_ms, 7.5);  // extended to cover the late span
+  EXPECT_DOUBLE_EQ(out.spans[0].dur_ms, 7.5);  // and so is the root span
 }
 
 TEST(TraceRingTest, ZeroCapacityKeepsNothing) {
@@ -217,6 +218,38 @@ TEST(TraceJsonTest, ChromeJsonHasMetadataAndSpans) {
   EXPECT_NE(json.find("\"execute\""), std::string::npos);
   EXPECT_NE(json.find("morsel-0"), std::string::npos);
   EXPECT_NE(json.find(obs::TraceIdHex(0xabc)), std::string::npos);
+}
+
+// Offsets print at nanosecond resolution however late the span. With six
+// significant digits, a compile span at 12.345678 ms lasting 1.234567 ms
+// rendered as ending after the execute span that follows it began.
+TEST(TraceJsonTest, AdjacentSpansStayAdjacentPastTenMilliseconds) {
+  obs::RequestTrace t = MakeTrace(0xabc, "ok", 20);
+  obs::TraceSpan compile;
+  compile.span_id = 2;
+  compile.parent_span_id = 1;
+  compile.name = "compile";
+  compile.lane = "worker";
+  compile.start_ms = 12.345678;
+  compile.dur_ms = 1.234567;
+  obs::TraceSpan execute = compile;
+  execute.span_id = 3;
+  execute.name = "execute";
+  execute.start_ms = compile.start_ms + compile.dur_ms;
+  execute.dur_ms = 5;
+  t.spans.push_back(compile);
+  t.spans.push_back(execute);
+
+  std::string chrome = obs::TraceToChromeJson(t);
+  EXPECT_NE(chrome.find("\"ts\":12345.678,\"dur\":1234.567,"),
+            std::string::npos)
+      << chrome;
+  EXPECT_NE(chrome.find("\"ts\":13580.245,"), std::string::npos) << chrome;
+  std::string ring = obs::TraceRingJson({t}, 1, 1, 1, 0);
+  EXPECT_NE(ring.find("\"start_ms\":12.345678,\"dur_ms\":1.234567}"),
+            std::string::npos)
+      << ring;
+  EXPECT_NE(ring.find("\"start_ms\":13.580245,"), std::string::npos) << ring;
 }
 
 // ---------------------------------------------------------------------------
@@ -561,6 +594,136 @@ TEST(TraceEndToEndTest, QueryLogRecordsWaitAndSerialize) {
   EXPECT_GE(tail[0].queue_wait_ms, 0.0);
   // The result set is non-empty, so serializing it took measurable time.
   EXPECT_GT(tail[0].serialize_ms, 0.0);
+}
+
+#endif  // LDB_METRICS_ENABLED
+
+// ---------------------------------------------------------------------------
+// What a served trace contains (in-process requests)
+// ---------------------------------------------------------------------------
+
+#if LDB_METRICS_ENABLED
+
+bool HasPrefix(const std::string& s, const std::string& prefix) {
+  return s.compare(0, prefix.size(), prefix) == 0;
+}
+
+const obs::TraceSpan* SpanNamed(const obs::RequestTrace& t,
+                                const std::string& name) {
+  for (const obs::TraceSpan& s : t.spans) {
+    if (s.name == name) return &s;
+  }
+  return nullptr;
+}
+
+double OperatorRowsTotal(const QueryService& svc) {
+  double total = 0;
+  for (const obs::MetricSample& s : svc.metrics().Snapshot().samples) {
+    if (s.name == "ldb_operator_rows_total") total += s.value;
+  }
+  return total;
+}
+
+// An untraced parallel request gets its morsel spans from the run record,
+// without a profiler. Each sits inside execute, after the prebuild of the
+// shared hash table: a 4000-row driver at morsel 256 makes 16 morsels.
+TEST(ServedTraceTest, UntracedParallelRequestHasMorselSpans) {
+  ServiceOptions sopts;
+  sopts.trace_head_every = 1;
+  Database db = MakeDb(4000);
+  QueryService svc(db, sopts);
+  SessionOptions so;
+  so.n_threads = 4;
+  so.morsel_size = 256;
+  auto session = svc.OpenSession(so);
+  QueryStats stats;
+  svc.Execute(*session,
+              "count(select e1 from e1 in Employees, e2 in Employees "
+              "where e1.name = e2.name)",
+              &stats);
+
+  obs::RequestTrace t;
+  ASSERT_TRUE(svc.trace_ring().Find(stats.trace_id, &t));
+  EXPECT_FALSE(t.client_context);
+  const obs::TraceSpan* exec = SpanNamed(t, "execute");
+  const obs::TraceSpan* prebuild = SpanNamed(t, "prebuild");
+  ASSERT_NE(exec, nullptr);
+  ASSERT_NE(prebuild, nullptr);
+  EXPECT_EQ(prebuild->parent_span_id, exec->span_id);
+  size_t morsels = 0;
+  for (const obs::TraceSpan& s : t.spans) {
+    EXPECT_FALSE(HasPrefix(s.lane, "op-")) << s.name;  // nothing profiled
+    if (!HasPrefix(s.lane, "morsel-")) continue;
+    ++morsels;
+    EXPECT_EQ(s.parent_span_id, exec->span_id);
+    EXPECT_GE(s.start_ms, prebuild->start_ms + prebuild->dur_ms) << s.name;
+    EXPECT_LE(s.start_ms + s.dur_ms, exec->start_ms + exec->dur_ms) << s.name;
+  }
+  EXPECT_EQ(morsels, 16u);
+}
+
+// A client-traced request without the force-sample flag runs the
+// uninstrumented engine: the slow-query log gets no profile and the
+// per-operator row counters do not move.
+TEST(ServedTraceTest, ClientTracedRequestIsNotProfiled) {
+  ServiceOptions sopts;
+  sopts.slow_query_ms = 1e-9;  // every query is slow
+  Database db = MakeDb(200);
+  QueryService svc(db, sopts);
+  auto session = svc.OpenSession();
+  obs::TraceContext ctx;
+  ctx.trace_id = obs::MintTraceId();
+  session->set_trace(ctx);
+  QueryStats stats;
+  svc.Execute(*session, "count(select e from e in Employees)", &stats);
+  EXPECT_EQ(stats.trace_id, ctx.trace_id);
+
+  std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_TRUE(tail[0].slow);
+  EXPECT_TRUE(tail[0].profile_json.empty()) << tail[0].profile_json;
+  EXPECT_EQ(OperatorRowsTotal(svc), 0);
+  obs::RequestTrace t;
+  ASSERT_TRUE(svc.trace_ring().Find(ctx.trace_id, &t));
+  EXPECT_TRUE(t.client_context);
+}
+
+// The force-sample flag is how a traced request buys per-operator timing:
+// its trace carries one span per operator, each on its own lane, and the
+// profile feeds the slow-query log and the operator-row counters.
+TEST(ServedTraceTest, ForceSampledRequestCarriesOperatorSpans) {
+  ServiceOptions sopts;
+  sopts.slow_query_ms = 1e-9;
+  Database db = MakeDb(200);
+  QueryService svc(db, sopts);
+  auto session = svc.OpenSession();
+  const std::string oql =
+      "select distinct struct(D: d.name, n: count(select e from e in "
+      "Employees where e.dno = d.dno)) from d in Departments";
+  QueryProfiler prof;  // an explicitly profiled run counts the operators
+  svc.Execute(*session, oql, nullptr, &prof);
+  ASSERT_FALSE(prof.Operators().empty());
+  const double rows_before = OperatorRowsTotal(svc);
+
+  obs::TraceContext ctx;
+  ctx.trace_id = obs::MintTraceId();
+  ctx.flags = obs::TraceContext::kForceSample;
+  session->set_trace(ctx);
+  svc.Execute(*session, oql);
+  obs::RequestTrace t;
+  ASSERT_TRUE(svc.trace_ring().Find(ctx.trace_id, &t));
+  EXPECT_EQ(t.sample_reason, "forced");
+  const obs::TraceSpan* exec = SpanNamed(t, "execute");
+  ASSERT_NE(exec, nullptr);
+  std::set<std::string> lanes;
+  for (const obs::TraceSpan& s : t.spans) {
+    if (!HasPrefix(s.lane, "op-")) continue;
+    EXPECT_EQ(s.parent_span_id, exec->span_id);
+    EXPECT_TRUE(lanes.insert(s.lane).second) << "two spans on " << s.lane;
+  }
+  EXPECT_EQ(lanes.size(), prof.Operators().size());
+  EXPECT_FALSE(svc.query_log().Tail(1)[0].profile_json.empty());
+  EXPECT_GT(OperatorRowsTotal(svc), rows_before);
 }
 
 #endif  // LDB_METRICS_ENABLED

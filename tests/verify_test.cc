@@ -613,5 +613,23 @@ TEST(CalcParserTest, RejectsWhatThePrinterCannotEmit) {
   EXPECT_THROW(ParseCalculus("<a=>"), ParseError);         // missing field
 }
 
+// Terms and values nest by recursion, and a projection chain builds a
+// tall tree; past kMaxParseDepth levels each is a ParseError, not a stack
+// overflow.
+TEST(CalcParserTest, RejectsTermsNestedPastTheBound) {
+  const size_t kDeep = 100000;
+  EXPECT_THROW(ParseCalculus(std::string(kDeep, '(') + "1"), ParseError);
+  EXPECT_THROW(ParseCalculus(std::string(kDeep, '[')), ParseError);
+  std::string chain = "x";
+  for (size_t i = 0; i < kDeep; ++i) chain += ".a";
+  EXPECT_THROW(ParseCalculus(chain), ParseError);
+
+  // Inside the bound the same shapes parse.
+  std::string negs;
+  for (int i = 2; i < kMaxParseDepth; ++i) negs += "-(";
+  negs += "1" + std::string(kMaxParseDepth - 2, ')');
+  EXPECT_NO_THROW(ParseCalculus(negs));
+}
+
 }  // namespace
 }  // namespace ldb

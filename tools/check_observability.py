@@ -12,10 +12,12 @@ Checks three things:
   * the Prometheus text exposition is well-formed (TYPE lines, cumulative
     histogram buckets, _count == +Inf bucket, well-formed OpenMetrics
     exemplar suffixes on bucket lines);
-  * the Chrome trace-event JSON is loadable, events are well-formed with
-    non-negative monotone-sortable timestamps, and spans within one
-    (pid, tid) lane nest properly (a worker lane never has two morsels
-    overlapping halfway).
+  * the Chrome trace-event JSON (bench_trace.json: TraceToChromeJson's
+    rendering of one profiled parallel request, built by the same span
+    builder as every served trace) is loadable, its events are well-formed,
+    its spans form one tree (the span-tree rule below, read from each
+    event's args), and spans within one (pid, tid) lane nest properly (a
+    worker lane never has two morsels overlapping halfway).
 
 With the optional fourth argument — a Prometheus dump from an ldb_server
 run (--metrics-dump) — it additionally validates the network-front-end
@@ -27,7 +29,7 @@ With the optional fifth/sixth arguments it validates the request-tracing
 artifacts (docs/OBSERVABILITY.md, "Request tracing"):
   * ring.json — an ldb_server --trace-dump / SIGUSR1 trace-ring snapshot:
     counters consistent, every kept trace carries a valid sample_reason,
-    16-hex trace id, and a properly parented span tree;
+    16-hex trace id, and a span tree that obeys the span-tree rule;
   * serving.json — an ldb_loadgen --json report whose server_phases section
     must be present with non-negative phase means and a non-zero
     slowest_trace_id (the serving run issues traced requests).
@@ -41,6 +43,10 @@ trace-ring dump proves tracing compiled out too (capacity 0, nothing
 submitted or kept). This guards the include seam tools/lint_layering.py
 enforces: runtime sees obs only through obs/resource.h, so turning metrics
 off must never take the server with it.
+
+The span-tree rule, one function for both trace formats: exactly one
+root, unique nonzero span ids, every parent resolves within the trace, and
+no span starts before the origin or has a negative duration.
 
 Exits non-zero with a message on the first violation.
 """
@@ -134,6 +140,27 @@ def check_prometheus(path):
     return exemplars
 
 
+def check_span_tree(where, spans):
+    """The span-tree rule over (span_id, parent_span_id, name, start, dur)
+    tuples of one trace."""
+    ids = set()
+    roots = 0
+    for span_id, parent, name, start, dur in spans:
+        if not isinstance(span_id, int) or span_id == 0 or span_id in ids:
+            fail(f"{where}: duplicate/zero span_id {span_id!r}")
+        ids.add(span_id)
+        if not isinstance(start, (int, float)) or start < 0:
+            fail(f"{where}: span {name!r} has bad start {start!r}")
+        if not isinstance(dur, (int, float)) or dur < 0:
+            fail(f"{where}: span {name!r} has bad duration {dur!r}")
+        roots += parent == 0
+    if roots != 1:
+        fail(f"{where}: {roots} roots (want exactly 1)")
+    for span_id, parent, name, _, _ in spans:
+        if parent != 0 and parent not in ids:
+            fail(f"{where}: span {name!r} parent {parent} does not resolve")
+
+
 def check_trace(path):
     with open(path) as f:
         doc = json.load(f)
@@ -142,6 +169,7 @@ def check_trace(path):
         fail(f"{path}: no traceEvents")
 
     lanes = defaultdict(list)
+    tree = []
     for i, ev in enumerate(events):
         ph = ev.get("ph")
         if ph not in ("X", "M"):
@@ -150,19 +178,21 @@ def check_trace(path):
             continue
         if not ev.get("name"):
             fail(f"{path}: complete event {i} has no name")
+        args = ev.get("args", {})
         ts, dur = ev.get("ts"), ev.get("dur")
-        if not isinstance(ts, (int, float)) or ts < 0:
-            fail(f"{path}: event {i} has bad ts {ts!r}")
-        if not isinstance(dur, (int, float)) or dur < 0:
-            fail(f"{path}: event {i} has bad dur {dur!r}")
+        tree.append((args.get("span_id"), args.get("parent_span_id"),
+                     ev["name"], ts, dur))
         lanes[(ev.get("pid"), ev.get("tid"))].append((ts, dur, ev["name"]))
 
     if not lanes:
         fail(f"{path}: only metadata events, no spans")
+    check_span_tree(path, tree)
 
     spans = 0
     for (pid, tid), lane in lanes.items():
-        lane.sort()
+        # Start order; of two spans that start together the longer one
+        # encloses the other, so it comes first.
+        lane.sort(key=lambda span: (span[0], -span[1]))
         open_stack = []  # end timestamps of enclosing spans
         prev_ts = -1.0
         for ts, dur, name in lane:
@@ -374,27 +404,14 @@ def check_trace_ring(path, expect_empty=False):
         spans = t.get("spans", [])
         if not spans:
             fail(f"{path}: trace {tid} has no spans")
-        ids = set()
-        roots = 0
         for s in spans:
             for key in ("span_id", "parent_span_id", "name", "lane",
                         "start_ms", "dur_ms"):
                 if key not in s:
                     fail(f"{path}: trace {tid} span missing {key!r}: {s}")
-            if s["span_id"] in ids or s["span_id"] == 0:
-                fail(f"{path}: trace {tid} duplicate/zero span_id "
-                     f"{s['span_id']}")
-            ids.add(s["span_id"])
-            if s["start_ms"] < 0 or s["dur_ms"] < 0:
-                fail(f"{path}: trace {tid} span {s['name']!r} has negative "
-                     "timing")
-            roots += s["parent_span_id"] == 0
-        if roots != 1:
-            fail(f"{path}: trace {tid} has {roots} roots (want exactly 1)")
-        for s in spans:
-            if s["parent_span_id"] != 0 and s["parent_span_id"] not in ids:
-                fail(f"{path}: trace {tid} span {s['name']!r} parent "
-                     f"{s['parent_span_id']} does not resolve")
+        check_span_tree(f"{path}: trace {tid}",
+                        [(s["span_id"], s["parent_span_id"], s["name"],
+                          s["start_ms"], s["dur_ms"]) for s in spans])
         n_spans += len(spans)
     print(f"trace ring OK: {len(traces)} kept trace(s), {n_spans} spans, "
           f"{doc['submitted']} submitted / {doc['dropped']} dropped")
