@@ -77,19 +77,34 @@ Value MonoidUnit(MonoidKind k, const Value& v) {
 namespace {
 
 Value NumericMerge(MonoidKind k, const Value& a, const Value& b) {
-  bool both_int =
-      a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt;
+  if (a.kind() == Value::Kind::kInt && b.kind() == Value::Kind::kInt) {
+    // Exact int64: no detour through double, and no silent wrap.
+    const int64_t x = a.AsInt(), y = b.AsInt();
+    int64_t out = 0;
+    switch (k) {
+      case MonoidKind::kSum:
+        if (__builtin_add_overflow(x, y, &out)) {
+          throw EvalError("integer overflow in sum");
+        }
+        return Value::Int(out);
+      case MonoidKind::kProd:
+        if (__builtin_mul_overflow(x, y, &out)) {
+          throw EvalError("integer overflow in prod");
+        }
+        return Value::Int(out);
+      case MonoidKind::kMax: return Value::Int(std::max(x, y));
+      case MonoidKind::kMin: return Value::Int(std::min(x, y));
+      default: throw InternalError("not numeric monoid");
+    }
+  }
   double x = a.AsNumeric(), y = b.AsNumeric();
-  double r;
   switch (k) {
-    case MonoidKind::kSum:  r = x + y; break;
-    case MonoidKind::kProd: r = x * y; break;
-    case MonoidKind::kMax:  r = std::max(x, y); break;
-    case MonoidKind::kMin:  r = std::min(x, y); break;
+    case MonoidKind::kSum:  return Value::Real(x + y);
+    case MonoidKind::kProd: return Value::Real(x * y);
+    case MonoidKind::kMax:  return Value::Real(std::max(x, y));
+    case MonoidKind::kMin:  return Value::Real(std::min(x, y));
     default: throw InternalError("not numeric monoid");
   }
-  if (both_int) return Value::Int(static_cast<int64_t>(r));
-  return Value::Real(r);
 }
 
 }  // namespace
@@ -201,12 +216,14 @@ void ExactSum::Add(double v) {
   if (++pending_ >= (1 << 29)) Normalize();
 }
 
-void ExactSum::AddInt(int64_t v) {
-  // Split into halves that are each exactly representable as doubles.
-  const int64_t hi = v >> 32;
-  const int64_t lo = v & 0xFFFFFFFF;
-  Add(std::ldexp(static_cast<double>(hi), 32));
-  Add(static_cast<double>(lo));
+void ExactSum::AddInt(__int128 v) {
+  // Split into 32-bit pieces, each exactly representable as a double: three
+  // unsigned low pieces and a signed top one.
+  for (int k = 0; k < 3; ++k) {
+    const auto piece = static_cast<uint32_t>(v >> (32 * k));
+    Add(std::ldexp(static_cast<double>(piece), 32 * k));
+  }
+  Add(std::ldexp(static_cast<double>(static_cast<int64_t>(v >> 96)), 96));
 }
 
 void ExactSum::Normalize() {
@@ -383,7 +400,12 @@ Value Accumulator::Finish() {
       return Value::Real(sum_.Round() / static_cast<double>(avg_count_));
     case MonoidKind::kSum:
       // Result is an int iff every input was an int (the zero is Int(0)).
-      if (!sum_has_real_) return Value::Int(int_sum_);
+      if (!sum_has_real_) {
+        if (int_sum_ < INT64_MIN || int_sum_ > INT64_MAX) {
+          throw EvalError("integer overflow in sum");
+        }
+        return Value::Int(static_cast<int64_t>(int_sum_));
+      }
       {
         ExactSum total = sum_;
         total.AddInt(int_sum_);

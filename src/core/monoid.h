@@ -66,7 +66,8 @@ Value MonoidUnit(MonoidKind k, const Value& v);
 
 /// merge(a, b). NULL is an identity for every monoid (merge(NULL, x) = x),
 /// which is what lets nest convert outer-join padding into zeros uniformly.
-/// Not defined for kAvg (averages do not merge; use Accumulator).
+/// Not defined for kAvg (averages do not merge; use Accumulator). Two ints
+/// merge exactly in int64; a sum or product outside it is an EvalError.
 Value MonoidMerge(MonoidKind k, const Value& a, const Value& b);
 
 /// The element type a comprehension over this monoid expects its *head* to
@@ -90,8 +91,8 @@ class ExactSum {
  public:
   /// Adds a double exactly. Non-finite inputs degrade to IEEE semantics.
   void Add(double v);
-  /// Adds an int64 exactly (no 2^53 mantissa truncation).
-  void AddInt(int64_t v);
+  /// Adds an integer exactly (no 2^53 mantissa truncation).
+  void AddInt(__int128 v);
   /// Folds another partial sum in; exact, so order does not matter.
   void Absorb(const ExactSum& other);
   /// The correctly-rounded double value of the exact sum.
@@ -155,7 +156,9 @@ class Accumulator {
   bool has_value_ = false;
   Value current_;       // kProd/kMax/kMin/kSome/kAll
   ExactSum sum_;        // kSum (real part) and kAvg
-  int64_t int_sum_ = 0;  // kSum over ints stays exact 64-bit integer
+  // kSum over ints: exact, range-checked against int64 only in Finish, so
+  // the order partials are absorbed in cannot change the outcome.
+  __int128 int_sum_ = 0;
   bool sum_has_real_ = false;
   int64_t avg_count_ = 0;  // kAvg
 };

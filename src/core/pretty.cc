@@ -182,7 +182,7 @@ void PrintOp(const AlgPtr& op, int indent, std::ostringstream& os) {
   }
 }
 
-void Shape(const AlgPtr& op, std::ostringstream& os) {
+void WriteShape(const AlgPtr& op, std::ostringstream& os) {
   if (!op) return;
   switch (op->kind) {
     case AlgKind::kUnit:
@@ -193,31 +193,31 @@ void Shape(const AlgPtr& op, std::ostringstream& os) {
       return;
     case AlgKind::kSelect:
       os << "Select(";
-      Shape(op->left, os);
+      WriteShape(op->left, os);
       os << ')';
       return;
     case AlgKind::kJoin:
     case AlgKind::kOuterJoin:
       os << (op->kind == AlgKind::kJoin ? "Join(" : "OuterJoin(");
-      Shape(op->left, os);
+      WriteShape(op->left, os);
       os << ',';
-      Shape(op->right, os);
+      WriteShape(op->right, os);
       os << ')';
       return;
     case AlgKind::kUnnest:
     case AlgKind::kOuterUnnest:
       os << (op->kind == AlgKind::kUnnest ? "Unnest(" : "OuterUnnest(");
-      Shape(op->left, os);
+      WriteShape(op->left, os);
       os << ')';
       return;
     case AlgKind::kNest:
       os << "Nest(";
-      Shape(op->left, os);
+      WriteShape(op->left, os);
       os << ')';
       return;
     case AlgKind::kReduce:
       os << "Reduce(";
-      Shape(op->left, os);
+      WriteShape(op->left, os);
       os << ')';
       return;
   }
@@ -239,7 +239,7 @@ std::string PrintPlan(const AlgPtr& op) {
 
 std::string PlanShape(const AlgPtr& op) {
   std::ostringstream os;
-  Shape(op, os);
+  WriteShape(op, os);
   return os.str();
 }
 

@@ -20,10 +20,13 @@ TypePtr LiteralType(const Value& v) {
     case Value::Kind::kStr:
       return Type::Str();
     case Value::Kind::kRef:
-      return Type::Class(v.AsRef().class_name);
+      return Type::Class(v.AsRef().class_name());
     case Value::Kind::kTuple: {
       std::vector<std::pair<std::string, TypePtr>> fields;
-      for (const auto& [n, f] : v.AsTuple()) fields.emplace_back(n, LiteralType(f));
+      const Record& t = v.AsTuple();
+      for (size_t i = 0; i < t.size(); ++i) {
+        fields.emplace_back(t.name(i), LiteralType(t.value(i)));
+      }
       return Type::Tuple(std::move(fields));
     }
     case Value::Kind::kSet:

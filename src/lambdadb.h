@@ -73,10 +73,10 @@ inline Value SortOrderedResult(const Value& wrapped,
                                const std::vector<bool>& descending) {
   Elems rows = wrapped.AsElems();
   std::stable_sort(rows.begin(), rows.end(), [&](const Value& a, const Value& b) {
-    const Fields& ka = a.Field("key$").AsTuple();
-    const Fields& kb = b.Field("key$").AsTuple();
+    const Record& ka = a.Field("key$").AsTuple();
+    const Record& kb = b.Field("key$").AsTuple();
     for (size_t i = 0; i < ka.size(); ++i) {
-      int c = Value::Compare(ka[i].second, kb[i].second);
+      int c = Value::Compare(ka.value(i), kb.value(i));
       if (i < descending.size() && descending[i]) c = -c;
       if (c != 0) return c < 0;
     }

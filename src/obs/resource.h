@@ -249,8 +249,9 @@ class MemoryTracker {
   /// Flush threshold without a budget: large enough that a scan-heavy query
   /// touches the shared atomics a handful of times per morsel, small enough
   /// that the in-use gauge tracks reality to within a fraction of a morsel's
-  /// state.
-  static constexpr uint64_t kFlushBytes = 256 * 1024;
+  /// state. About 2 000 buffered values at EstimateValueBytes' 16 bytes
+  /// per Value.
+  static constexpr uint64_t kFlushBytes = 32 * 1024;
 
 #if LDB_METRICS_ENABLED
   void Accumulate(int op_class, int64_t delta) {

@@ -1,6 +1,9 @@
 #include "src/oql/lexer.h"
 
 #include <cctype>
+#include <charconv>
+#include <string>
+#include <system_error>
 
 #include "src/runtime/error.h"
 
@@ -72,10 +75,15 @@ std::vector<Token> Lex(const std::string& input) {
       t.text = text;
       t.lower = text;
       t.offset = start;
-      if (is_real) {
-        t.real_value = std::stod(text);
-      } else {
-        t.int_value = std::stoll(text);
+      // Digits, '.', exponent: the only way to fail is out of range.
+      const char* end = text.data() + text.size();
+      const std::from_chars_result parsed =
+          is_real ? std::from_chars(text.data(), end, t.real_value)
+                  : std::from_chars(text.data(), end, t.int_value);
+      if (parsed.ec != std::errc() || parsed.ptr != end) {
+        throw ParseError(std::string(is_real ? "real" : "integer") +
+                         " literal out of range at offset " +
+                         std::to_string(start) + ": " + text);
       }
       out.push_back(std::move(t));
       continue;

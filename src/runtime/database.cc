@@ -6,47 +6,63 @@
 
 namespace ldb {
 
+uint32_t Database::StoreFor(const std::string& class_name) {
+  std::optional<uint32_t> id = ClassNames::Intern(class_name);
+  if (!id) throw TypeError("class name '" + class_name + "' does not intern");
+  if (*id >= stores_.size()) stores_.resize(*id + 1);
+  return *id;
+}
+
+// Points `object` at the class's shape when it names the same fields, so an
+// extent keeps its field names once; the first object sets the shape.
+Value Database::Adopt(ClassStore& store, Value object) {
+  if (!store.shape) {
+    store.shape = object.AsTuple().shape();
+    return object;
+  }
+  return Value::ShareShape(std::move(object), store.shape);
+}
+
 Value Database::Insert(const std::string& class_name, Value object) {
   const ClassDecl* decl = schema_.FindClass(class_name);
   if (decl == nullptr) throw TypeError("unknown class '" + class_name + "'");
   if (object.kind() != Value::Kind::kTuple) {
     throw EvalError("object must be a tuple: " + object.ToString());
   }
-  auto& vec = objects_[class_name];
-  int64_t oid = static_cast<int64_t>(vec.size());
-  vec.push_back(std::move(object));
-  Value ref = Value::MakeRef(class_name, oid);
+  const uint32_t id = StoreFor(class_name);
+  ClassStore& store = stores_[id];
+  const int64_t oid = static_cast<int64_t>(store.objects.size());
+  store.objects.push_back(Adopt(store, std::move(object)));
+  Value ref = Value::MakeRef(Ref{id, oid});
   if (!decl->extent.empty()) extents_[decl->extent].push_back(ref);
   return ref;
 }
 
 void Database::Update(const Value& ref, Value object) {
-  const Ref& r = ref.AsRef();
-  auto it = objects_.find(r.class_name);
-  if (it == objects_.end() || r.oid < 0 ||
-      r.oid >= static_cast<int64_t>(it->second.size())) {
+  const Ref r = ref.AsRef();
+  if (r.class_id >= stores_.size() || r.oid < 0 ||
+      r.oid >= static_cast<int64_t>(stores_[r.class_id].objects.size())) {
     throw EvalError("dangling reference " + ref.ToString());
   }
-  it->second[static_cast<size_t>(r.oid)] = std::move(object);
+  ClassStore& store = stores_[r.class_id];
+  if (object.kind() == Value::Kind::kTuple) object = Adopt(store, std::move(object));
+  store.objects[static_cast<size_t>(r.oid)] = std::move(object);
 }
 
-const std::vector<Value>& Database::ObjectsOf(
-    const std::string& class_name) const {
-  auto it = objects_.find(class_name);
-  if (it == objects_.end()) {
-    throw EvalError("no objects of class " + class_name);
+const std::vector<Value>& Database::ObjectsOf(uint32_t class_id) const {
+  if (class_id >= stores_.size()) {
+    throw EvalError("no objects of class " + ClassNames::Name(class_id));
   }
-  return it->second;
+  return stores_[class_id].objects;
 }
 
 const Value& Database::Deref(const Ref& ref) const {
-  auto it = objects_.find(ref.class_name);
-  if (it == objects_.end() || ref.oid < 0 ||
-      ref.oid >= static_cast<int64_t>(it->second.size())) {
-    throw EvalError("dangling reference " + ref.class_name + "#" +
+  if (ref.class_id >= stores_.size() || ref.oid < 0 ||
+      ref.oid >= static_cast<int64_t>(stores_[ref.class_id].objects.size())) {
+    throw EvalError("dangling reference " + ref.class_name() + "#" +
                     std::to_string(ref.oid));
   }
-  return it->second[static_cast<size_t>(ref.oid)];
+  return stores_[ref.class_id].objects[static_cast<size_t>(ref.oid)];
 }
 
 const std::vector<Value>& Database::Extent(const std::string& extent_name) const {
@@ -68,7 +84,7 @@ Value Database::Navigate(const Value& v, const std::string& attr) const {
 
 size_t Database::ObjectCount() const {
   size_t n = 0;
-  for (const auto& [cls, vec] : objects_) n += vec.size();
+  for (const ClassStore& store : stores_) n += store.objects.size();
   return n;
 }
 

@@ -1,5 +1,5 @@
 // In-memory object store: one vector of objects per class, addressed by
-// (class name, oid) references.
+// (class id, oid) references.
 //
 // Objects are record Values; relationship attributes hold Ref values (or
 // collections of Refs). Path navigation `e.manager.children` dereferences
@@ -27,7 +27,8 @@ class Database {
   const Schema& schema() const { return schema_; }
 
   /// Inserts an object (a tuple Value) into the class and returns a Ref to
-  /// it. Throws TypeError if the class is unknown, EvalError if not a tuple.
+  /// it. Objects that name the same fields share the class's Shape. Throws
+  /// TypeError if the class is unknown, EvalError if not a tuple.
   Value Insert(const std::string& class_name, Value object);
 
   /// Replaces the attributes of an existing object (used by generators to
@@ -37,11 +38,11 @@ class Database {
   /// Returns the object a Ref points to. Throws EvalError on dangling refs.
   const Value& Deref(const Ref& ref) const;
 
-  /// The whole object store of one class, indexed by oid. Lets evaluators
-  /// that dereference many Refs of the same class resolve the class-name
-  /// hash lookup once instead of per Deref. Throws EvalError if the class
-  /// has no store.
-  const std::vector<Value>& ObjectsOf(const std::string& class_name) const;
+  /// The whole object store of one class (a ClassNames id), indexed by oid.
+  /// Lets evaluators that dereference many Refs of the same class resolve
+  /// the store once instead of per Deref. Throws EvalError if the class has
+  /// no store.
+  const std::vector<Value>& ObjectsOf(uint32_t class_id) const;
 
   /// Returns the extent of a class as a vector of Refs, in insertion order.
   /// Throws TypeError if `extent_name` is not a declared extent.
@@ -85,8 +86,18 @@ class Database {
   std::vector<std::pair<std::string, std::string>> IndexSpecs() const;
 
  private:
+  // One class's objects, indexed by oid, and the shape they share.
+  struct ClassStore {
+    std::vector<Value> objects;
+    ShapePtr shape;
+  };
+
+  // The class's ClassNames id, with a (possibly empty) store at it.
+  uint32_t StoreFor(const std::string& class_name);
+  Value Adopt(ClassStore& store, Value object);
+
   Schema schema_;
-  std::map<std::string, std::vector<Value>> objects_;  // class -> objects
+  std::vector<ClassStore> stores_;  // indexed by ClassNames id
   std::map<std::string, std::vector<Value>> extents_;  // extent -> refs
 
   using IndexKey = std::pair<std::string, std::string>;  // (extent, attr)

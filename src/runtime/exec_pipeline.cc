@@ -104,6 +104,19 @@ using BufRow = std::vector<Value>;
 // Hash-join build table over span copies.
 using JoinTable = std::unordered_map<Value, std::vector<BufRow>, ValueHash>;
 
+// A summary's fold, or the EvalError computing it raised (an int sum or
+// product leaving int64). The error reaches only the left rows that select
+// the fold, as under the nested-loop semantics, instead of ending the build.
+struct SummaryFold {
+  Value value;
+  std::exception_ptr error;
+
+  const Value& Get() const {
+    if (error) std::rethrow_exception(error);
+    return value;
+  }
+};
+
 // A GroupJoin's right side, built once per execution (after parameters are
 // written, so never part of the cached SlotPlan) by BuildGroupJoinSide.
 struct GroupJoinSide {
@@ -112,7 +125,7 @@ struct GroupJoinSide {
   // when there are no keys), in build order.
   JoinTable table;
   // kAggregate: each key's fold over its qualifying right rows.
-  std::unordered_map<Value, Value, ValueHash> folds_by_key;
+  std::unordered_map<Value, SummaryFold, ValueHash> folds_by_key;
   // kSorted: the qualifying rows' (b, head) pairs in build order, kept only
   // when some b (or a NaN head) defeats Value::Compare's ordering, in which
   // case each left row folds over them in order (the loop strategy).
@@ -121,7 +134,7 @@ struct GroupJoinSide {
   // keys [0, i) for > and >=, or over keys [i, n) for < and <=.
   bool ordered = false;
   std::vector<Value> keys;
-  std::vector<Value> folds;
+  std::vector<SummaryFold> folds;
 };
 
 // Build-side tables prebuilt once and shared read-only by all workers,
@@ -187,8 +200,8 @@ Value EvalKeyTuple(FrameEvaluator* fev, Frame& frame,
 }
 
 // Probe-side variant of EvalKeyTuple: the key is only looked up, never
-// stored, so a single-key probe can use the pointer path and skip the
-// 128-byte Value copy per probe row.
+// stored, so a single-key probe can use the pointer path and skip copying
+// (and, for a heap-backed key, reference-counting) a Value per probe row.
 const Value* EvalKeyPtr(FrameEvaluator* fev, Frame& frame,
                         const std::vector<CExprPtr>& keys, Value* scratch) {
   if (keys.size() == 1) return fev->EvalPtr(*keys[0], frame, scratch);
@@ -502,10 +515,29 @@ bool Orderable(const Value& v) {
          (v.kind() == Value::Kind::kReal && std::isfinite(v.AsReal()));
 }
 
+// A summary fold's step: an EvalError it raises is kept in *error, and once
+// one is kept the fold takes no more steps.
+template <class Step>
+void FoldStep(std::exception_ptr* error, Step step) {
+  if (*error) return;
+  try {
+    step();
+  } catch (const EvalError&) {
+    *error = std::current_exception();
+  }
+}
+
+// Finishes `acc`, unless a step of it already failed with `error`.
+SummaryFold FinishFold(Accumulator& acc, std::exception_ptr error) {
+  SummaryFold out{Value(), std::move(error)};
+  FoldStep(&out.error, [&] { out.value = acc.Finish(); });
+  return out;
+}
+
 // The finished fold of what `acc` has seen so far; `acc` keeps folding.
-Value Snapshot(const Accumulator& acc) {
+SummaryFold Snapshot(const Accumulator& acc) {
   Accumulator copy = acc;
-  return copy.Finish();
+  return FinishFold(copy, nullptr);
 }
 
 // A GroupJoin's right side: drains `right`, keeping what the plan's strategy
@@ -516,7 +548,11 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
   const bool sized = fev->mem().armed() || stats != nullptr;
   const size_t charged0 = *charged;
   side->zero = Accumulator(op.monoid).Finish();
-  std::unordered_map<Value, Accumulator, ValueHash> accs;  // kAggregate
+  struct KeyFold {
+    Accumulator acc;
+    std::exception_ptr error;
+  };
+  std::unordered_map<Value, KeyFold, ValueHash> accs;  // kAggregate
   uint64_t read = 0;
   Value scratch;
   right->Open();
@@ -538,7 +574,8 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
             NullPadded(op, frame)) {
           break;
         }
-        auto [it, inserted] = accs.try_emplace(std::move(key), op.monoid);
+        auto [it, inserted] = accs.try_emplace(
+            std::move(key), KeyFold{Accumulator(op.monoid), nullptr});
         if (inserted && sized) {
           ChargeBytes(fev, op.kind, EstimateValueBytes(it->first), charged);
         }
@@ -546,7 +583,8 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
         if (sized && IsCollectionMonoid(op.monoid)) {
           ChargeBytes(fev, op.kind, EstimateValueBytes(*hv), charged);
         }
-        it->second.Add(*hv);
+        KeyFold& fold = it->second;
+        FoldStep(&fold.error, [&] { fold.acc.Add(*hv); });
         break;
       }
       case GroupJoinStrategy::kSorted: {
@@ -570,7 +608,9 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
   size_t summary = 0;
   if (op.strategy == GroupJoinStrategy::kAggregate) {
     side->folds_by_key.reserve(accs.size());
-    for (auto& [key, acc] : accs) side->folds_by_key.emplace(key, acc.Finish());
+    for (auto& [key, fold] : accs) {
+      side->folds_by_key.emplace(key, FinishFold(fold.acc, fold.error));
+    }
     summary = side->folds_by_key.size();
   } else if (op.strategy == GroupJoinStrategy::kSorted) {
     // Value::Compare is a strict weak order only on finite numbers and
@@ -593,7 +633,7 @@ void BuildGroupJoinSide(const SlotOp& op, FrameIter* right, FrameEvaluator* fev,
                           op.sort_op == BinOpKind::kGe;
       side->folds.resize(n + 1);
       Accumulator acc(op.monoid);
-      side->folds[prefix ? 0 : n] = side->zero;
+      side->folds[prefix ? 0 : n] = SummaryFold{side->zero, nullptr};
       for (size_t i = 0; i < n; ++i) {
         PollCancel(fev->cancel());
         const size_t at = prefix ? i : n - 1 - i;
@@ -930,7 +970,7 @@ Value FoldGroupJoinRow(const SlotOp& op, const GroupJoinSide& side,
       if (it == side.folds_by_key.end() || !fev->EvalPred(*op.guard, frame)) {
         return side.zero;
       }
-      return it->second;
+      return it->second.Get();
     }
     case GroupJoinStrategy::kSorted: {
       const Value* a = fev->EvalPtr(*op.probe_keys[0], frame, &scratch);
@@ -946,7 +986,7 @@ Value FoldGroupJoinRow(const SlotOp& op, const GroupJoinSide& side,
               const int c = Value::Compare(k, *a);
               return inclusive ? c <= 0 : c < 0;
             });
-        return side.folds[static_cast<size_t>(end - side.keys.begin())];
+        return side.folds[static_cast<size_t>(end - side.keys.begin())].Get();
       }
       Accumulator acc(op.monoid);
       for (const auto& [b, h] : side.entries) {

@@ -1,7 +1,9 @@
 #include "src/runtime/expr_eval.h"
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
+#include <string>
 
 #include "src/core/pretty.h"
 #include "src/runtime/error.h"
@@ -43,26 +45,67 @@ Value ApplyCompareOp(BinOpKind op, const Value& l, const Value& r) {
   }
 }
 
+namespace {
+
+// int64 arithmetic that reports overflow instead of wrapping (or, for
+// INT64_MIN / -1, trapping).
+Value IntArithOp(BinOpKind op, int64_t x, int64_t y) {
+  int64_t out = 0;
+  bool overflow = false;
+  const char* sym = "";
+  switch (op) {
+    case BinOpKind::kAdd:
+      sym = "+";
+      overflow = __builtin_add_overflow(x, y, &out);
+      break;
+    case BinOpKind::kSub:
+      sym = "-";
+      overflow = __builtin_sub_overflow(x, y, &out);
+      break;
+    case BinOpKind::kMul:
+      sym = "*";
+      overflow = __builtin_mul_overflow(x, y, &out);
+      break;
+    case BinOpKind::kDiv:
+    case BinOpKind::kMod:
+      sym = op == BinOpKind::kDiv ? "/" : "mod";
+      if (y == 0) {
+        throw EvalError(op == BinOpKind::kDiv ? "division by zero" : "mod by zero");
+      }
+      overflow = x == INT64_MIN && y == -1;
+      if (!overflow) out = op == BinOpKind::kDiv ? x / y : x % y;
+      break;
+    default:
+      throw InternalError("unhandled binop");
+  }
+  if (overflow) {
+    throw EvalError("integer overflow: " + std::to_string(x) + " " + sym + " " +
+                    std::to_string(y));
+  }
+  return Value::Int(out);
+}
+
+}  // namespace
+
 Value ApplyArithOp(BinOpKind op, const Value& l, const Value& r) {
   // Arithmetic: NULL propagates.
   if (l.is_null() || r.is_null()) return Value::Null();
-  bool both_int =
-      l.kind() == Value::Kind::kInt && r.kind() == Value::Kind::kInt;
   double x = l.AsNumeric(), y = r.AsNumeric();
+  if (l.kind() == Value::Kind::kInt && r.kind() == Value::Kind::kInt) {
+    return IntArithOp(op, l.AsInt(), r.AsInt());
+  }
   switch (op) {
     case BinOpKind::kAdd:
-      return both_int ? Value::Int(l.AsInt() + r.AsInt()) : Value::Real(x + y);
+      return Value::Real(x + y);
     case BinOpKind::kSub:
-      return both_int ? Value::Int(l.AsInt() - r.AsInt()) : Value::Real(x - y);
+      return Value::Real(x - y);
     case BinOpKind::kMul:
-      return both_int ? Value::Int(l.AsInt() * r.AsInt()) : Value::Real(x * y);
+      return Value::Real(x * y);
     case BinOpKind::kDiv:
       if (y == 0) throw EvalError("division by zero");
-      return both_int ? Value::Int(l.AsInt() / r.AsInt()) : Value::Real(x / y);
+      return Value::Real(x / y);
     case BinOpKind::kMod:
-      if (!both_int) throw EvalError("mod on non-integers");
-      if (r.AsInt() == 0) throw EvalError("mod by zero");
-      return Value::Int(l.AsInt() % r.AsInt());
+      throw EvalError("mod on non-integers");
     default:
       throw InternalError("unhandled binop");
   }
@@ -77,7 +120,12 @@ Value ApplyUnaryOp(UnOpKind op, const Value& v) {
       return Value::Bool(!v.AsBool());
     case UnOpKind::kNeg:
       if (v.is_null()) return Value::Null();
-      if (v.kind() == Value::Kind::kInt) return Value::Int(-v.AsInt());
+      if (v.kind() == Value::Kind::kInt) {
+        if (v.AsInt() == INT64_MIN) {
+          throw EvalError("integer overflow: -(" + std::to_string(INT64_MIN) + ")");
+        }
+        return Value::Int(-v.AsInt());
+      }
       return Value::Real(-v.AsNumeric());
   }
   throw InternalError("unhandled unop");

@@ -67,10 +67,13 @@ class Env {
 Value ApplyCompareOp(BinOpKind op, const Value& l, const Value& r);
 
 /// Arithmetic operator on already-evaluated operands; NULL propagates.
-/// `op` must be one of kAdd/kSub/kMul/kDiv/kMod.
+/// `op` must be one of kAdd/kSub/kMul/kDiv/kMod. An int result outside
+/// int64 (including INT64_MIN / -1 and INT64_MIN mod -1) is an EvalError,
+/// as is division or mod by zero.
 Value ApplyArithOp(BinOpKind op, const Value& l, const Value& r);
 
 /// Unary operator on an already-evaluated operand (NULL discipline included).
+/// Negating INT64_MIN is an EvalError.
 Value ApplyUnaryOp(UnOpKind op, const Value& v);
 
 /// Evaluates calculus terms against a database. Caches extent values so that

@@ -23,30 +23,28 @@ const Value* FrameEvaluator::EvalProjPtr(const CExpr& e, const Value& base,
   ProjCache& pc = proj_cache_[static_cast<size_t>(e.proj_id)];
   const Value* obj = &base;
   if (base.kind() == Value::Kind::kRef) {
-    const Ref& r = base.AsRef();
-    if (pc.class_vec == nullptr || pc.cls != r.class_name) {
-      pc.class_vec = &db_.ObjectsOf(r.class_name);
-      pc.cls = r.class_name;
+    const Ref r = base.AsRef();
+    if (pc.class_vec == nullptr || pc.class_id != r.class_id) {
+      pc.class_vec = &db_.ObjectsOf(r.class_id);
+      pc.class_id = r.class_id;
     }
     if (r.oid < 0 || r.oid >= static_cast<int64_t>(pc.class_vec->size())) {
-      throw EvalError("dangling reference " + r.class_name + "#" +
+      throw EvalError("dangling reference " + r.class_name() + "#" +
                       std::to_string(r.oid));
     }
     obj = &(*pc.class_vec)[static_cast<size_t>(r.oid)];
   }
-  const Fields& fs = obj->AsTuple();
-  if (pc.field_idx >= 0 && static_cast<size_t>(pc.field_idx) < fs.size() &&
-      fs[static_cast<size_t>(pc.field_idx)].first == e.name) {
-    return &fs[static_cast<size_t>(pc.field_idx)].second;
-  }
-  for (size_t i = 0; i < fs.size(); ++i) {
-    if (fs[i].first == e.name) {
-      pc.field_idx = static_cast<int>(i);
-      return &fs[i].second;
+  const Record& rec = obj->AsTuple();
+  if (rec.shape().get() != pc.shape.get()) {
+    const int i = rec.shape()->Find(e.name);
+    if (i < 0) {
+      throw EvalError("tuple has no attribute '" + e.name + "': " +
+                      obj->ToString());
     }
+    pc.shape = rec.shape();
+    pc.field_idx = static_cast<size_t>(i);
   }
-  throw EvalError("tuple has no attribute '" + e.name + "': " +
-                  obj->ToString());
+  return &rec.value(pc.field_idx);
 }
 
 const Value* FrameEvaluator::EvalPtr(const CExpr& e, Frame& frame,
@@ -86,12 +84,10 @@ Value FrameEvaluator::Eval(const CExpr& e, Frame& frame) {
     case CExprKind::kLit:
       return e.literal;
     case CExprKind::kRecord: {
-      Fields fields;
-      fields.reserve(e.fields.size());
-      for (const auto& [n, f] : e.fields) {
-        fields.emplace_back(n, Eval(*f, frame));
-      }
-      return Value::Tuple(std::move(fields));
+      Elems values;
+      values.reserve(e.fields.size());
+      for (const CExprPtr& f : e.fields) values.push_back(Eval(*f, frame));
+      return Value::Tuple(e.shape, std::move(values));
     }
     case CExprKind::kProj: {
       Value scratch;

@@ -62,7 +62,8 @@ struct CExpr {
   BinOpKind bin_op{};  // kBinOp
   UnOpKind un_op{};    // kUnOp
   MonoidKind monoid{}; // kMerge
-  std::vector<std::pair<std::string, CExprPtr>> fields;  // kRecord
+  ShapePtr shape;                // kRecord: names shared by every record built
+  std::vector<CExprPtr> fields;  // kRecord: one per shape field
   CExprPtr a, b, c;
 };
 
@@ -81,10 +82,10 @@ class FrameEvaluator {
   /// Copy-free evaluation for operand positions: slot reads, literals, and
   /// projections return a pointer to existing storage (the frame, the plan,
   /// the object store, or `*scratch` when the result had to be computed).
-  /// Value is 128 bytes with two strings and two shared_ptrs inside, so
-  /// skipping the copy is the difference on comparison-heavy inner loops.
-  /// The pointer is valid until `frame`, `*scratch`, or the database is
-  /// next mutated.
+  /// Copying a heap-backed Value (long string, tuple, collection) costs an
+  /// atomic increment and its destruction a decrement, which comparison-
+  /// heavy inner loops skip this way. The pointer is valid until `frame`,
+  /// `*scratch`, or the database is next mutated.
   const Value* EvalPtr(const CExpr& e, Frame& frame, Value* scratch);
 
   /// Cancellation token shared with the iterators built over this
@@ -101,16 +102,18 @@ class FrameEvaluator {
   const Database& db() const { return db_; }
 
  private:
-  // Per-kProj-site memo: schema-homogeneous inputs make the object-store
-  // lookup and the tuple field position stable across rows, so each is
-  // resolved once and then validated with one cheap comparison per row
+  // Per-kProj-site memo: schema-homogeneous inputs make the object store
+  // and the tuple shape stable across rows, so each is resolved once and
+  // then validated with one integer and one pointer comparison per row
   // (falling back to the full lookup on mismatch — semantics are identical
-  // to Database::Navigate). Per-evaluator state, so thread-safe: workers
-  // each own a FrameEvaluator.
+  // to Database::Navigate). The memo owns a reference on the shape, so its
+  // address cannot be reused by another shape while cached. Per-evaluator
+  // state, so thread-safe: workers each own a FrameEvaluator.
   struct ProjCache {
     const std::vector<Value>* class_vec = nullptr;  ///< resolved object store
-    std::string cls;                                ///< class it belongs to
-    int field_idx = -1;                             ///< last tuple hit
+    uint32_t class_id = 0;                          ///< class it belongs to
+    ShapePtr shape;                                 ///< last tuple shape hit
+    size_t field_idx = 0;                           ///< its field position
   };
 
   const Value* EvalProjPtr(const CExpr& e, const Value& base, Value* scratch);

@@ -1,10 +1,13 @@
 #include "src/runtime/physical_plan.h"
 
+#include <functional>
+#include <optional>
 #include <set>
 #include <sstream>
 
 #include "src/core/cost.h"
 #include "src/core/pretty.h"
+#include "src/core/typecheck.h"
 #include "src/runtime/error.h"
 
 namespace ldb {
@@ -18,18 +21,35 @@ std::shared_ptr<PhysOp> New(PhysKind k) {
   return op;
 }
 
-// True if evaluating `e` can throw on a well-typed row: division and
-// modulo by zero are the calculus's only partial operators.
-bool CanFail(const ExprPtr& e) {
+// The types of the variables an expression reads, worked out on first use.
+using LazyTypeEnv = std::function<const TypeEnv&()>;
+
+// True if evaluating `e` can throw on a well-typed row: division and modulo
+// by zero, and int arithmetic leaving int64 (+, -, * and unary minus on
+// anything not known to be real), are the calculus's partial operators.
+bool CanFail(const ExprPtr& e, const Schema& schema, const LazyTypeEnv& env) {
   if (!e) return false;
   if (e->kind == ExprKind::kBinOp &&
       (e->bin_op == BinOpKind::kDiv || e->bin_op == BinOpKind::kMod)) {
     return true;
   }
-  for (const auto& [name, f] : e->fields) {
-    if (CanFail(f)) return true;
+  const bool arith = e->kind == ExprKind::kBinOp &&
+                     (e->bin_op == BinOpKind::kAdd ||
+                      e->bin_op == BinOpKind::kSub ||
+                      e->bin_op == BinOpKind::kMul);
+  const bool neg = e->kind == ExprKind::kUnOp && e->un_op == UnOpKind::kNeg;
+  if (arith || neg) {
+    try {
+      if (TypeCheck(e, schema, env())->kind() != Type::Kind::kReal) return true;
+    } catch (const TypeError&) {
+      return true;
+    }
   }
-  return CanFail(e->a) || CanFail(e->b) || CanFail(e->c);
+  for (const auto& [name, f] : e->fields) {
+    if (CanFail(f, schema, env)) return true;
+  }
+  return CanFail(e->a, schema, env) || CanFail(e->b, schema, env) ||
+         CanFail(e->c, schema, env);
 }
 
 // True for the monoids whose result does not depend on the order rows are
@@ -54,7 +74,7 @@ bool OrderIndependent(MonoidKind m) {
 bool SplitComparison(const ExprPtr& c, const std::vector<std::string>& lvars,
                      const std::vector<std::string>& rvars, ExprPtr* a,
                      ExprPtr* b, BinOpKind* op) {
-  if (c->kind != ExprKind::kBinOp || CanFail(c)) return false;
+  if (c->kind != ExprKind::kBinOp) return false;
   BinOpKind mirrored;
   switch (c->bin_op) {
     case BinOpKind::kLt: mirrored = BinOpKind::kGt; break;
@@ -249,11 +269,19 @@ class Planner {
     // Every other conjunct reads only R (a per-right-row filter), only L (a
     // per-left-row guard) or both. A guard that can fail stays per pair, so
     // it is evaluated exactly when the nested plan would evaluate it.
+    std::optional<TypeEnv> env;
+    const LazyTypeEnv typed = [&]() -> const TypeEnv& {
+      if (!env) env = PlanOutputEnv(join, db_.schema());
+      return *env;
+    };
+    auto can_fail = [&](const ExprPtr& e) {
+      return CanFail(e, db_.schema(), typed);
+    };
     std::vector<ExprPtr> right_only, guards, both;
     for (const ExprPtr& c : SplitConjuncts(keys.residual)) {
       if (ReadsOnly(c, rvars)) {
         right_only.push_back(c);
-      } else if (ReadsOnly(c, lvars) && !CanFail(c)) {
+      } else if (ReadsOnly(c, lvars) && !can_fail(c)) {
         guards.push_back(c);
       } else {
         both.push_back(c);
@@ -266,15 +294,15 @@ class Planner {
     // The summaries evaluate the head and filters for right rows no left
     // row may ever pair with, so they take only expressions that cannot fail.
     bool summary_ok = options_.use_hash_joins &&
-                      ReadsOnly(nest.head, rvars) && !CanFail(nest.head);
-    for (const ExprPtr& c : right_only) summary_ok = summary_ok && !CanFail(c);
+                      ReadsOnly(nest.head, rvars) && !can_fail(nest.head);
+    for (const ExprPtr& c : right_only) summary_ok = summary_ok && !can_fail(c);
     ExprPtr a, b;
     BinOpKind op{};
     if (summary_ok && both.empty()) {
       out->strategy = GroupJoinStrategy::kAggregate;
       out->pred = MakeConjunction(right_only);
     } else if (summary_ok && keys.left_keys.empty() && both.size() == 1 &&
-               OrderIndependent(nest.monoid) &&
+               OrderIndependent(nest.monoid) && !can_fail(both[0]) &&
                SplitComparison(both[0], lvars, rvars, &a, &b, &op)) {
       out->strategy = GroupJoinStrategy::kSorted;
       out->pred = MakeConjunction(right_only);

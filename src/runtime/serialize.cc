@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cstdio>
 #include <istream>
+#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -15,7 +16,7 @@ namespace {
 
 // -- writing ------------------------------------------------------------------
 
-void WriteString(std::ostream& os, const std::string& s) {
+void WriteString(std::ostream& os, std::string_view s) {
   os << s.size() << ':' << s;
 }
 
@@ -76,10 +77,11 @@ void WriteValue(std::ostream& os, const Value& v) {
       WriteString(os, v.AsStr());
       return;
     case Value::Kind::kTuple: {
-      os << 't' << v.AsTuple().size() << '(';
-      for (const auto& [n, f] : v.AsTuple()) {
-        WriteString(os, n);
-        WriteValue(os, f);
+      const Record& t = v.AsTuple();
+      os << 't' << t.size() << '(';
+      for (size_t i = 0; i < t.size(); ++i) {
+        WriteString(os, t.name(i));
+        WriteValue(os, t.value(i));
       }
       os << ')';
       return;
@@ -95,11 +97,13 @@ void WriteValue(std::ostream& os, const Value& v) {
       os << ')';
       return;
     }
-    case Value::Kind::kRef:
+    case Value::Kind::kRef: {
+      const Ref r = v.AsRef();
       os << 'f';
-      WriteString(os, v.AsRef().class_name);
-      os << '#' << v.AsRef().oid << ';';
+      WriteString(os, r.class_name());
+      os << '#' << r.oid << ';';
       return;
+    }
   }
 }
 
@@ -107,8 +111,10 @@ void WriteValue(std::ostream& os, const Value& v) {
 
 // Reads the text the writers above produce. The input may be hostile (a
 // BIND parameter, a dump from elsewhere), so a declared length or count
-// never sizes an allocation beyond what the input has supplied, and nesting
-// is bounded by kMaxParseDepth.
+// never sizes an allocation beyond what the input has supplied, nesting
+// is bounded by kMaxParseDepth, and a class name that does not intern
+// (ClassNames) is a ParseError. Tuples that name the same fields share one
+// Shape, held by this reader, not by the process.
 class Reader {
  public:
   explicit Reader(std::istream& is) : is_(is) {}
@@ -244,13 +250,14 @@ class Reader {
       case 't': {
         int64_t n = ReadCount();
         Expect('(');
-        Fields fields;
+        std::vector<std::string> names;
+        Elems values;
         for (int64_t i = 0; i < n; ++i) {
-          std::string name = ReadString();
-          fields.emplace_back(std::move(name), ReadValue());
+          names.push_back(ReadString());
+          values.push_back(ReadValue());
         }
         Expect(')');
-        return Value::Tuple(std::move(fields));
+        return Value::Tuple(SharedShape(std::move(names)), std::move(values));
       }
       case 'e':
       case 'g':
@@ -269,11 +276,11 @@ class Reader {
         return Value::List(std::move(elems));
       }
       case 'f': {
-        std::string cls = ReadString();
+        const uint32_t cls = ClassId(ReadString());
         Expect('#');
         int64_t oid = ReadInt();
         Expect(';');
-        return Value::MakeRef(std::move(cls), oid);
+        return Value::MakeRef(Ref{cls, oid});
       }
       default:
         throw ParseError(std::string("dump: bad value tag '") + tag + "'");
@@ -284,6 +291,18 @@ class Reader {
     while (is_.peek() == '\n' || is_.peek() == ' ' || is_.peek() == '\r') {
       is_.get();
     }
+  }
+
+  // The ClassNames id of a class name read from the input.
+  static uint32_t ClassId(const std::string& name) {
+    std::optional<uint32_t> id = ClassNames::Intern(name);
+    if (!id) {
+      throw ParseError("dump: class name does not intern (at most " +
+                       std::to_string(ClassNames::kCapacity) +
+                       " class names of at most " +
+                       std::to_string(ClassNames::kMaxNameBytes) + " bytes)");
+    }
+    return *id;
   }
 
   std::string ReadWord() {
@@ -298,6 +317,14 @@ class Reader {
   }
 
  private:
+  ShapePtr SharedShape(std::vector<std::string> names) {
+    auto it = shapes_.find(names);
+    if (it != shapes_.end()) return it->second;
+    ShapePtr shape = Shape::Make(names);
+    shapes_.emplace(std::move(names), shape);
+    return shape;
+  }
+
   // One level of nested value or type; deeper than kMaxParseDepth fails.
   class Nested {
    public:
@@ -318,6 +345,7 @@ class Reader {
 
   std::istream& is_;
   int depth_ = 0;
+  std::map<std::vector<std::string>, ShapePtr> shapes_;
 };
 
 }  // namespace
@@ -399,6 +427,7 @@ Database LoadDatabase(std::istream& is) {
   Database db(std::move(schema));
   while (word == "objects") {
     std::string cls = r.ReadWord();
+    Reader::ClassId(cls);
     int64_t n = ParseCount(r.ReadWord());
     for (int64_t i = 0; i < n; ++i) {
       r.SkipWhitespace();

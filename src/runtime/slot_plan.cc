@@ -238,13 +238,16 @@ class Compiler {
         out->kind = CExprKind::kLit;
         out->literal = e->literal;
         return out;
-      case ExprKind::kRecord:
+      case ExprKind::kRecord: {
         out->kind = CExprKind::kRecord;
-        out->fields.reserve(e->fields.size());
+        std::vector<std::string> names;
         for (const auto& [n, f] : e->fields) {
-          out->fields.emplace_back(n, CompileExpr(f, scope));
+          names.push_back(n);
+          out->fields.push_back(CompileExpr(f, scope));
         }
+        out->shape = Shape::Make(std::move(names));
         return out;
+      }
       case ExprKind::kProj:
         out->kind = CExprKind::kProj;
         out->proj_id = next_proj_id_++;  // keys the evaluator's deref cache

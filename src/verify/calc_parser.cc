@@ -123,6 +123,13 @@ class Parser {
 
   // -- values (Value::ToString grammar) ------------------------------------
 
+  // A ref literal; a class name that does not intern fails the parse.
+  Value MakeRef(const std::string& cls, int64_t oid) const {
+    std::optional<uint32_t> id = ClassNames::Intern(cls);
+    if (!id) Fail("class name '" + cls.substr(0, 64) + "' does not intern");
+    return Value::MakeRef(Ref{*id, oid});
+  }
+
   Value ParseNumberValue() {
     Skip();
     size_t start = p_;
@@ -223,7 +230,7 @@ class Parser {
     if (Peek() == '#') {
       ++p_;
       Value oid = ParseNumberValue();
-      return Value::MakeRef(word, oid.AsInt());
+      return MakeRef(word, oid.AsInt());
     }
     Fail("expected value, got '" + word + "'");
   }
@@ -397,7 +404,7 @@ class Parser {
     if (Peek() == '#') {
       ++p_;
       Value oid = ParseNumberValue();
-      return Expr::Lit(Value::MakeRef(word, oid.AsInt()));
+      return Expr::Lit(MakeRef(word, oid.AsInt()));
     }
     return Expr::Var(word);
   }

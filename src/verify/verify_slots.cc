@@ -401,8 +401,7 @@ class SlotChecker {
       case CExprKind::kLit:
         break;
       case CExprKind::kRecord:
-        for (const auto& [name, f] : e->fields) {
-          (void)name;
+        for (const CExprPtr& f : e->fields) {
           CheckExprRec(f, flow, lets, op, what, rule);
         }
         break;

@@ -1,17 +1,19 @@
 // Concurrency stress tests for every annotated lock in the service stack
 // (DESIGN.md, "Locking discipline"): PlanCache, MetricsRegistry,
-// ActiveQueryRegistry, QueryLog, and QueryService::Execute racing
-// UpdateCatalog. Schedules are seeded (per-thread mt19937, seed = kSeed +
+// ActiveQueryRegistry, QueryLog, the ClassNames interner, and
+// QueryService::Execute racing UpdateCatalog. Schedules are seeded (per-thread mt19937, seed = kSeed +
 // thread id) so a TSan hit replays. These tests complement the static
 // thread-safety analysis: the annotations prove lock discipline at compile
 // time; this file makes the TSan job actually interleave the locks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <random>
 #include <string>
 #include <thread>
@@ -244,6 +246,31 @@ TEST(ConcurrencyStress, QueryLogAppendRacesTail) {
   EXPECT_EQ(log.appended(), uint64_t{kThreads} * kOpsPerThread);
   EXPECT_EQ(log.dropped(), log.appended() - log.capacity());
   EXPECT_EQ(log.Tail(1000).size(), log.capacity());
+}
+
+// ---------------------------------------------------------------- ClassNames
+
+// Threads intern overlapping class names in different orders while reading
+// names back without a lock: every thread gets the same id for a name, and
+// a published id always reads its whole name.
+TEST(ConcurrencyStress, ClassNamesInternRacesLockFreeReads) {
+  constexpr int kNames = 64;
+  std::vector<std::vector<uint32_t>> ids(kThreads,
+                                         std::vector<uint32_t>(kNames));
+  RunThreads(kThreads, [&](int t) {
+    std::vector<int> order(kNames);
+    for (int i = 0; i < kNames; ++i) order[i] = i;
+    std::shuffle(order.begin(), order.end(), std::mt19937(kSeed + t));
+    for (int i : order) {
+      const std::string name = "StressClass" + std::to_string(i);
+      const std::optional<uint32_t> id = ClassNames::Intern(name);
+      ASSERT_TRUE(id.has_value());
+      ids[t][i] = *id;
+      EXPECT_EQ(ClassNames::Name(*id), name);
+      EXPECT_EQ(Value::MakeRef(name, i).AsRef().class_name(), name);
+    }
+  });
+  for (int t = 1; t < kThreads; ++t) EXPECT_EQ(ids[t], ids[0]);
 }
 
 // -------------------------------------------- Execute vs UpdateCatalog race

@@ -52,6 +52,32 @@ TEST_F(ExprEvalTest, DivisionByZeroThrows) {
                EvalError);
 }
 
+// Integer arithmetic never wraps or traps: a result outside int64 is an
+// EvalError, including INT64_MIN / -1 and INT64_MIN mod -1, which divide in
+// hardware by raising SIGFPE.
+TEST_F(ExprEvalTest, IntegerOverflowThrows) {
+  const ExprPtr min = Expr::Int(INT64_MIN), max = Expr::Int(INT64_MAX);
+  const ExprPtr minus_one = Expr::Int(-1);
+  const ExprPtr overflowing[] = {
+      Expr::Bin(BinOpKind::kDiv, min, minus_one),
+      Expr::Bin(BinOpKind::kMod, min, minus_one),
+      Expr::Bin(BinOpKind::kAdd, max, Expr::Int(1)),
+      Expr::Bin(BinOpKind::kSub, min, Expr::Int(1)),
+      Expr::Bin(BinOpKind::kMul, max, Expr::Int(2)),
+      Expr::Bin(BinOpKind::kMul, min, minus_one),
+      Expr::Un(UnOpKind::kNeg, min),
+  };
+  for (const ExprPtr& e : overflowing) EXPECT_THROW(Eval(e), EvalError);
+  // The largest results that fit are still exact.
+  EXPECT_EQ(Eval(Expr::Bin(BinOpKind::kDiv, min, Expr::Int(1))),
+            Value::Int(INT64_MIN));
+  EXPECT_EQ(Eval(Expr::Bin(BinOpKind::kMod, Expr::Int(-7), Expr::Int(-1))),
+            Value::Int(0));
+  EXPECT_EQ(Eval(Expr::Bin(BinOpKind::kAdd, max, Expr::Int(-1))),
+            Value::Int(INT64_MAX - 1));
+  EXPECT_EQ(Eval(Expr::Un(UnOpKind::kNeg, max)), Value::Int(-INT64_MAX));
+}
+
 TEST_F(ExprEvalTest, NullPropagation) {
   // Arithmetic with NULL yields NULL; comparisons with NULL are false.
   EXPECT_TRUE(Eval(Expr::Bin(BinOpKind::kAdd, Expr::Null(), Expr::Int(1))).is_null());

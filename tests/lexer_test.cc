@@ -32,6 +32,27 @@ TEST(LexerTest, Numbers) {
   EXPECT_EQ(toks[4].kind, TokKind::kInt);
 }
 
+TEST(LexerTest, OutOfRangeLiteralsAreParseErrorsAtTheirOffset) {
+  auto toks = Lex("9223372036854775807 1.7976931348623157e308");
+  EXPECT_EQ(toks[0].int_value, INT64_MAX);
+  EXPECT_DOUBLE_EQ(toks[1].real_value, 1.7976931348623157e308);
+  const std::pair<std::string, std::string> bad[] = {
+      {"1 + 9223372036854775808", "integer literal out of range at offset 4"},
+      {"x < 99999999999999999999999", "integer literal out of range at offset 4"},
+      {"1e999", "real literal out of range at offset 0"},
+      {"2 * 1.5e-400", "real literal out of range at offset 4"},
+  };
+  for (const auto& [text, message] : bad) {
+    try {
+      Lex(text);
+      ADD_FAILURE() << text << " lexed";
+    } catch (const ParseError& e) {
+      EXPECT_NE(std::string(e.what()).find(message), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(LexerTest, Strings) {
   auto toks = Lex("'DB' \"Arlington\"");
   EXPECT_EQ(toks[0].kind, TokKind::kString);

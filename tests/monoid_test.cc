@@ -140,6 +140,60 @@ TEST(MonoidTest, AccumulatorSumAndProd) {
   EXPECT_EQ(prod.Finish(), Value::Int(24));
 }
 
+// An int sum or product outside int64 is an EvalError, never a wrapped
+// value; partial sums stay exact, so the order they are absorbed in cannot
+// change the outcome.
+TEST(MonoidTest, IntSumAndProdOverflowThrow) {
+  Accumulator sum(MonoidKind::kSum);
+  for (int i = 0; i < 100; ++i) sum.Add(Value::Int(INT64_MAX));
+  EXPECT_THROW(sum.Finish(), EvalError);
+
+  // Two partials that each leave int64 but total inside it.
+  Accumulator up(MonoidKind::kSum), down(MonoidKind::kSum);
+  for (int i = 0; i < 3; ++i) {
+    up.Add(Value::Int(INT64_MAX));
+    down.Add(Value::Int(-INT64_MAX));
+  }
+  up.Add(Value::Int(7));
+  Accumulator total(MonoidKind::kSum);
+  total.Absorb(down);
+  total.Absorb(up);
+  EXPECT_EQ(total.Finish(), Value::Int(7));
+
+  // With a real among the inputs the sum is real and exact up to rounding.
+  Accumulator widened(MonoidKind::kSum);
+  for (int i = 0; i < 100; ++i) widened.Add(Value::Int(INT64_MAX));
+  widened.Add(Value::Real(0.5));
+  EXPECT_EQ(widened.Finish(), Value::Real(100 * 9223372036854775807.0));
+
+  EXPECT_THROW(
+      MonoidMerge(MonoidKind::kSum, Value::Int(INT64_MAX), Value::Int(1)),
+      EvalError);
+  Accumulator prod(MonoidKind::kProd);
+  prod.Add(Value::Int(INT64_MAX));
+  EXPECT_THROW(prod.Add(Value::Int(2)), EvalError);
+  EXPECT_THROW(
+      MonoidMerge(MonoidKind::kProd, Value::Int(INT64_MIN), Value::Int(-1)),
+      EvalError);
+}
+
+// Two ints merge as int64, not through double: 2^53 + 1 survives max.
+TEST(MonoidTest, IntMaxAndMinAreExact) {
+  const Value big = Value::Int(9007199254740993);  // 2^53 + 1
+  const Value below = Value::Int(9007199254740992);
+  EXPECT_EQ(MonoidMerge(MonoidKind::kMax, big, below).AsInt(),
+            9007199254740993);
+  EXPECT_EQ(MonoidMerge(MonoidKind::kMin, big, below).AsInt(),
+            9007199254740992);
+  Accumulator max(MonoidKind::kMax);
+  max.Add(below);
+  max.Add(big);
+  max.Add(below);
+  EXPECT_EQ(max.Finish().AsInt(), 9007199254740993);
+  EXPECT_EQ(MonoidMerge(MonoidKind::kSum, big, Value::Int(1)).AsInt(),
+            9007199254740994);
+}
+
 TEST(MonoidTest, AccumulatorMixedNumericWidens) {
   Accumulator sum(MonoidKind::kSum);
   sum.Add(Value::Int(2));

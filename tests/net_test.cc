@@ -22,6 +22,7 @@
 #include "src/net/client.h"
 #include "src/net/server.h"
 #include "src/net/wire.h"
+#include "src/obs/metrics.h"
 #include "src/runtime/serialize.h"
 #include "src/service/query_service.h"
 #include "src/workload/company.h"
@@ -776,7 +777,9 @@ TEST_F(NetServerTest, AdmissionOverflowRejectsAsErrorFrameNotDisconnect) {
     saw_admission_error = e.code() == ErrorCode::kAdmission;
   }
   EXPECT_TRUE(saw_admission_error);
-  EXPECT_GT(rejected->Value(), rejected_before);
+  if (obs::MetricsRegistry::Enabled()) {
+    EXPECT_GT(rejected->Value(), rejected_before);
+  }
 
   slow.Cancel();
   Frame f = slow.ReadFrame();  // CANCEL_OK or the EXECUTE's ERROR
@@ -824,6 +827,38 @@ TEST_F(NetServerTest, OverDeepQueriesGetParseErrorsOnALiveConnection) {
           }
         },
         net::RemoteError);
+    EXPECT_EQ(client.Execute("count(select e from e in Employees)").rows[0],
+              Value::Int(200));
+  }
+}
+
+// Integer arithmetic that leaves int64 is an EVAL error, and a literal that
+// does not fit is a PARSE error; neither ends the server or the connection.
+TEST_F(NetServerTest, IntegerOverflowGetsErrorFramesOnALiveConnection) {
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  const std::pair<std::string, ErrorCode> cases[] = {
+      {"(0 - 9223372036854775807 - 1) / (0 - 1)", ErrorCode::kEval},
+      {"(0 - 9223372036854775807 - 1) mod (0 - 1)", ErrorCode::kEval},
+      {"9223372036854775807 * 2", ErrorCode::kEval},
+      {"9223372036854775807 + 1", ErrorCode::kEval},
+      {"sum(select 9223372036854775807 from e in Employees)", ErrorCode::kEval},
+      {"99999999999999999999", ErrorCode::kParse},
+      {"1e999", ErrorCode::kParse},
+  };
+  for (const auto& [oql, code] : cases) {
+    EXPECT_THROW(
+        {
+          try {
+            client.Execute(oql);
+          } catch (const net::RemoteError& e) {
+            EXPECT_EQ(e.code(), code) << oql;
+            throw;
+          }
+        },
+        net::RemoteError)
+        << oql;
     EXPECT_EQ(client.Execute("count(select e from e in Employees)").rows[0],
               Value::Int(200));
   }
@@ -1020,6 +1055,9 @@ TEST_F(NetServerTest, GracefulShutdownDrainsInFlightQueriesUnderDeadline) {
 }
 
 TEST_F(NetServerTest, NetMetricsAreRegisteredAndCounted) {
+  if (!obs::MetricsRegistry::Enabled()) {
+    GTEST_SKIP() << "built with -DLDB_METRICS=OFF";
+  }
   Harness h;
   net::Client client;
   client.Connect("127.0.0.1", h.port());

@@ -146,7 +146,7 @@ TEST(MemoryTrackerTest, ChargeOverBudgetThrowsPromptly) {
   if (!t.armed()) GTEST_SKIP() << "metrics compiled out";
 
   // The budget shrinks the flush threshold to budget/4+1 = 251 bytes, so
-  // the violation surfaces within one small charge, not after 256 KiB.
+  // the violation surfaces within one small charge, not after 32 KiB.
   EXPECT_THROW(
       {
         for (int i = 0; i < 100; ++i) t.Charge(0, 100);
@@ -285,7 +285,7 @@ TEST(ResourceServiceTest, OverBudgetQueryLogsStatus) {
   Database db = MediumOO7();
   QueryService svc(db);
   SessionOptions so;
-  so.memory_budget_bytes = 4096;
+  so.memory_budget_bytes = 1024;  // the result alone estimates 1 136 bytes
   auto session = svc.OpenSession(so);
   // Mid-build enforcement catches this when tracking is compiled in; the
   // result-size check catches it when it is not — either way the query dies

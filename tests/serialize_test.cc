@@ -121,6 +121,69 @@ TEST(SerializeTest, CrossClassRefsResolveAfterLoad) {
             Value::Set({Value::Str("Meg")}));
 }
 
+// Loaded objects of a class share one Shape, so an extent stores its field
+// names once.
+TEST(SerializeTest, LoadedObjectsShareTheirClassShape) {
+  Database loaded =
+      LoadDatabaseFromString(DumpDatabaseToString(testing::TinyCompany()));
+  const std::vector<Value>& refs = loaded.Extent("Employees");
+  ASSERT_GE(refs.size(), 2u);
+  const Shape* first = loaded.Deref(refs[0].AsRef()).AsTuple().shape().get();
+  for (const Value& ref : refs) {
+    EXPECT_EQ(loaded.Deref(ref.AsRef()).AsTuple().shape().get(), first);
+  }
+}
+
+// The value text of a ref to object 0 of `cls`.
+std::string RefText(const std::string& cls) {
+  std::string text = "f";
+  text += std::to_string(cls.size());
+  text += ':';
+  text += cls;
+  text += "#0;";
+  return text;
+}
+
+// Fills this process's class-name interner past its capacity; true when a
+// value text and a dump naming one class too many are both ParseErrors and
+// a name interned before still reads.
+bool OverfilledInternerRejectsNewNames() {
+  std::string text = "l";
+  text += std::to_string(ClassNames::kCapacity + 1);
+  text += '(';
+  for (uint32_t i = 0; i <= ClassNames::kCapacity; ++i) {
+    text += RefText("Cls" + std::to_string(i));
+  }
+  text += ')';
+  bool value_rejected = false;
+  bool dump_rejected = false;
+  try {
+    ValueFromText(text);
+  } catch (const ParseError&) {
+    value_rejected = true;
+  }
+  try {
+    LoadDatabaseFromString(
+        "lambdadb-dump 1\nclass Fresh Freshes 0\nobjects Fresh 1\nt0()\n"
+        "end\n");
+  } catch (const ParseError&) {
+    dump_rejected = true;
+  }
+  return value_rejected && dump_rejected &&
+         ValueFromText("f4:Cls0#5;") == Value::MakeRef("Cls0", 5);
+}
+
+// The class-name interner is fixed-size: a value text or dump that names
+// more classes than it holds, or a longer name than it takes, is a
+// ParseError. Filling the table lasts for the process, so it runs in a
+// child.
+TEST(SerializeTest, ClassNamesPastTheInternerBoundsAreParseErrors) {
+  const std::string long_name(ClassNames::kMaxNameBytes + 1, 'L');
+  EXPECT_THROW(ValueFromText(RefText(long_name)), ParseError);
+  EXPECT_EXIT(std::exit(OverfilledInternerRejectsNewNames() ? 0 : 1),
+              ::testing::ExitedWithCode(0), "");
+}
+
 TEST(SerializeTest, MalformedInputsRejected) {
   EXPECT_THROW(LoadDatabaseFromString(""), ParseError);
   EXPECT_THROW(LoadDatabaseFromString("wrong header"), ParseError);

@@ -390,9 +390,12 @@ TEST_F(GroupJoinTest, SortedStrategyEveryComparison) {
 }
 
 TEST_F(GroupJoinTest, SortedStrategyKeyKindsAndNulls) {
-  // Real probes against int keys, and real against real.
-  Check(db_, ManagerMax("e.salary > m.age * 2000"), "sorted");
+  // Real probes against int keys, and real against real. Real arithmetic
+  // cannot fail, so it keeps the summary; int arithmetic may overflow, so
+  // it is evaluated per pair.
+  Check(db_, ManagerMax("e.salary * 0.0005 > m.age"), "sorted");
   Check(db_, ManagerMax("e.salary * 1.5 >= m.salary"), "sorted");
+  Check(db_, ManagerMax("e.salary > m.age * 2000"), "loop");
   // Cal's manager is NULL: a NULL `a` matches nothing, and yields the zero.
   Value r = Check(db_, ManagerMax("e.manager.age >= m.age"), "sorted");
   for (const Value& row : r.AsElems()) {
@@ -443,6 +446,46 @@ TEST_F(GroupJoinTest, AggregateStrategy) {
        }) {
     Check(db_, q, "aggregate");
     Check(big, q, "aggregate");
+  }
+}
+
+// A summary holds folds for right rows no left row may select. One that
+// leaves int64 fails only the left rows that select it, as under the
+// nested-loop semantics; and a head that can overflow keeps to the loop.
+TEST_F(GroupJoinTest, SummaryOverflowFailsOnlyTheRowsThatSelectIt) {
+  Schema schema;
+  schema.AddClass(ClassDecl{"L", "Ls", {{"k", Type::Int()}}});
+  schema.AddClass(
+      ClassDecl{"R", "Rs", {{"k", Type::Int()}, {"v", Type::Int()}}});
+  Database db(schema);
+  db.Insert("L", Value::Tuple({{"k", Value::Int(1)}}));
+  for (int k : {5, 6}) {
+    db.Insert("R", Value::Tuple({{"k", Value::Int(k)},
+                                 {"v", Value::Int(INT64_MAX)}}));
+  }
+  const std::string sorted =
+      "select distinct struct(K: l.k, S: sum(select r.v from r in Rs "
+      "where l.k > r.k)) from l in Ls";
+  const std::string aggregate =
+      "select distinct struct(K: l.k, S: sum(select r.v from r in Rs "
+      "where l.k = r.k)) from l in Ls";
+  const std::string doubled =
+      "select distinct struct(K: l.k, S: sum(select r.v * 2 from r in Rs "
+      "where l.k = r.k)) from l in Ls";
+  const Value zero = Value::Set(
+      {Value::Tuple({{"K", Value::Int(1)}, {"S", Value::Int(0)}})});
+  EXPECT_EQ(Check(db, sorted, "sorted"), zero);
+  EXPECT_EQ(Check(db, aggregate, "aggregate"), zero);
+  EXPECT_EQ(Check(db, doubled, "loop"), zero);
+
+  // A left row that selects both rows fails, in every engine.
+  db.Insert("L", Value::Tuple({{"k", Value::Int(7)}}));
+  db.Insert("R", Value::Tuple({{"k", Value::Int(7)}, {"v", Value::Int(1)}}));
+  db.Insert("R", Value::Tuple({{"k", Value::Int(7)},
+                               {"v", Value::Int(INT64_MAX)}}));
+  for (const std::string& oql : {sorted, aggregate}) {
+    EXPECT_THROW(RunOQLBaseline(db, oql), EvalError) << oql;
+    EXPECT_THROW(RunOQL(db, oql), EvalError) << oql;
   }
 }
 

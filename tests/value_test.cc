@@ -2,6 +2,12 @@
 
 #include "src/runtime/value.h"
 
+#include <sys/wait.h>
+#include <unistd.h>
+
+#include <cmath>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "src/runtime/error.h"
@@ -126,6 +132,110 @@ TEST(ValueTest, TupleFieldOrderMattersForEquality) {
   Value a = Value::Tuple({{"x", Value::Int(1)}, {"y", Value::Int(2)}});
   Value b = Value::Tuple({{"y", Value::Int(2)}, {"x", Value::Int(1)}});
   EXPECT_NE(a, b);  // records are positional-with-names, like the calculus
+}
+
+// Ints compare as int64 and against reals exactly, never through double.
+TEST(ValueTest, Int64CompareIsExact) {
+  const Value above = Value::Int(9007199254740993);  // 2^53 + 1
+  const Value at = Value::Int(9007199254740992);     // 2^53
+  EXPECT_NE(above, at);
+  EXPECT_GT(Value::Compare(above, at), 0);
+  EXPECT_EQ(Value::Set({above, at}).AsElems().size(), 2u);
+
+  const Value real = Value::Real(9007199254740992.0);
+  EXPECT_EQ(at, real);
+  EXPECT_GT(Value::Compare(above, real), 0);
+  EXPECT_LT(Value::Compare(real, above), 0);
+  EXPECT_LT(Value::Int(INT64_MAX), Value::Real(9223372036854775808.0));
+  EXPECT_EQ(Value::Int(INT64_MIN), Value::Real(-9223372036854775808.0));
+  EXPECT_LT(Value::Real(-INFINITY), Value::Int(INT64_MIN));
+  EXPECT_LT(Value::Int(-3), Value::Real(-2.5));
+  EXPECT_LT(Value::Real(-2.5), Value::Int(-2));
+  // Ints still hash through double, so equal int and real hash alike.
+  EXPECT_EQ(at.Hash(), real.Hash());
+}
+
+// Strings of up to 14 bytes are inline, longer ones on the heap; both
+// behave as one kind.
+TEST(ValueTest, InlineAndHeapStringsAreOneKind) {
+  const std::string fourteen(Value::kInlineStr, 'a');
+  const std::string fifteen(Value::kInlineStr + 1, 'a');
+  const Value s14 = Value::Str(fourteen), s15 = Value::Str(fifteen);
+  EXPECT_EQ(s14.AsStr(), fourteen);
+  EXPECT_EQ(s15.AsStr(), fifteen);
+  EXPECT_LT(s14, s15);
+  EXPECT_LT(s15, Value::Str("b"));
+  Value copy = s15;
+  EXPECT_EQ(copy, s15);
+  EXPECT_EQ(copy.Hash(), Value::Str(fifteen).Hash());
+  EXPECT_EQ(EstimateValueBytes(s14), sizeof(Value));
+  EXPECT_EQ(EstimateValueBytes(s15), sizeof(Value) + 8 + fifteen.size());
+}
+
+// A tuple's names live in its Shape; equality and hashing see the names,
+// not which Shape holds them.
+TEST(ValueTest, TuplesCompareByNamesNotShapes) {
+  const Value own = Value::Tuple({{"x", Value::Int(1)}, {"y", Value::Str("s")}});
+  const ShapePtr shape = Shape::Make({"x", "y"});
+  const Value shared = Value::Tuple(shape, {Value::Int(1), Value::Str("s")});
+  EXPECT_NE(own.AsTuple().shape().get(), shared.AsTuple().shape().get());
+  EXPECT_EQ(own, shared);
+  EXPECT_EQ(own.Hash(), shared.Hash());
+  EXPECT_EQ(shared.Field("y"), Value::Str("s"));
+
+  const Value reshaped = Value::ShareShape(own, shape);
+  EXPECT_EQ(reshaped.AsTuple().shape().get(), shape.get());
+  EXPECT_EQ(reshaped, own);
+  const Value other = Value::ShareShape(Value::Tuple({{"z", Value::Int(1)}}), shape);
+  EXPECT_NE(other.AsTuple().shape().get(), shape.get());
+}
+
+// Ref order and hash follow class names, never intern ids: a process that
+// interned the same two classes in the other order renders the same set in
+// the same order with the same hash.
+TEST(ValueTest, RefOrderAndHashDoNotDependOnInternOrder) {
+  auto fingerprint = [] {
+    const Value set = Value::Set({Value::MakeRef("ZebraClass", 1),
+                                  Value::MakeRef("AardvarkClass", 2),
+                                  Value::MakeRef("AardvarkClass", 1)});
+    return set.ToString() + " " + std::to_string(set.Hash());
+  };
+  int fds[2];
+  ASSERT_EQ(pipe(fds), 0);
+  const pid_t child = fork();
+  ASSERT_GE(child, 0);
+  if (child == 0) {  // interns Zebra first
+    close(fds[0]);
+    const bool zebra_first = *ClassNames::Intern("ZebraClass") <
+                             *ClassNames::Intern("AardvarkClass");
+    const std::string out = fingerprint();
+    const bool wrote =
+        write(fds[1], out.data(), out.size()) == static_cast<ssize_t>(out.size());
+    _exit(zebra_first && wrote ? 0 : 1);
+  }
+  close(fds[1]);
+  const bool aardvark_first = *ClassNames::Intern("AardvarkClass") <
+                              *ClassNames::Intern("ZebraClass");
+  EXPECT_TRUE(aardvark_first);
+  std::string theirs;
+  char buf[256];
+  for (ssize_t n; (n = read(fds[0], buf, sizeof buf)) > 0;) theirs.append(buf, n);
+  close(fds[0]);
+  int status = 0;
+  ASSERT_EQ(waitpid(child, &status, 0), child);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0) << "child did not intern Zebra first";
+  const std::string ours = fingerprint();
+  EXPECT_EQ(ours.rfind("{AardvarkClass#1, AardvarkClass#2, ZebraClass#1} ", 0), 0u)
+      << ours;
+  EXPECT_EQ(theirs, ours);
+}
+
+TEST(ValueTest, ClassNamesPastTheLengthBoundDoNotIntern) {
+  const std::string longest(ClassNames::kMaxNameBytes, 'L');
+  EXPECT_EQ(Value::MakeRef(longest, 3).AsRef().class_name(), longest);
+  EXPECT_FALSE(ClassNames::Intern(longest + "L").has_value());
+  EXPECT_THROW(Value::MakeRef(longest + "L", 3), EvalError);
 }
 
 }  // namespace

@@ -132,8 +132,23 @@ TEST(DatabaseTest, InsertAndDeref) {
   EXPECT_EQ(db.Extent("Persons").size(), 1u);
   EXPECT_THROW(db.Insert("Nope", Value::Tuple({})), TypeError);
   EXPECT_THROW(db.Insert("Person", Value::Int(3)), EvalError);
-  EXPECT_THROW(db.Deref(Ref{"Person", 99}), EvalError);
+  EXPECT_THROW(db.Deref(Value::MakeRef("Person", 99).AsRef()), EvalError);
   EXPECT_THROW(db.Extent("Nope"), TypeError);
+}
+
+// Objects that name the same fields share their class's Shape, whatever
+// Shape they were built with.
+TEST(DatabaseTest, InsertSharesTheClassShape) {
+  Database db(workload::CompanySchema());
+  Value a = db.Insert("Person", Value::Tuple({{"name", Value::Str("X")},
+                                              {"age", Value::Int(1)}}));
+  Value b = db.Insert("Person", Value::Tuple({{"name", Value::Str("Y")},
+                                              {"age", Value::Int(2)}}));
+  Value odd = db.Insert("Person", Value::Tuple({{"age", Value::Int(3)}}));
+  const Shape* shape = db.Deref(a.AsRef()).AsTuple().shape().get();
+  EXPECT_EQ(db.Deref(b.AsRef()).AsTuple().shape().get(), shape);
+  EXPECT_NE(db.Deref(odd.AsRef()).AsTuple().shape().get(), shape);
+  EXPECT_EQ(db.Deref(b.AsRef()).Field("name"), Value::Str("Y"));
 }
 
 TEST(DatabaseTest, NavigateThroughRefAndNull) {
