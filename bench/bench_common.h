@@ -8,7 +8,6 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <ctime>
 #include <fstream>
 #include <string>
@@ -145,14 +144,6 @@ struct JsonRecord {
   std::string profile;     ///< raw JSON: ProfileToJson of one profiled run
   std::string compile_trace;  ///< raw JSON: CompileTraceToJson (stage times)
 
-  // Service-mode metrics (bench_unnesting --clients): emitted only when
-  // qps > 0. `threads` then holds the client count and `ms` the wall time
-  // of the whole run.
-  double qps = 0;             ///< completed queries per second
-  double p50_ms = 0;          ///< median per-query latency
-  double p99_ms = 0;          ///< 99th-percentile per-query latency
-  double cache_hit_rate = 0;  ///< plan-cache hits / (hits + misses)
-
   /// Static-verifier wall time for this query (--verify); < 0 = not measured.
   double verify_ms = -1;
 };
@@ -167,8 +158,8 @@ class JsonReporter {
     return r;
   }
 
-  /// Parses `--json <path>`, `--quick`, and `--clients <n>` out of argv;
-  /// returns false on a malformed flag.
+  /// Parses `--json <path>`, `--quick`, `--verify` and `--metrics` out of
+  /// argv; returns false on a malformed flag.
   bool ParseArgs(int argc, char** argv) {
     for (int i = 1; i < argc; ++i) {
       if (std::string(argv[i]) == "--json") {
@@ -183,20 +174,10 @@ class JsonReporter {
         verify_ = true;
       } else if (std::string(argv[i]) == "--metrics") {
         metrics_ = true;
-      } else if (std::string(argv[i]) == "--clients") {
-        if (i + 1 >= argc) {
-          std::fprintf(stderr, "--clients requires a count argument\n");
-          return false;
-        }
-        clients_ = std::atoi(argv[++i]);
-        if (clients_ <= 0) {
-          std::fprintf(stderr, "--clients wants a positive count\n");
-          return false;
-        }
       } else {
         std::fprintf(stderr,
                      "unknown argument '%s' (supported: --json <path>, "
-                     "--quick, --verify, --metrics, --clients <n>)\n",
+                     "--quick, --verify, --metrics)\n",
                      argv[i]);
         return false;
       }
@@ -214,12 +195,8 @@ class JsonReporter {
   /// report its wall time (`verify_ms`) alongside the execution numbers.
   bool verify() const { return verify_; }
 
-  /// `--clients <n>`: concurrent client count for the query-service
-  /// experiment (bench_unnesting); 0 = flag not given, use the default.
-  int clients() const { return clients_; }
-
-  /// `--metrics`: collect the service MetricsRegistry during the service
-  /// experiment and embed its snapshot in the report (bench_unnesting).
+  /// `--metrics`: run the service metrics probe and embed its registry
+  /// snapshot in the report (bench_unnesting).
   bool metrics() const { return metrics_; }
 
   /// Installs an already-serialized MetricsSnapshot::ToJson document; it is
@@ -261,11 +238,6 @@ class JsonReporter {
           << "\"ns_per_op\": " << r.ms * 1e6 << ", "
           << "\"agree\": " << (r.agree ? "true" : "false");
       if (r.verify_ms >= 0) out << ", \"verify_ms\": " << r.verify_ms;
-      if (r.qps > 0) {
-        out << ", \"qps\": " << r.qps << ", \"p50_ms\": " << r.p50_ms
-            << ", \"p99_ms\": " << r.p99_ms
-            << ", \"cache_hit_rate\": " << r.cache_hit_rate;
-      }
       // Profile/trace fields hold already-serialized JSON objects
       // (ProfileToJson / CompileTraceToJson) and nest verbatim.
       if (!r.profile.empty()) out << ", \"profile\": " << r.profile;
@@ -284,7 +256,6 @@ class JsonReporter {
   bool quick_ = false;
   bool verify_ = false;
   bool metrics_ = false;
-  int clients_ = 0;
   std::string metrics_json_;
   std::vector<JsonRecord> records_;
 };

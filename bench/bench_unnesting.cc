@@ -189,140 +189,84 @@ void RunEngineExperiment(const Experiment& exp, MakeDb make_db,
   }
 }
 
-// Query-service throughput: N client threads hammer one QueryService with a
-// fixed statement mix (three unnesting workhorses plus one parameterized
-// lookup rotated through its bindings). After the first round every
-// execution should be a plan-cache hit, so the numbers measure the serving
-// path — admission, cache lookup, execution — not compilation.
-void RunServiceExperiment(int n_clients, bool quick) {
-  bench::PrintHeader(("SERVICE: query service, " + std::to_string(n_clients) +
-                      " concurrent clients")
-                         .c_str());
-  const int scale = quick ? 2000 : 8000;
-  const int iters = quick ? 25 : 100;  // executions per client
-  Database db = MakeCompany(scale);
-
-  ServiceOptions opts;
-  opts.max_concurrent = n_clients;  // measure execution, not queueing
-  QueryService svc(db, opts);
+// --metrics: runs the SERVICE statement mix (three unnesting workhorses
+// plus one parameterized lookup rotated through its bindings) a few rounds
+// through one QueryService, so every round after the first is a plan-cache
+// hit, then embeds the registry snapshot in the JSON report and writes the
+// Prometheus text and a Perfetto trace of one profiled parallel request as
+// standalone artifacts (tools/check_observability.py validates all three).
+// Nothing here is timed: serving latency and throughput are ldb_bench's
+// (bench/e2e/README.md).
+void RunMetricsProbe() {
+  bench::PrintHeader("METRICS: service instruments over the statement mix");
+  Database db = MakeCompany(2000);
+  QueryService svc(db);
   const std::vector<std::string> mix = {
       kTypeA.oql, kTypeJA.oql, kCountBug.oql,
       "select distinct e.name from e in Employees where e.dno = $1"};
-
-  std::vector<std::vector<double>> latencies(
-      static_cast<size_t>(n_clients));
-  double total_ms = bench::TimeMs([&] {
-    std::vector<std::thread> clients;
-    clients.reserve(static_cast<size_t>(n_clients));
-    for (int c = 0; c < n_clients; ++c) {
-      clients.emplace_back([&, c] {
-        auto session = svc.OpenSession();
-        for (int i = 0; i < iters; ++i) {
-          const std::string& oql = mix[(c + i) % mix.size()];
-          session->Bind("1", Value::Int((c + i) % 4));
-          latencies[c].push_back(
-              bench::TimeMs([&] { svc.Execute(*session, oql); }));
-        }
-      });
+  auto session = svc.OpenSession();
+  for (int round = 0; round < 3; ++round) {
+    for (const std::string& oql : mix) {
+      session->Bind("1", Value::Int(round));
+      svc.Execute(*session, oql);
     }
-    for (std::thread& t : clients) t.join();
-  });
-
-  std::vector<double> all;
-  for (const auto& per_client : latencies) {
-    all.insert(all.end(), per_client.begin(), per_client.end());
   }
-  std::sort(all.begin(), all.end());
-  auto pct = [&](double p) {
-    return all[static_cast<size_t>(p * (all.size() - 1))];
-  };
-  const double qps = all.size() / (total_ms / 1000.0);
-  PlanCacheStats cs = svc.cache_stats();
-  const double hit_rate =
-      cs.hits + cs.misses > 0
-          ? static_cast<double>(cs.hits) / (cs.hits + cs.misses)
-          : 0.0;
 
-  std::printf(
-      "scale %d | %zu queries in %.0f ms | %.1f q/s | p50 %.2f ms | "
-      "p99 %.2f ms | cache hit rate %.3f\n",
-      scale, all.size(), total_ms, qps, pct(0.50), pct(0.99), hit_rate);
+  // Force the morsel pipeline to engage (driver extent >> morsel size) so
+  // the parallel counters (ldb_morsels_dispatched_total, worker busy time)
+  // land in the snapshot. kTypeA's driver is the small Departments extent,
+  // hence the tiny morsel; kScan drives off Employees and covers the
+  // spine-reduce parallel mode.
+  session->options().n_threads = 2;
+  session->options().morsel_size = 16;
+  QueryProfiler prof;
+  QueryStats stats;
+  svc.Execute(*session, kTypeA.oql, &stats, &prof);
+  svc.Execute(*session, kScan.oql);
 
-  bench::JsonRecord r;
-  r.experiment = "SERVICE";
-  r.query = "mixed (type-A, type-JA, count-bug, parameterized lookup)";
-  r.engine = "service";
-  r.scale = scale;
-  r.threads = n_clients;
-  r.rows = static_cast<long>(all.size());
-  r.ms = total_ms;
-  r.qps = qps;
-  r.p50_ms = pct(0.50);
-  r.p99_ms = pct(0.99);
-  r.cache_hit_rate = hit_rate;
-  bench::JsonReporter::Get().Add(std::move(r));
-
-  // --metrics: embed the registry snapshot in the JSON report and write the
-  // Prometheus text + a Perfetto trace of one profiled parallel request as
-  // standalone artifacts (CI uploads and validates them).
-  if (bench::JsonReporter::Get().metrics()) {
-    auto session = svc.OpenSession();
-    // Force the morsel pipeline to engage (driver extent >> morsel size) so
-    // the parallel counters (ldb_morsels_dispatched_total, worker busy time)
-    // land in the snapshot even at the quick scale. kTypeA's driver is the
-    // small Departments extent, hence the tiny morsel; kScan drives off
-    // Employees and covers the spine-reduce parallel mode.
-    session->options().n_threads = 2;
-    session->options().morsel_size = 16;
-    QueryProfiler prof;
-    QueryStats stats;
-    svc.Execute(*session, kTypeA.oql, &stats, &prof);
-    svc.Execute(*session, kScan.oql);
-
-    // Live-introspection probe: run one query on a worker thread and
-    // snapshot ActiveQueries() from here while it is in flight. Polling is
-    // racy by nature, so keep whatever snapshot was captured — CI checks
-    // the field's shape, tests pin the semantics.
-    std::vector<obs::ActiveQueryInfo> seen;
-    {
-      std::thread worker([&] {
-        auto s2 = svc.OpenSession();
-        svc.Execute(*s2, kTypeJA.oql);
-      });
-      for (int spin = 0; spin < 200000 && seen.empty(); ++spin) {
-        seen = svc.ActiveQueries();
-        if (seen.empty()) std::this_thread::yield();
-      }
-      worker.join();
+  // Live-introspection probe: run one query on a worker thread and
+  // snapshot ActiveQueries() from here while it is in flight. Polling is
+  // racy by nature, so keep whatever snapshot was captured — CI checks
+  // the field's shape, tests pin the semantics.
+  std::vector<obs::ActiveQueryInfo> seen;
+  {
+    std::thread worker([&] {
+      auto s2 = svc.OpenSession();
+      svc.Execute(*s2, kTypeJA.oql);
+    });
+    for (int spin = 0; spin < 200000 && seen.empty(); ++spin) {
+      seen = svc.ActiveQueries();
+      if (seen.empty()) std::this_thread::yield();
     }
-
-    obs::MetricsSnapshot snap = svc.metrics().Snapshot();
-    // Splice the probe into the snapshot document:
-    // {"samples": [...], "active_queries": [...]}.
-    std::string metrics_json = snap.ToJson();
-    metrics_json.insert(metrics_json.rfind('}'),
-                        ", \"active_queries\": " +
-                            obs::ActiveQueriesToJson(seen));
-    bench::JsonReporter::Get().SetMetricsJson(std::move(metrics_json));
-    {
-      std::ofstream prom("bench_metrics.prom");
-      prom << snap.ToPrometheusText();
-    }
-    {
-      obs::RequestTrace t;
-      t.trace_id = stats.trace_id;
-      t.status = "ok";
-      obs::BuildRequestTrace(
-          {0, stats.queue_ms, stats.compile_ms, stats.exec_ms}, 0, nullptr,
-          prof.run, &prof, &t);
-      std::ofstream trace("bench_trace.json");
-      trace << obs::TraceToChromeJson(t);
-    }
-    std::printf("metrics: %zu series -> bench_metrics.prom; "
-                "trace (%zu operators, %zu morsels) -> bench_trace.json\n",
-                snap.samples.size(), prof.Operators().size(),
-                prof.run.morsels.size());
+    worker.join();
   }
+
+  obs::MetricsSnapshot snap = svc.metrics().Snapshot();
+  // Splice the probe into the snapshot document:
+  // {"samples": [...], "active_queries": [...]}.
+  std::string metrics_json = snap.ToJson();
+  metrics_json.insert(metrics_json.rfind('}'),
+                      ", \"active_queries\": " +
+                          obs::ActiveQueriesToJson(seen));
+  bench::JsonReporter::Get().SetMetricsJson(std::move(metrics_json));
+  {
+    std::ofstream prom("bench_metrics.prom");
+    prom << snap.ToPrometheusText();
+  }
+  {
+    obs::RequestTrace t;
+    t.trace_id = stats.trace_id;
+    t.status = "ok";
+    obs::BuildRequestTrace(
+        {0, stats.queue_ms, stats.compile_ms, stats.exec_ms}, 0, nullptr,
+        prof.run, &prof, &t);
+    std::ofstream trace("bench_trace.json");
+    trace << obs::TraceToChromeJson(t);
+  }
+  std::printf("metrics: %zu series -> bench_metrics.prom; "
+              "trace (%zu operators, %zu morsels) -> bench_trace.json\n",
+              snap.samples.size(), prof.Operators().size(),
+              prof.run.morsels.size());
 }
 
 }  // namespace
@@ -366,12 +310,7 @@ int main(int argc, char** argv) {
     RunEngineExperiment(kScan, MakeCompany, {32000, 128000, 512000});
   }
 
-  // Concurrent-service throughput (override the client count with
-  // `--clients N`; defaults to 4, capped at the usable-CPU count in quick
-  // mode so CI numbers stay honest).
-  int clients = bench::JsonReporter::Get().clients();
-  if (clients <= 0) clients = quick ? std::min(4, bench::UsableCpus()) : 4;
-  RunServiceExperiment(clients, quick);
+  if (bench::JsonReporter::Get().metrics()) RunMetricsProbe();
 
   std::printf(
       "\nReading the table: 'baseline' is the naive nested-loop evaluation an\n"

@@ -1,5 +1,5 @@
 // Blocking client for the ldb wire protocol (src/net/wire.h, docs/WIRE.md).
-// Used by oqlsh's .connect mode, tools/ldb_loadgen, and the e2e tests.
+// Used by oqlsh's .connect mode, ldb_bench (bench/e2e), and the tests.
 //
 // One thread drives the request/response conversation; Cancel() is the only
 // member safe to call concurrently — it writes a CANCEL frame on the same

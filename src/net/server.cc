@@ -394,8 +394,7 @@ void Server::HandleReadable(const std::shared_ptr<Conn>& c) {
           MutexLock lock(&c->mu);
           pending = c->pending.size();
         }
-        if (pending >= options_.max_pipeline ||
-            c->OutBytes() > options_.outbox_limit_bytes) {
+        if (pending >= kMaxPipeline || c->OutBytes() > kOutboxLimitBytes) {
           throttle = true;  // stop reading; UpdateInterest drops EPOLLIN
           break;
         }
@@ -480,8 +479,8 @@ void Server::UpdateInterest(const std::shared_ptr<Conn>& c) {
   size_t out_bytes = c->OutBytes();
   bool want_write = out_bytes > 0;
   bool want_read = !c->close_after_flush.load() && !c->decoder.error() &&
-                   !stopping_.load() && pending < options_.max_pipeline &&
-                   out_bytes <= options_.outbox_limit_bytes;
+                   !stopping_.load() && pending < kMaxPipeline &&
+                   out_bytes <= kOutboxLimitBytes;
   uint32_t mask =
       (want_read ? EPOLLIN : 0u) | (want_write ? EPOLLOUT : 0u);
   if (mask != c->events) {
@@ -874,7 +873,7 @@ void Server::DoFetch(const std::shared_ptr<Conn>& c, const Frame& f) {
     EnqueueError(c, ErrorCode::kState, "FETCH with no pending result");
     return;
   }
-  uint32_t n = req.max_rows != 0 ? req.max_rows : options_.default_batch_rows;
+  uint32_t n = req.max_rows != 0 ? req.max_rows : kDefaultBatchRows;
   EnqueueReply(c, NextBatch(c, n));
 }
 
@@ -930,7 +929,7 @@ std::string Server::NextBatch(const std::shared_ptr<Conn>& c,
     total = elems.size();
     size_t batch_bytes = 0;
     while (c->next_row < total && rep.rows.size() < max_rows &&
-           batch_bytes < options_.batch_limit_bytes) {
+           batch_bytes < kBatchLimitBytes) {
       std::string text = ValueToText(elems[c->next_row]);
       ++c->next_row;
       batch_bytes += text.size() + 8;

@@ -18,7 +18,7 @@
 // Backpressure is layered, never a connection drop:
 //
 //   * per-connection: reading stops (EPOLLIN removed) while the outbox
-//     exceeds `outbox_limit_bytes` or more than `max_pipeline` frames are
+//     exceeds kOutboxLimitBytes or more than kMaxPipeline frames are
 //     queued — a client that pipelines blindly or refuses to drain results
 //     is throttled by TCP flow control;
 //   * service-wide: every EXECUTE runs through QueryService's admission
@@ -64,6 +64,15 @@ namespace net {
 /// bounded: a PREPARE past the cap gets ERROR(STATE) and the connection and
 /// its earlier handles keep working.
 constexpr size_t kMaxPreparedPerConn = 1024;
+/// Stop reading from a connection while its outbox holds more than this.
+constexpr size_t kOutboxLimitBytes = 4u << 20;
+/// Stop reading while this many decoded frames await processing.
+constexpr size_t kMaxPipeline = 8;
+/// FETCH batch size when the request says 0.
+constexpr uint32_t kDefaultBatchRows = 1024;
+/// Soft byte bound per ROWS frame: a batch closes once it crosses this, so
+/// huge rows never inflate one response buffer.
+constexpr size_t kBatchLimitBytes = 1u << 20;
 
 struct ServerOptions {
   std::string host = "127.0.0.1";
@@ -75,15 +84,6 @@ struct ServerOptions {
   int n_workers = 4;
   /// Per-connection frame ceiling (tightens wire::kMaxFrameBytes).
   uint32_t max_frame_bytes = kMaxFrameBytes;
-  /// Stop reading from a connection while its outbox holds more than this.
-  size_t outbox_limit_bytes = 4u << 20;
-  /// Stop reading while this many decoded frames await processing.
-  size_t max_pipeline = 8;
-  /// FETCH batch size when the request says 0.
-  uint32_t default_batch_rows = 1024;
-  /// Soft byte bound per ROWS frame: a batch closes once it crosses this,
-  /// so huge rows never inflate one response buffer.
-  size_t batch_limit_bytes = 1u << 20;
   /// Graceful-drain budget; after it, in-flight queries are cancelled, and
   /// after the same interval again the sockets are closed regardless.
   int drain_timeout_ms = 5000;

@@ -14,8 +14,9 @@
 // shell's and the benchmark's local traces alike.
 //
 //  * TraceContext — what travels on the wire (trace_id / parent span /
-//    flags), minted by net::Client, oqlsh, and ldb_loadgen and appended to
-//    EXECUTE/PREPARE payloads as a trailing-bytes extension (docs/WIRE.md).
+//    flags), minted by net::Client (and so by oqlsh and ldb_bench) and
+//    appended to EXECUTE/PREPARE payloads as a trailing-bytes extension
+//    (docs/WIRE.md).
 //    A request without a context is still traced server-side: the service
 //    mints an id so slow or failing queries always land in the ring.
 //  * RequestTrace / TraceSpan — the assembled trace. Span ids are small
@@ -201,7 +202,7 @@ class TraceRing {
 
   /// Copies out the trace with this id; trace_id == 0 selects the slowest
   /// kept trace (the "show me the outlier" convenience the INTROSPECT
-  /// opcode and ldb_loadgen --trace-out rely on).
+  /// opcode and oqlsh's .fetch-trace slowest rely on).
   bool Find(uint64_t trace_id, RequestTrace* out) const LDB_EXCLUDES(mu_);
 
   /// Oldest-first copy of every kept trace.

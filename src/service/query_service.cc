@@ -122,8 +122,8 @@ QueryService::QueryService(const Database& db, ServiceOptions options)
     : db_(db),
       options_(std::move(options)),
       cache_(options_.plan_cache_capacity),
-      query_log_(options_.query_log_capacity, options_.slow_query_ms),
-      trace_ring_(obs::TraceRing::Options{options_.trace_ring_capacity,
+      query_log_(kQueryLogCapacity, options_.slow_query_ms),
+      trace_ring_(obs::TraceRing::Options{kTraceRingCapacity,
                                           options_.slow_query_ms,
                                           options_.trace_head_every}) {
   if (options_.max_concurrent < 1) options_.max_concurrent = 1;
@@ -134,7 +134,6 @@ QueryService::QueryService(const Database& db, ServiceOptions options)
 }
 
 void QueryService::InitInstruments() {
-  ins_.enabled = options_.enable_metrics && obs::MetricsRegistry::Enabled();
   // Registered before the enabled gate so scrapes can always tell what build
   // (and metrics mode) they are looking at, even on an OFF build where every
   // other series is absent.

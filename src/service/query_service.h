@@ -53,6 +53,12 @@ class AdmissionError : public Error {
       : Error("admission rejected: " + msg) {}
 };
 
+/// Query-log ring size (records kept before the oldest is overwritten).
+constexpr size_t kQueryLogCapacity = 256;
+/// Completed request traces kept in the tail-sampling ring (0 when metrics
+/// are compiled out, docs/OBSERVABILITY.md).
+constexpr size_t kTraceRingCapacity = 64;
+
 struct ServiceOptions {
   /// Queries executing at once; further arrivals wait.
   int max_concurrent = 4;
@@ -64,17 +70,10 @@ struct ServiceOptions {
   /// Compile-side knobs (normalize/simplify/physical selection/catalog).
   /// The exec member is ignored — execution knobs come from each session.
   OptimizerOptions optimizer;
-  /// Collect service metrics (no-op when built with -DLDB_METRICS=OFF).
-  bool enable_metrics = true;
-  /// Query-log ring size (records kept before the oldest is overwritten).
-  size_t query_log_capacity = 256;
   /// Queries whose total wall time reaches this threshold additionally log
   /// their rendered plan and profiler snapshot; <= 0 disables slow capture.
   /// The same threshold marks a request trace as "slow" for tail sampling.
   double slow_query_ms = 50;
-  /// Completed request traces kept in the tail-sampling ring; 0 disables
-  /// the ring (traces are assembled only for exemplar ids then discarded).
-  size_t trace_ring_capacity = 64;
   /// Head-sample every Nth submitted trace in addition to the tail policy
   /// (slow / errored / forced always kept); 0 disables head sampling.
   uint32_t trace_head_every = 128;
@@ -165,7 +164,7 @@ class QueryService {
 
   /// The tail-sampling trace ring: every query assembles a span tree and
   /// submits it here; the ring keeps slow / errored / forced / head-sampled
-  /// traces up to `trace_ring_capacity` (docs/OBSERVABILITY.md, Tracing).
+  /// traces up to kTraceRingCapacity (docs/OBSERVABILITY.md, Tracing).
   obs::TraceRing& trace_ring() const { return trace_ring_; }
 
   /// Post-hoc reply-serialization accounting, called by the network server
@@ -197,9 +196,9 @@ class QueryService {
 
   /// Metric instruments, registered once at construction and cached so the
   /// per-query path never touches the registry mutex. `enabled` is false
-  /// when ServiceOptions::enable_metrics is off or metrics are compiled out.
+  /// when metrics are compiled out, and every instrument is then null.
   struct Instruments {
-    bool enabled = false;
+    static constexpr bool enabled = obs::MetricsRegistry::Enabled();
     obs::Counter* queries_started = nullptr;
     obs::Counter* queries_ok = nullptr;
     obs::Counter* queries_failed = nullptr;

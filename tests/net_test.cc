@@ -2,7 +2,8 @@
 // (framing, torn reads, hostile lengths, fuzzed input) and the server
 // end-to-end over real sockets (concurrent clients, prepared handles and
 // their plan-cache traffic, paging, cancellation, deadlines, admission
-// backpressure, graceful drain).
+// backpressure, graceful drain, and all of these at once from concurrent
+// clients).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -12,7 +13,10 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -386,6 +390,9 @@ TEST_F(NetServerTest, AdhocExecuteMatchesInProcessResults) {
   ASSERT_TRUE(local.is_collection());
   ASSERT_EQ(remote.rows.size(), local.AsElems().size());
   EXPECT_EQ(remote.exec.rows, local.AsElems().size());
+  // EXEC_OK carries the server's phase timings (docs/WIRE.md).
+  EXPECT_GT(remote.exec.exec_ms, 0.0);
+  EXPECT_GE(remote.exec.queue_wait_ms, 0.0);
   for (size_t i = 0; i < remote.rows.size(); ++i) {
     EXPECT_EQ(remote.rows[i], local.AsElems()[i]) << "row " << i;
   }
@@ -1054,6 +1061,20 @@ TEST_F(NetServerTest, GracefulShutdownDrainsInFlightQueriesUnderDeadline) {
   EXPECT_THROW(late.Connect("127.0.0.1", h->port()), Error);
 }
 
+// The first sample named `name` (with label op=`op`, when given), or -1.
+double MetricValue(const obs::MetricsSnapshot& snap, const std::string& name,
+                   const std::string& op = "") {
+  for (const obs::MetricSample& s : snap.samples) {
+    if (s.name != name) continue;
+    if (!op.empty()) {
+      auto it = s.labels.find("op");
+      if (it == s.labels.end() || it->second != op) continue;
+    }
+    return s.value;
+  }
+  return -1;
+}
+
 TEST_F(NetServerTest, NetMetricsAreRegisteredAndCounted) {
   if (!obs::MetricsRegistry::Enabled()) {
     GTEST_SKIP() << "built with -DLDB_METRICS=OFF";
@@ -1064,26 +1085,234 @@ TEST_F(NetServerTest, NetMetricsAreRegisteredAndCounted) {
   client.Execute("count(select e from e in Employees)");
 
   obs::MetricsSnapshot snap = h.svc.metrics().Snapshot();
-  auto value_of = [&snap](const std::string& name,
-                          const std::string& op = "") -> double {
-    for (const obs::MetricSample& s : snap.samples) {
-      if (s.name != name) continue;
-      if (!op.empty()) {
-        auto it = s.labels.find("op");
-        if (it == s.labels.end() || it->second != op) continue;
-      }
-      return s.value;
-    }
-    return -1;
-  };
-  EXPECT_EQ(value_of("ldb_connections_open"), 1);
-  EXPECT_GE(value_of("ldb_connections_total"), 1);
-  EXPECT_GT(value_of("ldb_net_bytes_sent_total"), 0);
-  EXPECT_GT(value_of("ldb_net_bytes_recv_total"), 0);
-  EXPECT_GE(value_of("ldb_net_frames_total", "HELLO"), 1);
-  EXPECT_GE(value_of("ldb_net_frames_total", "EXECUTE"), 1);
-  EXPECT_EQ(value_of("ldb_net_frames_total", "CANCEL"), 0);
+  EXPECT_EQ(MetricValue(snap, "ldb_connections_open"), 1);
+  EXPECT_GE(MetricValue(snap, "ldb_connections_total"), 1);
+  EXPECT_GT(MetricValue(snap, "ldb_net_bytes_sent_total"), 0);
+  EXPECT_GT(MetricValue(snap, "ldb_net_bytes_recv_total"), 0);
+  EXPECT_GE(MetricValue(snap, "ldb_net_frames_total", "HELLO"), 1);
+  EXPECT_GE(MetricValue(snap, "ldb_net_frames_total", "EXECUTE"), 1);
+  EXPECT_EQ(MetricValue(snap, "ldb_net_frames_total", "CANCEL"), 0);
   client.Close();
+}
+
+// A metrics-off build mints no trace ids: EXEC_OK reports 0 whether or not
+// the client sent a trace context, so a trace id never names a trace that
+// no ring could hold.
+TEST_F(NetServerTest, ExecOkTraceIdIsZeroOnlyWithMetricsCompiledOut) {
+  Harness h;
+  net::Client client;
+  client.Connect("127.0.0.1", h.port());
+  for (bool traced : {true, false}) {
+    client.set_trace_requests(traced);
+    for (int i = 0; i < 3; ++i) {
+      net::ClientResult r =
+          client.Execute("count(select e from e in Employees)");
+      if (obs::MetricsRegistry::Enabled()) {
+        EXPECT_NE(r.exec.trace_id, 0u) << "traced=" << traced;
+      } else {
+        EXPECT_EQ(r.exec.trace_id, 0u) << "traced=" << traced;
+      }
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Chaos: every failure path at once, under concurrency
+// ---------------------------------------------------------------------------
+
+// Seeded clients send the SERVICE mix plus kSlowQuery through one admission
+// slot and one queue place. Each request gets one action: none, a CANCEL
+// 0-2 ms after it is sent, a 1-5 ms deadline (always on kSlowQuery), or a
+// disconnect: the request goes out on a fresh socket that is closed right
+// after EXECUTE, and the client then reconnects. Client 0's HELLO sets a
+// 4 KiB memory budget. Every reply must be exactly the in-process result
+// or ERROR(CANCELLED | ADMISSION | OVER_BUDGET), no socket the test did not
+// close may fail, and afterwards the server holds no query, no tracked
+// byte, and still serves.
+TEST_F(NetServerTest, ChaosClientsLeaveNoResidue) {
+  constexpr int kScale = 500;
+  constexpr int kClients = 8;
+  constexpr int kRequests = 60;
+  constexpr int kBindings = 4;
+  // A request rejected at admission is retried, so that the outcomes the
+  // test asserts on do not hang on which client wins the slot.
+  constexpr int kMaxAttempts = 1000;
+  ServiceOptions sopts;
+  sopts.max_concurrent = 1;
+  sopts.max_queue = 1;
+  Harness h(kScale, sopts);
+
+  const std::string kLookup =
+      "select distinct e.name from e in Employees where e.dno = ";
+  const std::vector<std::string> mix = {
+      "select distinct struct(D: d.name, total: sum(select e.salary "
+      "from e in Employees where e.dno = d.dno)) from d in Departments",
+      // 489 rows at this scale: always over the 4 KiB budget.
+      "select distinct e.name from e in Employees "
+      "where e.salary < max(select m.salary from m in Managers "
+      "where e.age > m.age)",
+      "select distinct d.name from d in Departments "
+      "where count(select e from e in Employees where e.dno = d.dno) = 0",
+      kLookup + "$1",
+      kSlowQuery,
+  };
+  constexpr size_t kTypeJA = 1;
+  constexpr size_t kParam = 3;
+  constexpr size_t kSlow = 4;
+  // expected[statement][binding]; only the lookup has more than one.
+  std::vector<std::vector<Value>> expected(mix.size());
+  {
+    auto session = h.svc.OpenSession();
+    for (size_t s = 0; s < mix.size(); ++s) {
+      for (int b = 0; b < (s == kParam ? kBindings : 1); ++b) {
+        session->Bind("1", Value::Int(b));
+        expected[s].push_back(h.svc.Execute(*session, mix[s]));
+      }
+    }
+  }
+  auto matches = [](const net::ClientResult& r, const Value& want) {
+    if (!want.is_collection()) return r.rows.size() == 1 && r.rows[0] == want;
+    return r.rows.size() == want.AsElems().size() &&
+           std::equal(r.rows.begin(), r.rows.end(), want.AsElems().begin());
+  };
+
+  enum Action { kNone, kCancel, kDeadline, kDisconnect };
+  std::atomic<int> ok{0}, cancelled{0}, rejected{0}, over_budget{0};
+  std::atomic<int> disconnects{0}, wrong{0}, other_errors{0}, transport{0};
+
+  auto run_client = [&](int c) {
+    std::mt19937 rng(static_cast<uint32_t>(1000 + c));
+    HelloRequest hello;
+    if (c == 0) hello.memory_budget_bytes = 4096;
+    std::unique_ptr<net::Client> client;
+    std::vector<uint64_t> handles;
+    auto connect = [&] {
+      client = std::make_unique<net::Client>();
+      client->Connect("127.0.0.1", h.port(), hello);
+      handles.clear();
+      for (const std::string& oql : mix) {
+        handles.push_back(client->Prepare(oql));
+      }
+    };
+    // One attempt; returns true when it was rejected at admission.
+    auto attempt = [&](size_t s, int b, Action a) {
+      std::thread canceller;
+      if (a == kCancel) {
+        const auto delay = std::chrono::microseconds(rng() % 2001);
+        canceller = std::thread([&client, &transport, delay] {
+          std::this_thread::sleep_for(delay);
+          try {
+            client->Cancel();
+          } catch (const Error&) {
+            ++transport;
+          }
+        });
+      }
+      const uint64_t deadline_ms = a == kDeadline ? 1 + rng() % 5 : 0;
+      bool was_rejected = false;
+      try {
+        net::ClientResult r = client->ExecutePrepared(handles[s], deadline_ms);
+        ++(matches(r, expected[s][static_cast<size_t>(b)]) ? ok : wrong);
+      } catch (const net::RemoteError& e) {
+        switch (e.code()) {
+          case ErrorCode::kCancelled: ++cancelled; break;
+          case ErrorCode::kOverBudget: ++over_budget; break;
+          case ErrorCode::kAdmission:
+            ++rejected;
+            was_rejected = true;
+            break;
+          default:
+            ADD_FAILURE() << e.what();
+            ++other_errors;
+        }
+      } catch (const Error& e) {
+        ADD_FAILURE() << "transport: " << e.what();
+        ++transport;
+      }
+      if (canceller.joinable()) canceller.join();
+      return was_rejected;
+    };
+
+    try {
+      connect();
+      for (int i = 0; i < kRequests; ++i) {
+        // The budget client opens with the type-JA statement and no action,
+        // so OVER_BUDGET does not hang on the dice either.
+        const bool opener = c == 0 && i == 0;
+        const size_t s = opener ? kTypeJA : rng() % mix.size();
+        const int b = s == kParam ? static_cast<int>(rng() % kBindings) : 0;
+        const Action a = opener        ? kNone
+                         : s == kSlow ? kDeadline
+                                      : static_cast<Action>(rng() % 4);
+        if (a == kDisconnect) {
+          ExecuteRequest req;
+          req.mode = ExecuteRequest::kAdhoc;
+          req.oql = s == kParam ? kLookup + std::to_string(b) : mix[s];
+          req.fetch_hint = 1024;
+          {
+            RawConn raw(h.port());
+            Frame f;
+            if (!raw.connected() || !raw.Send(hello.Encode()) ||
+                !raw.Read(&f) || f.opcode != Opcode::kHelloOk ||
+                !raw.Send(req.Encode())) {
+              ADD_FAILURE() << "raw connection failed before EXECUTE";
+              ++transport;
+            }
+          }  // closed without reading the reply
+          ++disconnects;
+          connect();
+          continue;
+        }
+        if (s == kParam) client->Bind({{"1", Value::Int(b)}});
+        for (int n = 1; attempt(s, b, a) && n < kMaxAttempts; ++n) {
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+        }
+      }
+      client->Close();
+    } catch (const Error& e) {
+      ADD_FAILURE() << "client " << c << ": " << e.what();
+      ++transport;
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.reserve(kClients);
+  for (int c = 0; c < kClients; ++c) threads.emplace_back(run_client, c);
+  for (std::thread& t : threads) t.join();
+  std::printf("chaos: %d ok, %d cancelled, %d rejected, %d over budget, "
+              "%d disconnects\n",
+              ok.load(), cancelled.load(), rejected.load(), over_budget.load(),
+              disconnects.load());
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_EQ(other_errors.load(), 0);
+  EXPECT_EQ(transport.load(), 0);
+  EXPECT_GT(ok.load(), 0);
+  EXPECT_GT(cancelled.load(), 0);
+  EXPECT_GT(over_budget.load(), 0);
+
+  // No residue: the disconnected sessions' queries unwind, and every
+  // memory tracker returns what it charged.
+  auto mem_in_use = [&h] {
+    return MetricValue(h.svc.metrics().Snapshot(), "ldb_mem_in_use_bytes");
+  };
+  auto residue = [&] {
+    return !h.svc.ActiveQueries().empty() ||
+           (obs::MetricsRegistry::Enabled() && mem_in_use() != 0);
+  };
+  for (int i = 0; i < 1000 && residue(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  }
+  EXPECT_TRUE(h.svc.ActiveQueries().empty());
+  if (obs::MetricsRegistry::Enabled()) {
+    EXPECT_EQ(mem_in_use(), 0);
+  }
+
+  // And the server still serves.
+  net::Client fresh;
+  fresh.Connect("127.0.0.1", h.port());
+  net::ClientResult r = fresh.Execute("count(select e from e in Employees)");
+  ASSERT_EQ(r.rows.size(), 1u);
+  EXPECT_EQ(r.rows[0], Value::Int(kScale));
 }
 
 }  // namespace

@@ -1,32 +1,18 @@
 #!/usr/bin/env python3
-"""Compares two bench_unnesting JSON reports section by section.
+"""Compares the "results" records of two bench_unnesting JSON reports.
 
 Usage:
     bench_compare.py <baseline.json> <current.json> [--threshold PCT]
-                     [--serving-gate PCT]
 
-"results" records are matched on (experiment, engine, scale, threads) and
-printed with their wall-time delta; "serving" records (the ldb_loadgen /
-ldb_server numbers, see docs/WIRE.md) are matched on their label and
-printed with achieved-qps and tail-latency deltas. Records or whole
-sections present on only one side are reported as added/removed rather
-than being an error — a report from before a section existed must still
-compare cleanly against one from after.
+Records are matched on (experiment, engine, scale, threads) and printed with
+their wall-time delta. Records present on only one side are reported as
+added/removed rather than being an error — a report from before an
+experiment existed must still compare cleanly against one from after.
 
 Pairs whose |delta| exceeds the threshold (default 25%) are flagged as
-WARN. By default the exit code is always 0 — benchmark noise in shared CI
-runners makes regressions advisory, not blocking; the WARN lines are for a
-human reading the job log.
-
---serving-gate PCT turns the SERVING comparison into a hard gate: exit 1
-when any shared serving pair regresses beyond PCT (achieved qps down by
-more than PCT, or p95 latency up by more than PCT), and also exit 1 when
-the gate is requested but no serving pair matched — a gate that silently
-compares nothing is a broken gate, not a pass. The gate threshold should
-be far above run-to-run noise: shared-runner serving numbers routinely
-wobble +/-15%, so CI gates at 50% — catching "the server got 2x slower"
-while letting noise through to the advisory WARN lines. "results" pairs
-stay advisory either way (microbenchmark wall times are noisier still).
+WARN. The exit code is always 0 — benchmark noise in shared CI runners
+makes regressions advisory, not blocking; the WARN lines are for a human
+reading the job log.
 """
 
 import argparse
@@ -62,13 +48,6 @@ def timed_results(doc):
     return out
 
 
-def serving_records(doc):
-    out = {}
-    for rec in doc.get("serving", []):
-        out[rec.get("label", "?")] = rec
-    return out
-
-
 def pct_delta(base, cur):
     if not base:
         return 0.0
@@ -78,8 +57,6 @@ def pct_delta(base, cur):
 def compare_results(base_doc, cur_doc, threshold):
     base = timed_results(base_doc)
     cur = timed_results(cur_doc)
-    if not base and not cur:
-        return 0, 0
     warns = 0
     shared = sorted((k for k in base if k in cur), key=sort_key)
     for k in shared:
@@ -102,53 +79,6 @@ def compare_results(base_doc, cur_doc, threshold):
     return len(shared), warns
 
 
-def compare_serving(base_doc, cur_doc, threshold, gate=None):
-    base = serving_records(base_doc)
-    cur = serving_records(cur_doc)
-    if not base and not cur:
-        return 0, 0, []
-    if not base:
-        print(f"serving: section added (current only, "
-              f"{len(cur)} record(s))")
-    if not cur:
-        print(f"serving: section removed (baseline only, "
-              f"{len(base)} record(s))")
-    warns = 0
-    gate_failures = []
-    shared = sorted(label for label in base if label in cur)
-    for label in shared:
-        b, c = base[label], cur[label]
-        qps_b = b.get("achieved_qps", 0) or 0
-        qps_c = c.get("achieved_qps", 0) or 0
-        p95_b = b.get("p95_ms", 0) or 0
-        p95_c = c.get("p95_ms", 0) or 0
-        qps_delta = pct_delta(qps_b, qps_c)
-        p95_delta = pct_delta(p95_b, p95_c)
-        # Throughput dropping or tail latency rising is the regression side.
-        flag = ""
-        if qps_delta < -threshold or p95_delta > threshold:
-            flag = "  WARN"
-            warns += 1
-        elif qps_delta > threshold or p95_delta < -threshold:
-            flag = "  (faster)"
-        if gate is not None and (qps_delta < -gate or p95_delta > gate):
-            flag += "  GATE-FAIL"
-            gate_failures.append(
-                f"{label}: qps {qps_delta:+.1f}%, p95 {p95_delta:+.1f}% "
-                f"(gate {gate:.0f}%)")
-        print(f"serving/{label:<46} {qps_b:8.1f} -> {qps_c:8.1f} q/s "
-              f"({qps_delta:+6.1f}%) | p95 {p95_b:8.2f} -> {p95_c:8.2f} ms "
-              f"({p95_delta:+6.1f}%){flag}")
-        rej_b, rej_c = b.get("rejected", 0), c.get("rejected", 0)
-        if rej_b != rej_c:
-            print(f"serving/{label}: rejected {rej_b} -> {rej_c}")
-    for label in sorted(label for label in base if label not in cur):
-        print(f"serving: removed (baseline only): {label}")
-    for label in sorted(label for label in cur if label not in base):
-        print(f"serving: added (current only):    {label}")
-    return len(shared), warns, gate_failures
-
-
 def main():
     ap = argparse.ArgumentParser(
         description="Per-experiment deltas between bench reports")
@@ -156,51 +86,19 @@ def main():
     ap.add_argument("current")
     ap.add_argument("--threshold", type=float, default=25.0,
                     help="warn when |delta| exceeds this percentage")
-    ap.add_argument("--serving-gate", type=float, default=None,
-                    metavar="PCT",
-                    help="exit 1 when any serving pair loses more than PCT%% "
-                         "qps or gains more than PCT%% p95 (or when no "
-                         "serving pair matched at all)")
     args = ap.parse_args()
 
-    base_doc = load(args.baseline)
-    cur_doc = load(args.current)
-
-    n_results, warns_results = compare_results(base_doc, cur_doc,
-                                               args.threshold)
-    n_serving, warns_serving, gate_failures = compare_serving(
-        base_doc, cur_doc, args.threshold, args.serving_gate)
-    pairs = n_results + n_serving
-    warns = warns_results + warns_serving
+    pairs, warns = compare_results(load(args.baseline), load(args.current),
+                                   args.threshold)
     if pairs == 0:
         print("bench_compare: no shared records; nothing to compare")
-        if args.serving_gate is not None:
-            print("bench_compare: GATE FAIL — --serving-gate was requested "
-                  "but no serving pair matched (empty gates don't pass)",
-                  file=sys.stderr)
-            sys.exit(1)
         return
-
-    print(f"bench_compare: {pairs} pairs compared "
-          f"({n_results} results, {n_serving} serving), {warns} regression "
+    print(f"bench_compare: {pairs} pairs compared, {warns} regression "
           f"warning(s) over {args.threshold:.0f}%")
     if warns:
         print("bench_compare: WARN lines are advisory — shared-runner "
               "timing noise regularly exceeds the threshold; investigate "
               "only when a warning persists across runs", file=sys.stderr)
-    if args.serving_gate is not None:
-        if n_serving == 0:
-            print("bench_compare: GATE FAIL — --serving-gate was requested "
-                  "but no serving pair matched (empty gates don't pass)",
-                  file=sys.stderr)
-            sys.exit(1)
-        if gate_failures:
-            for failure in gate_failures:
-                print(f"bench_compare: GATE FAIL — serving/{failure}",
-                      file=sys.stderr)
-            sys.exit(1)
-        print(f"bench_compare: serving gate ok "
-              f"({n_serving} pair(s) within {args.serving_gate:.0f}%)")
 
 
 if __name__ == "__main__":

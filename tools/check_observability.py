@@ -1,14 +1,15 @@
 #!/usr/bin/env python3
-"""Validates the observability artifacts bench_unnesting --metrics emits.
+"""Validates the observability artifacts of a bench run and a server run.
 
 Usage:
-    check_observability.py <bench.json> <metrics.prom> <trace.json> \
-        [server.prom [ring.json [serving.json]]]
-    check_observability.py --metrics-off <serving.json> [server.prom \
-        [ring.json]]
+    check_observability.py <bench.json> <metrics.prom> <trace.json>
+    check_observability.py --server <server.prom> <ring.json> <trace.json>
+    check_observability.py --metrics-off <server.prom> <ring.json>
 
-Checks three things:
-  * the benchmark report embeds a metrics snapshot with sane counters;
+The first form checks what bench_unnesting --quick --metrics --json writes:
+  * the benchmark report carries its commit/timestamp header, profiled
+    records with non-empty per-operator stats and compile-stage times, and
+    an embedded metrics snapshot with sane counters;
   * the Prometheus text exposition is well-formed (TYPE lines, cumulative
     histogram buckets, _count == +Inf bucket, well-formed OpenMetrics
     exemplar suffixes on bucket lines);
@@ -19,30 +20,27 @@ Checks three things:
     event's args), and spans within one (pid, tid) lane nest properly (a
     worker lane never has two morsels overlapping halfway).
 
-With the optional fourth argument — a Prometheus dump from an ldb_server
-run (--metrics-dump) — it additionally validates the network-front-end
-instruments: connection and byte counters moved, per-opcode frame counters
-are present, everything the server accepted was counted, and the latency
-histograms carry at least one exemplar linking a bucket to a trace id.
+--server checks what an ldb_server run leaves behind (docs/OBSERVABILITY.md,
+"Request tracing"):
+  * server.prom — its --metrics-dump: connection and byte counters moved,
+    HELLO and EXECUTE frames were counted, everything the server accepted
+    was counted, and the latency histograms carry at least one exemplar
+    linking a bucket to a trace id;
+  * ring.json — its --trace-dump / SIGUSR1 trace-ring snapshot: counters
+    consistent, at least one kept trace, and every kept trace carries a
+    valid sample_reason, 16-hex trace id, and a span tree that obeys the
+    span-tree rule;
+  * trace.json — one trace fetched over INTROSPECT (oqlsh .fetch-trace),
+    as Chrome trace-event JSON: the checks above, plus `request` and
+    `execute` spans.
 
-With the optional fifth/sixth arguments it validates the request-tracing
-artifacts (docs/OBSERVABILITY.md, "Request tracing"):
-  * ring.json — an ldb_server --trace-dump / SIGUSR1 trace-ring snapshot:
-    counters consistent, every kept trace carries a valid sample_reason,
-    16-hex trace id, and a span tree that obeys the span-tree rule;
-  * serving.json — an ldb_loadgen --json report whose server_phases section
-    must be present with non-negative phase means and a non-zero
-    slowest_trace_id (the serving run issues traced requests).
-
-The --metrics-off mode validates the opposite build: an ldb_server compiled
-with -DLDB_METRICS=OFF must still *serve* (the loadgen report shows
-successful requests at non-zero qps with no transport errors) while its
-metrics dump proves the instruments are genuinely compiled out (every
-query/connection counter pinned at zero, no exemplars anywhere) and its
-trace-ring dump proves tracing compiled out too (capacity 0, nothing
-submitted or kept). This guards the include seam tools/lint_layering.py
-enforces: runtime sees obs only through obs/resource.h, so turning metrics
-off must never take the server with it.
+--metrics-off checks the opposite build: an ldb_server compiled with
+-DLDB_METRICS=OFF pins every query/connection counter at zero with no
+exemplars anywhere, and its trace-ring dump shows tracing compiled out too
+(capacity 0, nothing submitted or kept). That such a server still serves is
+checked where its traffic is sent. This guards the include seam
+tools/lint_layering.py enforces: runtime sees obs only through
+obs/resource.h, so turning metrics off must never take the server with it.
 
 The span-tree rule, one function for both trace formats: exactly one
 root, unique nonzero span ids, every parent resolves within the trace, and
@@ -210,11 +208,25 @@ def check_trace(path):
             open_stack.append(end)
             spans += 1
     print(f"trace OK: {spans} spans across {len(lanes)} lanes")
+    return {name for _, _, name, _, _ in tree}
 
 
 def check_bench(path):
     with open(path) as f:
         doc = json.load(f)
+    if not doc.get("commit") or not doc.get("timestamp"):
+        fail(f"{path}: missing commit/timestamp provenance header")
+    profiled = [r for r in doc.get("results", []) if "profile" in r]
+    if not profiled:
+        fail(f"{path}: no record carries a profile block")
+    for r in profiled:
+        where = f"{path}: {r.get('experiment')} scale {r.get('scale')}"
+        if not r["profile"].get("operators"):
+            fail(f"{where}: profile block has no operator stats")
+        if not r.get("compile_trace", {}).get("stages"):
+            fail(f"{where}: compile trace has no stages")
+    print(f"bench profiles OK: {len(profiled)} profiled records")
+
     metrics = doc.get("metrics")
     if not metrics:
         fail(f"{path}: no top-level metrics block (run with --metrics)")
@@ -417,107 +429,59 @@ def check_trace_ring(path, expect_empty=False):
           f"{doc['submitted']} submitted / {doc['dropped']} dropped")
 
 
-def check_serving_phases(path):
-    """Validates the server_phases section of an ldb_loadgen --json report."""
-    with open(path) as f:
-        doc = json.load(f)
-    recs = doc.get("serving")
-    if not recs:
-        fail(f"{path}: no serving records — did ldb_loadgen run?")
-    rec = recs[0]
-    phases = rec.get("server_phases")
-    if phases is None:
-        fail(f"{path}: serving record has no server_phases section")
-    for key in ("queue_wait_ms_mean", "queue_ms_mean", "compile_ms_mean",
-                "exec_ms_mean", "serialize_ms_mean"):
-        v = phases.get(key)
-        if not isinstance(v, (int, float)) or v < 0:
-            fail(f"{path}: server_phases.{key} is {v!r}")
-    if rec.get("ok", 0) > 0 and phases.get("exec_ms_mean", 0) <= 0:
-        fail(f"{path}: requests succeeded but exec_ms_mean is zero — the "
-             "EXEC_OK phase extension did not come back")
-    slowest = phases.get("slowest_trace_id", "")
-    if not TRACE_ID_RE.match(slowest) or slowest == "0" * 16:
-        fail(f"{path}: server_phases.slowest_trace_id {slowest!r} is not a "
-             "real trace id — traced requests must report their ids")
-    print(f"serving phases OK: exec mean {phases['exec_ms_mean']:.3f} ms, "
-          f"slowest trace {slowest}")
+def check_metrics_off(prom_path, ring_path):
+    """Asserts a -DLDB_METRICS=OFF server's dumps show every instrument
+    compiled out."""
+    # The registry still exists when compiled out (call sites stay
+    # #ifdef-free), so the dump is well-formed — but nothing may have
+    # counted. A moving counter here means some instrument escaped the
+    # LDB_METRICS_ENABLED gate.
+    exemplars = check_prometheus(prom_path)
+    if exemplars != 0:
+        fail(f"{prom_path}: {exemplars} exemplar(s) in a -DLDB_METRICS=OFF "
+             "build — exemplar capture escaped the compile-out gate")
+    samples = parse_prom_samples(prom_path)
+    for name in ("ldb_queries_started_total", "ldb_queries_ok_total",
+                 "ldb_connections_total", "ldb_net_bytes_recv_total",
+                 "ldb_plan_cache_hits_total", "ldb_plan_cache_misses_total",
+                 "ldb_morsels_dispatched_total"):
+        moved = sum(v for _, v in samples.get(name, []))
+        if moved != 0:
+            fail(f"{prom_path}: {name} = {moved} in a -DLDB_METRICS=OFF "
+                 "build — an instrument escaped the compile-out gate")
+    print("metrics-off dump OK: all instruments pinned at zero")
+    check_trace_ring(ring_path, expect_empty=True)
 
 
-def check_metrics_off(serving_path, prom_path=None, ring_path=None):
-    """Asserts a -DLDB_METRICS=OFF server served real traffic with every
-    instrument compiled out."""
-    with open(serving_path) as f:
-        doc = json.load(f)
-    recs = doc.get("serving")
-    if not recs:
-        fail(f"{serving_path}: no serving records — did ldb_loadgen run?")
-    rec = recs[0]
-    if rec.get("ok", 0) <= 0:
-        fail(f"{serving_path}: metrics-off server completed no requests: "
-             f"{rec}")
-    if rec.get("achieved_qps", 0) <= 0:
-        fail(f"{serving_path}: metrics-off server achieved zero qps: {rec}")
-    if rec.get("transport_errors", 0) != 0:
-        fail(f"{serving_path}: transport errors against the metrics-off "
-             f"server: {rec}")
-    # The compile gate also covers trace minting: a metrics-off server must
-    # not report trace ids back to the loadgen.
-    phases = rec.get("server_phases")
-    if phases is not None:
-        slowest = phases.get("slowest_trace_id", "0" * 16)
-        if slowest not in ("", "0" * 16):
-            fail(f"{serving_path}: metrics-off server reported trace id "
-                 f"{slowest} — trace minting escaped the compile-out gate")
-    print(f"metrics-off serving OK: {rec['ok']} ok requests at "
-          f"{rec['achieved_qps']:.1f} q/s")
-
-    if prom_path is not None:
-        # The registry still exists when compiled out (call sites stay
-        # #ifdef-free), so the dump is well-formed — but nothing may have
-        # counted. A moving counter here means some instrument escaped the
-        # LDB_METRICS_ENABLED gate.
-        exemplars = check_prometheus(prom_path)
-        if exemplars != 0:
-            fail(f"{prom_path}: {exemplars} exemplar(s) in a "
-                 "-DLDB_METRICS=OFF build — exemplar capture escaped the "
-                 "compile-out gate")
-        samples = parse_prom_samples(prom_path)
-        for name in ("ldb_queries_started_total", "ldb_queries_ok_total",
-                     "ldb_connections_total", "ldb_net_bytes_recv_total",
-                     "ldb_plan_cache_hits_total",
-                     "ldb_plan_cache_misses_total",
-                     "ldb_morsels_dispatched_total"):
-            moved = sum(v for _, v in samples.get(name, []))
-            if moved != 0:
-                fail(f"{prom_path}: {name} = {moved} in a -DLDB_METRICS=OFF "
-                     "build — an instrument escaped the compile-out gate")
-        print(f"metrics-off dump OK: all instruments pinned at zero")
-    if ring_path is not None:
-        check_trace_ring(ring_path, expect_empty=True)
+def usage():
+    print(__doc__, file=sys.stderr)
+    sys.exit(2)
 
 
 def main():
-    if len(sys.argv) >= 2 and sys.argv[1] == "--metrics-off":
-        if len(sys.argv) not in (3, 4, 5):
-            print(__doc__, file=sys.stderr)
-            sys.exit(2)
-        check_metrics_off(*sys.argv[2:])
+    args = sys.argv[1:]
+    if args[:1] == ["--metrics-off"]:
+        if len(args) != 3:
+            usage()
+        check_metrics_off(*args[1:])
         print("metrics-off build OK")
-        return
-    if len(sys.argv) not in (4, 5, 6, 7):
-        print(__doc__, file=sys.stderr)
-        sys.exit(2)
-    check_bench(sys.argv[1])
-    check_prometheus(sys.argv[2])
-    check_trace(sys.argv[3])
-    if len(sys.argv) >= 5:
-        check_server(sys.argv[4])
-    if len(sys.argv) >= 6:
-        check_trace_ring(sys.argv[5])
-    if len(sys.argv) >= 7:
-        check_serving_phases(sys.argv[6])
-    print("all observability artifacts OK")
+    elif args[:1] == ["--server"]:
+        if len(args) != 4:
+            usage()
+        check_server(args[1])
+        check_trace_ring(args[2])
+        names = check_trace(args[3])
+        if "request" not in names or "execute" not in names:
+            fail(f"{args[3]}: fetched trace lacks a request or execute span: "
+                 f"{sorted(names)}")
+        print("server artifacts OK")
+    elif len(args) == 3:
+        check_bench(args[0])
+        check_prometheus(args[1])
+        check_trace(args[2])
+        print("bench artifacts OK")
+    else:
+        usage()
 
 
 if __name__ == "__main__":
