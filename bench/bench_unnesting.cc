@@ -8,6 +8,7 @@
 // is an enabler, not a win — Section 1).
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <string>
 #include <thread>
@@ -225,16 +226,19 @@ void RunMetricsProbe() {
   svc.Execute(*session, kScan.oql);
 
   // Live-introspection probe: run one query on a worker thread and
-  // snapshot ActiveQueries() from here while it is in flight. Polling is
-  // racy by nature, so keep whatever snapshot was captured — CI checks
-  // the field's shape, tests pin the semantics.
+  // snapshot ActiveQueries() from here while it is in flight. One run lasts
+  // about half a millisecond, so polling can miss it: rerun it (at most 50
+  // times) until a snapshot captures it. CI checks the capture's shape,
+  // tests pin the semantics.
   std::vector<obs::ActiveQueryInfo> seen;
-  {
+  for (int attempt = 0; attempt < 50 && seen.empty(); ++attempt) {
+    std::atomic<bool> done{false};
     std::thread worker([&] {
       auto s2 = svc.OpenSession();
       svc.Execute(*s2, kTypeJA.oql);
+      done.store(true);
     });
-    for (int spin = 0; spin < 200000 && seen.empty(); ++spin) {
+    while (seen.empty() && !done.load()) {
       seen = svc.ActiveQueries();
       if (seen.empty()) std::this_thread::yield();
     }

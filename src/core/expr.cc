@@ -1,6 +1,7 @@
 #include "src/core/expr.h"
 
 #include <atomic>
+#include <cstring>
 
 #include "src/runtime/error.h"
 
@@ -325,6 +326,162 @@ bool ExprEqual(const ExprPtr& a, const ExprPtr& b) {
   }
   return false;
 }
+
+namespace {
+
+// The variables bound where a walk stands, outermost first: a generator's
+// from the qualifier after it through the head, a lambda's in its body.
+using Binders = std::vector<const std::string*>;
+
+// Binder position of `name` (its innermost binding), or -1 when free.
+int BinderOf(const Binders& scope, const std::string& name) {
+  for (size_t i = scope.size(); i-- > 0;) {
+    if (*scope[i] == name) return static_cast<int>(i);
+  }
+  return -1;
+}
+
+// Literal identity: stricter than Value's ==, which equates 7 and 7.0 and
+// so would let queries with different answers share a plan. Literals are
+// scalars (the OQL front end makes no other kind), and strings compare
+// bytewise under ==.
+bool SameLiteral(const Value& a, const Value& b) {
+  if (a.kind() != b.kind()) return false;
+  if (a.kind() != Value::Kind::kReal) return a == b;
+  const double x = a.AsReal(), y = b.AsReal();
+  return std::memcmp(&x, &y, sizeof x) == 0;
+}
+
+// Compares node fields by kind, then every child generically: an unused
+// field is empty or null on both sides. Binders enter scope as they would in
+// FreeVars: a lambda's for its body, a generator's for the qualifiers after
+// it and the head.
+class KeyEqual {
+ public:
+  bool Eq(const ExprPtr& a, const ExprPtr& b) {
+    if (!a || !b) return a == b;
+    if (a->kind != b->kind) return false;
+    const size_t depth = scope_a_.size();
+    switch (a->kind) {
+      case ExprKind::kVar: {
+        const int i = BinderOf(scope_a_, a->name);
+        if (i != BinderOf(scope_b_, b->name)) return false;
+        return i >= 0 || a->name == b->name;
+      }
+      case ExprKind::kLiteral:
+        return SameLiteral(a->literal, b->literal);
+      case ExprKind::kParam:
+      case ExprKind::kProj:
+        if (a->name != b->name) return false;
+        break;
+      case ExprKind::kBinOp:
+        if (a->bin_op != b->bin_op) return false;
+        break;
+      case ExprKind::kUnOp:
+        if (a->un_op != b->un_op) return false;
+        break;
+      case ExprKind::kZero:
+      case ExprKind::kMerge:
+      case ExprKind::kComp:
+        if (a->monoid != b->monoid) return false;
+        break;
+      case ExprKind::kLambda:
+        scope_a_.push_back(&a->name);
+        scope_b_.push_back(&b->name);
+        break;
+      default:
+        break;
+    }
+    bool eq = a->fields.size() == b->fields.size() &&
+              a->quals.size() == b->quals.size();
+    for (size_t i = 0; eq && i < a->fields.size(); ++i) {
+      eq = a->fields[i].first == b->fields[i].first &&
+           Eq(a->fields[i].second, b->fields[i].second);
+    }
+    for (size_t i = 0; eq && i < a->quals.size(); ++i) {
+      const Qualifier& qa = a->quals[i];
+      const Qualifier& qb = b->quals[i];
+      eq = qa.is_generator == qb.is_generator && Eq(qa.expr, qb.expr);
+      if (qa.is_generator) {
+        scope_a_.push_back(&qa.var);
+        scope_b_.push_back(&qb.var);
+      }
+    }
+    eq = eq && Eq(a->a, b->a) && Eq(a->b, b->b) && Eq(a->c, b->c);
+    scope_a_.resize(depth);
+    scope_b_.resize(depth);
+    return eq;
+  }
+
+ private:
+  Binders scope_a_, scope_b_;
+};
+
+size_t HashName(const std::string& s) { return std::hash<std::string>{}(s); }
+
+// Hashes exactly what KeyEqual compares, in the same walk.
+class KeyHash {
+ public:
+  size_t Hash(const ExprPtr& e) {
+    if (!e) return 0;
+    size_t h = static_cast<size_t>(e->kind) + 1;
+    const size_t depth = scope_.size();
+    switch (e->kind) {
+      case ExprKind::kVar: {
+        const int i = BinderOf(scope_, e->name);
+        return i >= 0 ? HashCombine(h, static_cast<size_t>(i))
+                      : HashCombine(~h, HashName(e->name));
+      }
+      case ExprKind::kLiteral:
+        // SameLiteral implies Value's ==, with which Hash is consistent.
+        h = HashCombine(h, static_cast<size_t>(e->literal.kind()));
+        return HashCombine(h, e->literal.Hash());
+      case ExprKind::kParam:
+      case ExprKind::kProj:
+        h = HashCombine(h, HashName(e->name));
+        break;
+      case ExprKind::kBinOp:
+        h = HashCombine(h, static_cast<size_t>(e->bin_op));
+        break;
+      case ExprKind::kUnOp:
+        h = HashCombine(h, static_cast<size_t>(e->un_op));
+        break;
+      case ExprKind::kZero:
+      case ExprKind::kMerge:
+      case ExprKind::kComp:
+        h = HashCombine(h, static_cast<size_t>(e->monoid));
+        break;
+      case ExprKind::kLambda:
+        scope_.push_back(&e->name);
+        break;
+      default:
+        break;
+    }
+    for (const auto& [n, f] : e->fields) {
+      h = HashCombine(HashCombine(h, HashName(n)), Hash(f));
+    }
+    for (const Qualifier& q : e->quals) {
+      h = HashCombine(HashCombine(h, q.is_generator ? 1 : 2), Hash(q.expr));
+      if (q.is_generator) scope_.push_back(&q.var);
+    }
+    h = HashCombine(h, Hash(e->a));
+    h = HashCombine(h, Hash(e->b));
+    h = HashCombine(h, Hash(e->c));
+    scope_.resize(depth);
+    return h;
+  }
+
+ private:
+  Binders scope_;
+};
+
+}  // namespace
+
+bool ExprKeyEqual(const ExprPtr& a, const ExprPtr& b) {
+  return KeyEqual().Eq(a, b);
+}
+
+size_t ExprKeyHash(const ExprPtr& e) { return KeyHash().Hash(e); }
 
 bool ContainsComp(const ExprPtr& e) {
   if (!e) return false;

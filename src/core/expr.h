@@ -154,6 +154,17 @@ ExprPtr Subst(const ExprPtr& e, const std::string& var, const ExprPtr& replaceme
 /// Structural equality of terms (alpha-sensitive: variable names matter).
 bool ExprEqual(const ExprPtr& a, const ExprPtr& b);
 
+/// Plan identity (docs/SERVICE.md): structural equality up to the names of
+/// bound variables. Variables bound by a generator or a lambda compare by
+/// binder position; free variables, record fields, projections and
+/// parameters by name; literals exactly (the same kind, reals bit for bit,
+/// strings byte for byte), so `7` and `7.0` differ where ExprEqual
+/// equates them.
+bool ExprKeyEqual(const ExprPtr& a, const ExprPtr& b);
+
+/// A hash consistent with ExprKeyEqual: key-equal terms hash alike.
+size_t ExprKeyHash(const ExprPtr& e);
+
 /// True if `e` contains a comprehension node (possibly `e` itself).
 bool ContainsComp(const ExprPtr& e);
 

@@ -188,19 +188,29 @@ CompiledQuery Optimizer::Compile(const ExprPtr& calculus,
   return out;
 }
 
+LoweredPlan Optimizer::Lower(const CompiledQuery& q,
+                             const Database& db) const {
+  CompileTrace* trace = q.trace.get();
+  LoweredPlan out;
+  out.physical = TimeStage(trace, "physical", [&] {
+    return PlanPhysical(q.simplified, db, options_.physical);
+  });
+  out.slots = TimeStage(trace, "slot-compile",
+                        [&] { return CompileSlotPlan(out.physical, db); });
+  // A miscompiled frame layout corrupts every execution of the plan (every
+  // session, for a cached one), so it must pass the dataflow analysis
+  // before it runs.
+  if (options_.verify_plans) {
+    VerifyReport report = VerifySlotPlan(out.slots);
+    RecordVerifyStage(trace, report);
+    report.ThrowIfFailed();
+  }
+  return out;
+}
+
 Value Optimizer::Execute(const CompiledQuery& q, const Database& db) const {
   if (options_.pipelined_execution) {
-    PhysPtr physical = TimeStage(q.trace.get(), "physical", [&] {
-      return PlanPhysical(q.simplified, db, options_.physical);
-    });
-    // Compile the slot plan here so it can be verified before running.
-    SlotPlan slots = CompileSlotPlan(physical, db);
-    if (options_.verify_plans) {
-      VerifyReport report = VerifySlotPlan(slots);
-      RecordVerifyStage(q.trace.get(), report);
-      report.ThrowIfFailed();
-    }
-    return ExecuteSlotPlan(slots, db, options_.exec);
+    return ExecuteSlotPlan(Lower(q, db).slots, db, options_.exec);
   }
   return ExecutePlan(q.simplified, db, options_.physical);
 }

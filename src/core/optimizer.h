@@ -2,7 +2,11 @@
 //
 //   calculus --normalize--> canonical comprehension --unnest (C1-C9)-->
 //   algebra plan --simplify (Section 5)--> plan --physical selection-->
-//   executable plan
+//   physical plan --slot compilation--> executable slot plan
+//
+// Compile runs normalization through simplification and Lower the two
+// physical stages. Execute runs both and then the plan; the service runs
+// both once per plan-cache miss and keeps what they produce.
 //
 // Every stage can be toggled off for the ablation experiments (P-NORM,
 // P-SIMP, P-PHYS in DESIGN.md). The baseline path evaluates the calculus
@@ -27,13 +31,14 @@
 #include "src/core/unnest.h"
 #include "src/runtime/database.h"
 #include "src/runtime/physical.h"
+#include "src/runtime/slot_plan.h"
 
 namespace ldb {
 
 /// Wall time of one optimizer stage.
 struct StageTiming {
   std::string stage;  ///< "normalize" | "unnest" | "simplify" | "typecheck"
-                      ///< | "physical"
+                      ///< | "physical" | "slot-compile"
   double ms = 0;
 };
 
@@ -111,9 +116,15 @@ struct CompiledQuery {
   TypePtr result_type; ///< nullptr when typecheck is off
 
   /// Stage timings + rule firings; null unless OptimizerOptions::trace.
-  /// Shared (not owned) so Execute can append the "physical" stage timing
-  /// to an already-compiled query.
+  /// Shared (not owned) so Lower can append its stages to an
+  /// already-compiled query.
   std::shared_ptr<CompileTrace> trace;
+};
+
+/// A compiled query lowered for the slot engine.
+struct LoweredPlan {
+  PhysPtr physical;  ///< physical plan (EXPLAIN, slow-query plan text)
+  SlotPlan slots;    ///< slot-compiled plan (what executes)
 };
 
 class Optimizer {
@@ -135,7 +146,15 @@ class Optimizer {
   CompiledQuery Compile(const ExprPtr& calculus,
                         const ExprPtr& normalized) const;
 
-  /// Executes a compiled query.
+  /// Lowers a compiled query for the slot engine: physical planning, slot
+  /// compilation and, when verify_plans is on, the slot-plan verifier
+  /// (throws VerifyError on a finding). Appends the "physical" and
+  /// "slot-compile" stage timings and the "slot-plan" verify summary to
+  /// q.trace when there is one.
+  LoweredPlan Lower(const CompiledQuery& q, const Database& db) const;
+
+  /// Executes a compiled query: Lower, then the slot engine, or the
+  /// materializing executor when pipelined_execution is off.
   Value Execute(const CompiledQuery& q, const Database& db) const;
 
   /// Execute(Compile(calculus), db).

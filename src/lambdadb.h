@@ -53,7 +53,6 @@
 #include "src/service/plan_cache.h"
 #include "src/service/query_service.h"
 #include "src/service/session.h"
-#include "src/verify/calc_parser.h"
 #include "src/verify/verify.h"
 
 namespace ldb {

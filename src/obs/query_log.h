@@ -32,8 +32,6 @@ struct QueryLogRecord {
   std::string remote;      ///< client address ("ip:port") for queries that
                            ///< arrived over the wire protocol; "" in-process
   uint64_t query_hash = 0; ///< std::hash of the raw OQL text
-  std::string cache_key;   ///< normalized calculus + version stamp ("" if
-                           ///< the query failed before compilation)
   std::string status;
   std::string error;       ///< what() when status != "ok"
   bool plan_cached = false;

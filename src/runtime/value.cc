@@ -20,10 +20,6 @@ void SortCanonical(Elems* elems) {
             [](const Value& a, const Value& b) { return Value::Compare(a, b) < 0; });
 }
 
-size_t HashCombine(size_t seed, size_t h) {
-  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
-}
-
 // Orders an int against a real exactly, without rounding the int through
 // double (2^53 + 1 is greater than 2^53 as a real). A NaN is neither less
 // nor greater than anything.

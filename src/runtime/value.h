@@ -311,6 +311,11 @@ class Value {
 
 static_assert(sizeof(Value) == 16, "Value is one 16-byte tagged word pair");
 
+/// Mixes hash `h` into `seed`.
+inline size_t HashCombine(size_t seed, size_t h) {
+  return seed ^ (h + 0x9e3779b97f4a7c15ULL + (seed << 6) + (seed >> 2));
+}
+
 /// The payload of a tuple Value: its shape plus one value per field, stored
 /// in the same allocation right after this header.
 class Record : private detail::Cell {

@@ -2,12 +2,26 @@
 
 namespace ldb {
 
+PlanKey::PlanKey(ExprPtr term_in, std::string stamp_in,
+                 std::vector<bool> descending_in)
+    : term(std::move(term_in)),
+      stamp(std::move(stamp_in)),
+      descending(std::move(descending_in)) {
+  hash = ExprKeyHash(term) ^ (std::hash<std::string>{}(stamp) << 1) ^
+         (std::hash<std::vector<bool>>{}(descending) << 2);
+}
+
+bool PlanKey::operator==(const PlanKey& other) const {
+  return hash == other.hash && stamp == other.stamp &&
+         descending == other.descending && ExprKeyEqual(term, other.term);
+}
+
 void PlanCache::SetMetricHooks(MetricHooks hooks) {
   MutexLock lock(&mu_);
   hooks_ = hooks;
 }
 
-std::shared_ptr<const PreparedPlan> PlanCache::Lookup(const std::string& key) {
+std::shared_ptr<const PreparedPlan> PlanCache::Lookup(const PlanKey& key) {
   MutexLock lock(&mu_);
   auto it = by_key_.find(key);
   if (it == by_key_.end()) {
@@ -18,22 +32,21 @@ std::shared_ptr<const PreparedPlan> PlanCache::Lookup(const std::string& key) {
   ++hits_;
   if (hooks_.hits != nullptr) hooks_.hits->Inc();
   lru_.splice(lru_.begin(), lru_, it->second);
-  return lru_.front().second;
+  return lru_.front();
 }
 
-void PlanCache::Insert(const std::string& key,
-                       std::shared_ptr<const PreparedPlan> plan) {
+void PlanCache::Insert(std::shared_ptr<const PreparedPlan> plan) {
   MutexLock lock(&mu_);
-  auto it = by_key_.find(key);
+  auto it = by_key_.find(plan->key);
   if (it != by_key_.end()) {
-    it->second->second = std::move(plan);
+    *it->second = std::move(plan);
     lru_.splice(lru_.begin(), lru_, it->second);
     return;
   }
-  lru_.emplace_front(key, std::move(plan));
-  by_key_[key] = lru_.begin();
+  lru_.push_front(std::move(plan));
+  by_key_.emplace(lru_.front()->key, lru_.begin());
   while (lru_.size() > capacity_ && capacity_ > 0) {
-    by_key_.erase(lru_.back().first);
+    by_key_.erase(lru_.back()->key);
     lru_.pop_back();
     ++evictions_capacity_;
     if (hooks_.evictions_capacity != nullptr) hooks_.evictions_capacity->Inc();
@@ -52,12 +65,12 @@ void PlanCache::Clear() {
   if (hooks_.entries != nullptr) hooks_.entries->Set(0);
 }
 
-size_t PlanCache::EvictNotMatching(const std::string& stamp_fragment) {
+size_t PlanCache::EvictNotMatching(const std::string& stamp) {
   MutexLock lock(&mu_);
   size_t dropped = 0;
   for (auto it = lru_.begin(); it != lru_.end();) {
-    if (it->first.find(stamp_fragment) == std::string::npos) {
-      by_key_.erase(it->first);
+    if ((*it)->key.stamp != stamp) {
+      by_key_.erase((*it)->key);
       it = lru_.erase(it);
       ++dropped;
     } else {

@@ -1,12 +1,14 @@
 // LRU cache of compiled query plans (docs/SERVICE.md).
 //
-// The key is the pretty-printed *normalized* calculus plus a version stamp
+// The key is the *normalized* calculus term itself, plus a version stamp
 // covering the schema, catalog statistics, and plan-shaping optimizer flags.
 // Normalization is strongly normalizing and confluent on this fragment, so
 // the normal form is a canonical representative of the query: two query
-// texts that normalize to the same term are the same query and can share a
-// plan. Parameters ($1 / $name) survive normalization as opaque leaves and
-// print as `$name`, so one cached plan serves every binding.
+// texts that normalize to the same term, up to the names of its bound
+// variables, are the same query and share a plan. Terms compare with
+// ExprKeyEqual and hash with ExprKeyHash (core/expr.h); nothing is
+// printed. Parameters ($1 / $name) survive normalization as opaque leaves
+// that compare by name, so one cached plan serves every binding.
 //
 // Cached plans are immutable and handed out as shared_ptr<const ...>: an
 // eviction never invalidates a plan that a concurrent execution still
@@ -35,17 +37,37 @@
 
 namespace ldb {
 
+/// What a plan is cached under: the query's normal form, the version stamp
+/// it was compiled under, and the directions of a top-level `order by`,
+/// which live outside the term (`order by x asc` and `desc` normalize
+/// alike). The hash is computed once, by the constructor.
+struct PlanKey {
+  PlanKey() = default;
+  PlanKey(ExprPtr term, std::string stamp, std::vector<bool> descending);
+
+  ExprPtr term;                  ///< normalized calculus
+  std::string stamp;             ///< schema + catalog + flags fingerprint
+  std::vector<bool> descending;  ///< one per `order by` key; empty: none
+  size_t hash = 0;
+
+  /// Top-level `order by`: the result is sorted after execution.
+  bool ordered() const { return !descending.empty(); }
+  /// Terms by ExprKeyEqual; stamps and directions exactly.
+  bool operator==(const PlanKey& other) const;
+};
+
+struct PlanKeyHash {
+  size_t operator()(const PlanKey& key) const { return key.hash; }
+};
+
 /// A fully compiled, engine-ready query. Built once per distinct normalized
 /// form and shared read-only by every execution (any number of concurrent
 /// sessions, and every Statement handle bound to it).
 struct PreparedPlan {
-  std::string cache_key;      ///< the key this plan is stored under
-  std::string stamp;          ///< version stamp it was compiled under
+  PlanKey key;                ///< what this plan is stored under
   CompiledQuery compiled;     ///< calculus .. simplified algebra
   PhysPtr physical;           ///< physical plan (slow-query plan text)
   SlotPlan slots;             ///< slot-compiled plan (what executes)
-  bool ordered = false;       ///< top-level `order by`: sort after execution
-  std::vector<bool> descending;
 };
 
 /// Point-in-time cache counters. `evictions` is the lifetime total;
@@ -62,7 +84,7 @@ struct PlanCacheStats {
   size_t capacity = 0;
 };
 
-/// Thread-safe LRU map from cache key to PreparedPlan.
+/// Thread-safe LRU map from PlanKey to PreparedPlan.
 class PlanCache {
  public:
   /// Optional metric instruments updated at event time (in addition to the
@@ -83,37 +105,34 @@ class PlanCache {
 
   /// Returns the cached plan and counts a hit (moving the entry to the
   /// front), or nullptr and counts a miss.
-  std::shared_ptr<const PreparedPlan> Lookup(const std::string& key)
+  std::shared_ptr<const PreparedPlan> Lookup(const PlanKey& key)
       LDB_EXCLUDES(mu_);
 
-  /// Inserts a freshly compiled plan, evicting the least-recently-used
-  /// entry when over capacity. Inserting an existing key refreshes it.
-  void Insert(const std::string& key, std::shared_ptr<const PreparedPlan> plan)
-      LDB_EXCLUDES(mu_);
+  /// Inserts a freshly compiled plan under its own key, evicting the
+  /// least-recently-used entry when over capacity. Inserting an existing
+  /// key replaces that entry's plan and refreshes it.
+  void Insert(std::shared_ptr<const PreparedPlan> plan) LDB_EXCLUDES(mu_);
 
   /// Drops every entry (counters are kept — they are lifetime totals).
   /// Dropped entries count as invalidation evictions.
   void Clear() LDB_EXCLUDES(mu_);
 
-  /// Drops every entry whose key does not contain `stamp_fragment` (the
-  /// "\n@<version-stamp>" suffix the service builds into each key). Used
-  /// when the catalog/schema changes: surviving entries were compiled under
-  /// the current stamp. Returns the number of entries dropped; each counts
-  /// as an invalidation eviction.
-  size_t EvictNotMatching(const std::string& stamp_fragment)
-      LDB_EXCLUDES(mu_);
+  /// Drops every entry whose key's version stamp is not `stamp`. Used when
+  /// the catalog/schema changes: surviving entries were compiled under the
+  /// current stamp. Returns the number of entries dropped; each counts as
+  /// an invalidation eviction.
+  size_t EvictNotMatching(const std::string& stamp) LDB_EXCLUDES(mu_);
 
   PlanCacheStats Stats() const LDB_EXCLUDES(mu_);
 
  private:
-  using LruList =
-      std::list<std::pair<std::string, std::shared_ptr<const PreparedPlan>>>;
+  using LruList = std::list<std::shared_ptr<const PreparedPlan>>;
 
   mutable Mutex mu_;
   MetricHooks hooks_ LDB_GUARDED_BY(mu_);
   const size_t capacity_;  ///< immutable after construction
   LruList lru_ LDB_GUARDED_BY(mu_);  // front = most recently used
-  std::unordered_map<std::string, LruList::iterator> by_key_
+  std::unordered_map<PlanKey, LruList::iterator, PlanKeyHash> by_key_
       LDB_GUARDED_BY(mu_);
   uint64_t hits_ LDB_GUARDED_BY(mu_) = 0;
   uint64_t misses_ LDB_GUARDED_BY(mu_) = 0;

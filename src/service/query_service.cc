@@ -6,7 +6,6 @@
 #include <utility>
 
 #include "src/core/normalize.h"
-#include "src/core/pretty.h"
 #include "src/lambdadb.h"
 #include "src/oql/parser.h"
 #include "src/oql/translate.h"
@@ -303,56 +302,36 @@ void QueryService::UpdateCatalog(const Catalog& catalog) {
   // (Outside config_mu_: the cache has its own lock and a racing compile
   // that re-inserts an old-stamp plan merely leaves an unreachable entry
   // for LRU pressure to reclaim.)
-  cache_.EvictNotMatching("\n@" + stamp);
+  cache_.EvictNotMatching(stamp);
 }
 
 std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
     const std::string& oql, const PlanningConfig& cfg, bool* cached) {
   oql::OrderedQuery q = oql::TranslateWithOrdering(oql::Parse(oql));
-  // Normalization is strongly normalizing, so the printed normal form is a
-  // canonical name for the query; two texts with the same normal form share
-  // one cache entry (docs/SERVICE.md).
-  ExprPtr normalized = cfg.optimizer.normalize ? Normalize(q.comp) : q.comp;
-  std::string key = PrintExpr(normalized);
-  key += "\n@";
-  key += cfg.stamp;
-  if (q.ordered) {
-    // The ordering direction lives outside the calculus term, so it must be
-    // part of the key: `order by x asc` and `order by x desc` wrap to the
-    // same comprehension.
-    key += "|ord:";
-    for (bool desc : q.descending) key += desc ? 'd' : 'a';
-  }
-
+  // Normalization is strongly normalizing, so the normal form, up to the
+  // names of its bound variables, is a canonical name for the query: two
+  // texts with the same normal form share one cache entry (docs/SERVICE.md).
+  PlanKey key(cfg.optimizer.normalize ? Normalize(q.comp) : q.comp, cfg.stamp,
+              std::move(q.descending));
   if (auto hit = cache_.Lookup(key)) {
     *cached = true;
     return hit;
   }
   *cached = false;
 
-  auto plan = std::make_shared<PreparedPlan>();
-  plan->cache_key = key;
-  plan->stamp = cfg.stamp;
-  plan->ordered = q.ordered;
-  plan->descending = q.descending;
   OptimizerOptions compile_opts = cfg.optimizer;
   // Stage wall times become "compile:<stage>" child spans in request traces.
   // Compiles happen once per distinct plan, so the counting rewriter's
   // overhead stays off the cached (steady-state) path.
   if (obs::TraceRing::Enabled()) compile_opts.trace = true;
   Optimizer opt(db_.schema(), compile_opts);
-  plan->compiled = opt.Compile(q.comp, normalized);  // the key's term
-  plan->physical =
-      PlanPhysical(plan->compiled.simplified, db_, cfg.optimizer.physical);
-  plan->slots = CompileSlotPlan(plan->physical, db_);
-  // A cached plan is served to every future session with this key, so a
-  // miscompiled frame layout would corrupt them all: when verification is
-  // on, the slot plan must pass the dataflow analysis before it may enter
-  // the cache (Compile already verified the calculus/algebra IRs).
-  if (cfg.optimizer.verify_plans) {
-    VerifySlotPlan(plan->slots).ThrowIfFailed();
-  }
-  cache_.Insert(key, plan);
+  auto plan = std::make_shared<PreparedPlan>();
+  plan->compiled = opt.Compile(q.comp, key.term);  // normalizes nothing
+  LoweredPlan lowered = opt.Lower(plan->compiled, db_);
+  plan->physical = std::move(lowered.physical);
+  plan->slots = std::move(lowered.slots);
+  plan->key = std::move(key);
+  cache_.Insert(plan);
   return plan;
 }
 
@@ -526,7 +505,7 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
   // parse, no cache lookup. Anything else resolves through the cache.
   const std::shared_ptr<const PlanningConfig> cfg = PlanningSnapshot();
   bool cached = true;
-  if (stmt.plan == nullptr || stmt.plan->stamp != cfg->stamp) {
+  if (stmt.plan == nullptr || stmt.plan->key.stamp != cfg->stamp) {
     stmt.plan = GetOrCompile(stmt.oql, *cfg, &cached);
   }
   *plan_out = stmt.plan;
@@ -534,7 +513,6 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
   Clock::time_point t2 = Clock::now();
   rec->compile_ms = MsBetween(t1, t2);
   rec->plan_cached = cached;
-  rec->cache_key = plan.cache_key;
   if (!cached && cfg->optimizer.verify_plans)
     rec->verify = "ok";  // a verifier rejection would have thrown above
   if (ins_.enabled) ins_.compile_ms->Observe(rec->compile_ms, rec->trace_id);
@@ -572,8 +550,8 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
     flush_totals();
     throw;
   }
-  if (plan.ordered)
-    result = internal::SortOrderedResult(result, plan.descending);
+  if (plan.key.ordered())
+    result = internal::SortOrderedResult(result, plan.key.descending);
   Clock::time_point t3 = Clock::now();
   rec->exec_ms = MsBetween(t2, t3);
   rec->rows = ResultRowCount(result);

@@ -40,9 +40,17 @@ void RunThreads(int n, const std::function<void(int)>& body) {
 
 // ----------------------------------------------------------------- PlanCache
 
-std::shared_ptr<const PreparedPlan> FakePlan(const std::string& key) {
+// Query #q's key under `stamp`: the term sum{ q | var <- X }. Keys that
+// differ only in `var` are equal.
+PlanKey KeyOf(int q, const std::string& stamp, const std::string& var = "x") {
+  ExprPtr term = Expr::Comp(MonoidKind::kSum, Expr::Int(q),
+                            {Qualifier::Generator(var, Expr::Var("X"))});
+  return PlanKey(std::move(term), stamp, {});
+}
+
+std::shared_ptr<const PreparedPlan> FakePlan(PlanKey key) {
   auto p = std::make_shared<PreparedPlan>();
-  p->cache_key = key;
+  p->key = std::move(key);
   return p;
 }
 
@@ -57,19 +65,19 @@ TEST(ConcurrencyStress, PlanCacheHitMissEvictUnderContention) {
     std::mt19937 rng(kSeed + t);
     std::uniform_int_distribution<int> key_dist(0, kKeys - 1);
     std::uniform_int_distribution<int> op_dist(0, 99);
+    std::string var = "x";  // each thread names the bound variable anew
+    var += std::to_string(t);
     for (int i = 0; i < kOpsPerThread; ++i) {
-      std::string key = "q";
-      key += std::to_string(key_dist(rng));
-      key += "\n@stamp";
+      const PlanKey key = KeyOf(key_dist(rng), "stamp", var);
       int op = op_dist(rng);
       if (op < 70) {
         std::shared_ptr<const PreparedPlan> p = cache.Lookup(key);
         lookups.fetch_add(1, std::memory_order_relaxed);
         if (p != nullptr) {
-          EXPECT_EQ(p->cache_key, key);
+          EXPECT_EQ(p->key, key);
         }
       } else if (op < 95) {
-        cache.Insert(key, FakePlan(key));
+        cache.Insert(FakePlan(key));
       } else if (op < 98) {
         cache.Stats();
       } else {
@@ -92,7 +100,7 @@ TEST(ConcurrencyStress, PlanCacheEvictNotMatchingRacesInserts) {
     std::mt19937 rng(kSeed);
     int gen = 0;
     while (!stop.load(std::memory_order_relaxed)) {
-      cache.EvictNotMatching("\n@gen" + std::to_string(gen % 2));
+      cache.EvictNotMatching(std::to_string(gen % 2));
       ++gen;
     }
   });
@@ -100,11 +108,8 @@ TEST(ConcurrencyStress, PlanCacheEvictNotMatchingRacesInserts) {
     std::mt19937 rng(kSeed + 1 + t);
     std::uniform_int_distribution<int> key_dist(0, 31);
     for (int i = 0; i < 2000; ++i) {
-      std::string key = "q";
-      key += std::to_string(key_dist(rng));
-      key += "\n@gen";
-      key += std::to_string(i % 2);
-      if (cache.Lookup(key) == nullptr) cache.Insert(key, FakePlan(key));
+      const PlanKey key = KeyOf(key_dist(rng), std::to_string(i % 2));
+      if (cache.Lookup(key) == nullptr) cache.Insert(FakePlan(key));
     }
   });
   stop.store(true);
@@ -136,9 +141,8 @@ TEST(ConcurrencyStress, PlanCacheSetMetricHooksRacesTraffic) {
     std::mt19937 rng(kSeed + t);
     std::uniform_int_distribution<int> key_dist(0, 7);
     for (int i = 0; i < 2000; ++i) {
-      std::string key = "k";
-      key += std::to_string(key_dist(rng));
-      if (cache.Lookup(key) == nullptr) cache.Insert(key, FakePlan(key));
+      const PlanKey key = KeyOf(key_dist(rng), "");
+      if (cache.Lookup(key) == nullptr) cache.Insert(FakePlan(key));
     }
   });
   stop.store(true);

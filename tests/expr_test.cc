@@ -1,6 +1,7 @@
 // Unit tests for the calculus AST utilities: free variables, substitution
-// (capture avoidance), structural equality, paths, conjunct handling
-// (src/core/expr.*), and the pretty printer (src/core/pretty.*).
+// (capture avoidance), structural equality, plan-key identity, paths,
+// conjunct handling (src/core/expr.*), and the pretty printer
+// (src/core/pretty.*).
 
 #include "src/core/expr.h"
 
@@ -90,6 +91,120 @@ TEST(ExprTest, ExprEqualStructural) {
   ExprPtr c = Expr::And(Expr::Eq(V("y"), Expr::Int(1)), Expr::True());
   EXPECT_TRUE(ExprEqual(a, b));
   EXPECT_FALSE(ExprEqual(a, c));
+}
+
+// ------------------------------------------------------ plan-key identity
+
+struct KeyCase {
+  KeyCase(ExprPtr t, ExprPtr tw = nullptr)
+      : term(std::move(t)), twin(std::move(tw)) {}
+  ExprPtr term;
+  ExprPtr twin;  ///< prints like `term` but is another query; may be null
+};
+
+// One term of every ExprKind, built fresh on each call. `lam`, `emp` and
+// `gen` name the variables that the lambda and the two comprehensions bind,
+// so calls with different names build alpha-variants.
+std::vector<KeyCase> KeyCorpus(const std::string& lam, const std::string& emp,
+                               const std::string& gen) {
+  auto add = [](ExprPtr l, ExprPtr r) {
+    return Expr::Bin(BinOpKind::kAdd, std::move(l), std::move(r));
+  };
+  return {
+      {V("x")},
+      {Expr::Param("min_age")},
+      {Expr::Int(42), Expr::Real(42)},
+      {Expr::Int(-7), Expr::Real(-7)},
+      {Expr::Real(1.5), Expr::Real(1.5000001)},
+      {add(Expr::Real(1234567.1), Expr::Real(0)),
+       add(Expr::Real(1234567.4), Expr::Real(0))},
+      {Expr::Str("hello world")},
+      {Expr::True()},
+      {Expr::Null()},
+      {Expr::Zero(MonoidKind::kBag)},
+      {Expr::Proj(Expr::Proj(V("e"), "manager"), "name")},
+      {add(Expr::Int(1),
+           Expr::Bin(BinOpKind::kMul, V("x"), Expr::Int(2))),
+       add(Expr::Int(1),
+           Expr::Bin(BinOpKind::kMul, V("x"), Expr::Real(2)))},
+      {Expr::Bin(BinOpKind::kMod, V("x"), Expr::Int(3))},
+      {Expr::Un(UnOpKind::kNot, V("p"))},
+      {Expr::Un(UnOpKind::kNeg, V("x"))},
+      {Expr::Un(UnOpKind::kIsNull, Expr::Proj(V("e"), "manager"))},
+      {Expr::If(V("p"), Expr::Int(1), Expr::Int(2))},
+      {Expr::Record({{"a", V("x")}, {"b", Expr::Int(2)}})},
+      {Expr::Record({{"a", Expr::Str("x")}, {"b", Expr::Str("y")}}),
+       Expr::Record({{"a", Expr::Str("x\", b=\"y")}})},
+      {Expr::Lambda(lam, Expr::Bin(BinOpKind::kGt, V(lam), Expr::Int(0)))},
+      {Expr::Apply(V("f"), V("x"))},
+      {Expr::Merge(MonoidKind::kSet, V("a"), V("b"))},
+      {Expr::Comp(MonoidKind::kSum, Expr::Proj(V(emp), "salary"),
+                  {Qualifier::Generator(emp, V("Employees")),
+                   Qualifier::Filter(Expr::Bin(BinOpKind::kGe,
+                                               Expr::Proj(V(emp), "age"),
+                                               Expr::Param("min_age")))})},
+      {Expr::Singleton(MonoidKind::kList, V("x"))},
+      {Expr::Comp(MonoidKind::kSet, V(gen),
+                  {Qualifier::Generator(gen, V("Employees"))})},
+  };
+}
+
+TEST(PlanKeyTest, CorpusTermsAreTheirOwnKeysUpToBoundNames) {
+  const std::vector<KeyCase> terms = KeyCorpus("v", "e", "v$17");
+  const std::vector<KeyCase> copies = KeyCorpus("v", "e", "v$17");
+  const std::vector<KeyCase> variants = KeyCorpus("w", "emp", "v$99");
+  for (size_t i = 0; i < terms.size(); ++i) {
+    const ExprPtr& t = terms[i].term;
+    SCOPED_TRACE(PrintExpr(t));
+    EXPECT_TRUE(ExprKeyEqual(t, copies[i].term));
+    EXPECT_EQ(ExprKeyHash(t), ExprKeyHash(copies[i].term));
+    EXPECT_TRUE(ExprKeyEqual(t, variants[i].term));
+    EXPECT_EQ(ExprKeyHash(t), ExprKeyHash(variants[i].term));
+    for (size_t j = 0; j < terms.size(); ++j) {
+      if (j != i) {
+        EXPECT_FALSE(ExprKeyEqual(t, terms[j].term)) << j;
+      }
+    }
+    if (terms[i].twin != nullptr) {
+      // The printed key could not tell the twin apart.
+      EXPECT_EQ(PrintExpr(terms[i].twin), PrintExpr(t));
+      EXPECT_FALSE(ExprKeyEqual(t, terms[i].twin));
+      EXPECT_FALSE(ExprKeyEqual(terms[i].twin, t));
+    }
+  }
+  // The renamed binders are what ExprEqual (alpha-sensitive) still sees.
+  EXPECT_FALSE(ExprEqual(terms.back().term, variants.back().term));
+}
+
+TEST(PlanKeyTest, BoundVariablesCompareByBinderPosition) {
+  auto lam2 = [](const char* a, const char* b, const char* body) {
+    return Expr::Lambda(a, Expr::Lambda(b, V(body)));
+  };
+  // \x. \y. x is \a. \b. a, not \a. \b. b.
+  EXPECT_TRUE(ExprKeyEqual(lam2("x", "y", "x"), lam2("a", "b", "a")));
+  EXPECT_FALSE(ExprKeyEqual(lam2("x", "y", "x"), lam2("a", "b", "b")));
+  // A free variable matches only itself, never a bound one.
+  auto set1 = [](const char* head, const char* var, ExprPtr dom) {
+    return Expr::Comp(MonoidKind::kSet, V(head),
+                      {Qualifier::Generator(var, std::move(dom))});
+  };
+  EXPECT_FALSE(ExprKeyEqual(set1("x", "y", V("Y")), set1("z", "z", V("Y"))));
+  EXPECT_FALSE(ExprKeyEqual(set1("x", "y", V("Y")), set1("z", "y", V("Y"))));
+  // A generator's domain sees the enclosing scope, not its own variable.
+  EXPECT_TRUE(ExprKeyEqual(set1("x", "x", Expr::Proj(V("x"), "kids")),
+                           set1("y", "y", Expr::Proj(V("x"), "kids"))));
+  EXPECT_FALSE(ExprKeyEqual(set1("x", "x", Expr::Proj(V("x"), "kids")),
+                            set1("y", "y", Expr::Proj(V("y"), "kids"))));
+  // An inner binder shadows an outer one of the same name.
+  auto nested = [](const char* a, const char* b, const char* head) {
+    return Expr::Comp(MonoidKind::kSet, V(head),
+                      {Qualifier::Generator(a, V("X")),
+                       Qualifier::Generator(b, Expr::Proj(V(a), "kids"))});
+  };
+  EXPECT_TRUE(ExprKeyEqual(nested("x", "x", "x"), nested("a", "b", "b")));
+  EXPECT_EQ(ExprKeyHash(nested("x", "x", "x")),
+            ExprKeyHash(nested("a", "b", "b")));
+  EXPECT_FALSE(ExprKeyEqual(nested("x", "x", "x"), nested("a", "b", "a")));
 }
 
 TEST(ExprTest, ContainsComp) {

@@ -254,10 +254,14 @@ TEST(QueryLogTest, ToStringCarriesStatusAndError) {
 
 TEST(PlanCacheTest, EvictionReasonsAreSplit) {
   PlanCache cache(/*capacity=*/2);
-  auto plan = std::make_shared<const PreparedPlan>();
-  cache.Insert("a\n@v1", plan);
-  cache.Insert("b\n@v1", plan);
-  cache.Insert("c\n@v1", plan);  // LRU evicts "a"
+  auto plan = [](const char* var, const char* stamp) {
+    auto p = std::make_shared<PreparedPlan>();
+    p->key = PlanKey(Expr::Var(var), stamp, {});
+    return p;
+  };
+  cache.Insert(plan("a", "v1"));
+  cache.Insert(plan("b", "v1"));
+  cache.Insert(plan("c", "v1"));  // LRU evicts "a"
 
   PlanCacheStats s = cache.Stats();
   EXPECT_EQ(s.evictions_capacity, 1u);
@@ -266,14 +270,14 @@ TEST(PlanCacheTest, EvictionReasonsAreSplit) {
 
   // A version-stamp change drops everything not compiled under the new
   // stamp — counted as invalidation, not capacity.
-  EXPECT_EQ(cache.EvictNotMatching("\n@v2"), 2u);
+  EXPECT_EQ(cache.EvictNotMatching("v2"), 2u);
   s = cache.Stats();
   EXPECT_EQ(s.evictions_capacity, 1u);
   EXPECT_EQ(s.evictions_invalidated, 2u);
   EXPECT_EQ(s.entries, 0u);
 
-  cache.Insert("d\n@v2", plan);
-  EXPECT_EQ(cache.EvictNotMatching("\n@v2"), 0u);  // survivor matches
+  cache.Insert(plan("d", "v2"));
+  EXPECT_EQ(cache.EvictNotMatching("v2"), 0u);  // survivor matches
   cache.Clear();
   s = cache.Stats();
   EXPECT_EQ(s.evictions_invalidated, 3u);
@@ -334,7 +338,6 @@ TEST_F(MetricsServiceTest, QueryLogRecordsOutcomes) {
   EXPECT_EQ(tail[0].session, session->id());
   EXPECT_GT(tail[0].rows, 0u);
   EXPECT_TRUE(tail[0].plan_cached == false);
-  EXPECT_FALSE(tail[0].cache_key.empty());
   EXPECT_EQ(tail[1].status, "failed");
   EXPECT_FALSE(tail[1].error.empty());
 }
@@ -421,13 +424,13 @@ TEST_F(MetricsServiceTest, TraceExportIsWellFormedAndCoversWorkers) {
   options.trace = true;
   Optimizer opt(db_.schema(), options);
   CompiledQuery q = opt.Compile(ParseOQL(query_));
-  PhysPtr phys = PlanPhysical(q.simplified, db_, options.physical);
+  LoweredPlan lowered = opt.Lower(q, db_);
   QueryProfiler prof;
   ExecOptions exec;
   exec.profiler = &prof;
   exec.n_threads = 2;
   exec.morsel_size = 64;
-  Value result = ExecutePipelined(phys, db_, exec);
+  Value result = ExecuteSlotPlan(lowered.slots, db_, exec);
   EXPECT_EQ(result, RunOQL(db_, query_));
   ASSERT_EQ(prof.run.mode, "spine-reduce");
 
@@ -439,6 +442,9 @@ TEST_F(MetricsServiceTest, TraceExportIsWellFormedAndCoversWorkers) {
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);
   // Compile stages, execution lanes per worker, and per-operator lanes.
   EXPECT_NE(json.find("\"compile:unnest\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"compile:physical\""), std::string::npos) << json;
+  EXPECT_NE(json.find("\"compile:slot-compile\""), std::string::npos)
+      << json;
   EXPECT_NE(json.find("\"morsel-0\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"morsel 0\""), std::string::npos) << json;
   EXPECT_NE(json.find("\"op-0\""), std::string::npos) << json;

@@ -9,8 +9,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <iterator>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "src/lambdadb.h"
 #include "src/workload/oo7.h"
@@ -198,7 +200,7 @@ TEST_F(ServiceTest, BoundHandleReresolvesOnceAfterUpdateCatalog) {
   EXPECT_EQ(svc.Execute(*session, q, &s1), expected);
   EXPECT_FALSE(s1.plan_cached);  // re-resolved: recompiled under the new stamp
   EXPECT_NE(q.plan, old_plan);
-  EXPECT_NE(q.plan->stamp, old_plan->stamp);
+  EXPECT_NE(q.plan->key.stamp, old_plan->key.stamp);
   EXPECT_EQ(svc.Execute(*session, q, &s2), expected);
   EXPECT_TRUE(s2.plan_cached);
   const PlanCacheStats after = svc.cache_stats();
@@ -277,6 +279,83 @@ TEST_F(ServiceTest, OrderDirectionIsPartOfTheCacheKey) {
   for (size_t i = 0; i < up.size(); ++i) {
     EXPECT_EQ(up[i], down[down.size() - 1 - i]);
   }
+}
+
+// Texts whose normal forms print alike but differ: an int and a real, two
+// reals that agree in six digits, and a string holding quotes that prints
+// like two fields. Each must compile its own plan, whichever runs first.
+TEST_F(ServiceTest, PrintAlikeQueriesDoNotSharePlans) {
+  const std::pair<const char*, const char*> pairs[] = {
+      {"7 / 2", "7.0 / 2"},
+      {"1234567.1 + 0.0", "1234567.4 + 0.0"},
+      {"struct(a: 'x\", b=\"y')", "struct(a: 'x', b: 'y')"},
+  };
+  for (const auto& [a, b] : pairs) {
+    for (const auto& [first, second] : {std::pair(a, b), std::pair(b, a)}) {
+      QueryService svc(db_);
+      auto session = svc.OpenSession();
+      EXPECT_EQ(svc.Execute(*session, first), RunOQL(db_, first)) << first;
+      QueryStats s;
+      EXPECT_EQ(svc.Execute(*session, second, &s), RunOQL(db_, second))
+          << second << " after " << first;
+      EXPECT_FALSE(s.plan_cached) << second << " after " << first;
+    }
+  }
+}
+
+// Translation and normalization fresh-name some bound variables (GROUP BY,
+// exists, path aggregates, from-subqueries), so each run of such a text
+// normalizes under new names. The key ignores bound names: every repeat hits.
+TEST_F(ServiceTest, RepeatedTextsWithFreshNamedVariablesHit) {
+  const Database db = testing::TinyCompany();
+  QueryService svc(db);
+  auto session = svc.OpenSession();
+  const char* texts[] = {
+      "select distinct e.dno, avg(e.salary) from Employees e group by e.dno",
+      "select distinct e.name from e in Employees "
+      "where exists c in e.children: c.age > 18",
+      "select distinct struct(E: e.name, n: count(e.children)) "
+      "from e in Employees",
+      "select distinct p.name from p in (select distinct e from e in "
+      "Employees where e.age > 30)",
+  };
+  for (const char* text : texts) {
+    QueryStats first, second;
+    const Value r1 = svc.Execute(*session, text, &first);
+    const Value r2 = svc.Execute(*session, text, &second);
+    EXPECT_FALSE(first.plan_cached) << text;
+    EXPECT_TRUE(second.plan_cached) << text;
+    EXPECT_EQ(r1, RunOQL(db, text)) << text;
+    EXPECT_EQ(r2, r1) << text;
+  }
+  EXPECT_EQ(svc.cache_stats().entries, std::size(texts));
+}
+
+// Two texts that differ only in a bound variable's name are one query and
+// share one plan; `order by` directions still keep asc and desc apart.
+TEST_F(ServiceTest, AlphaVariantTextsShareOnePlan) {
+  const Database db = testing::TinyCompany();
+  QueryService svc(db);
+  auto session = svc.OpenSession();
+  QueryStats s1, s2, s3, s4;
+  const char* e_text = "select e.name from e in Employees order by e.name";
+  const char* x_text = "select x.name from x in Employees order by x.name";
+  const Value r1 = svc.Execute(*session, e_text, &s1);
+  const Value r2 = svc.Execute(*session, x_text, &s2);
+  EXPECT_FALSE(s1.plan_cached);
+  EXPECT_TRUE(s2.plan_cached);
+  EXPECT_EQ(r1, r2);
+  EXPECT_EQ(svc.cache_stats().entries, 1u);
+
+  const char* desc = "select y.name from y in Employees order by y.name desc";
+  const Value r3 = svc.Execute(*session, desc, &s3);
+  EXPECT_FALSE(s3.plan_cached);
+  EXPECT_EQ(r3, RunOQL(db, desc));
+  EXPECT_NE(r3, r1);
+  svc.Execute(*session, "select e.name from e in Employees "
+                        "order by e.name desc", &s4);
+  EXPECT_TRUE(s4.plan_cached);
+  EXPECT_EQ(svc.cache_stats().entries, 2u);
 }
 
 TEST_F(ServiceTest, LruEvictionAndClear) {
@@ -519,8 +598,8 @@ TEST_F(ServiceTest, LoadWithIndexesRestoresAccessPaths) {
 // ------------------------------------------------------ compile on a miss
 
 TEST_F(ServiceTest, MissNormalizesOnceForKeyAndCompile) {
-  // The cache key is the printed normal form; Compile reuses that term
-  // instead of normalizing the query a second time.
+  // The cache key holds the normal form; Compile reuses that term instead
+  // of normalizing the query a second time.
   QueryService svc(db_);
   auto session = svc.OpenSession();
   Statement handle = QueryService::Prepare(kNestQuery);
@@ -531,10 +610,7 @@ TEST_F(ServiceTest, MissNormalizesOnceForKeyAndCompile) {
   ASSERT_NE(handle.plan, nullptr);
   const CompiledQuery& compiled = handle.plan->compiled;
   ASSERT_NE(compiled.normalized, nullptr);
-  EXPECT_EQ(handle.plan->cache_key.rfind(
-                PrintExpr(compiled.normalized) + "\n@", 0),
-            0u)
-      << handle.plan->cache_key;
+  EXPECT_EQ(handle.plan->key.term, compiled.normalized);
   if (!compiled.trace) GTEST_SKIP() << "compile traces compiled out";
   ASSERT_FALSE(compiled.trace->stages.empty());
   for (const StageTiming& st : compiled.trace->stages) {

@@ -9,6 +9,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "src/core/normalize.h"
 #include "src/core/pretty.h"
 #include "tests/test_util.h"
@@ -75,6 +77,15 @@ struct PropertyParams {
   int n_managers;
   uint64_t seed;
 };
+
+// Prints an instance's parameters, e.g. `d3_e10_m2_s1`. CMake's
+// gtest_discover_tests puts the printed parameter in the ctest name; without
+// a printer gtest prints the struct's raw bytes, padding included, and the
+// names differ from build to build.
+void PrintTo(const PropertyParams& p, std::ostream* os) {
+  *os << 'd' << p.n_departments << "_e" << p.n_employees << "_m"
+      << p.n_managers << "_s" << p.seed;
+}
 
 class CompanySoundnessTest : public ::testing::TestWithParam<PropertyParams> {};
 

@@ -662,6 +662,47 @@ TEST(ServedTraceTest, UntracedParallelRequestHasMorselSpans) {
   EXPECT_EQ(morsels, 16u);
 }
 
+// A plan-cache miss lowers its plan through the optimizer, so its compile
+// span has children for physical planning and slot compilation, and the
+// compile trace records the slot-plan verification. A hit compiles nothing
+// and its compile span has no children.
+TEST(ServedTraceTest, CacheMissCompileSpanCoversLowering) {
+  ServiceOptions sopts;
+  sopts.trace_head_every = 1;
+  sopts.optimizer.verify_plans = true;
+  Database db = MakeDb(200);
+  QueryService svc(db, sopts);
+  auto session = svc.OpenSession();
+  Statement handle =
+      QueryService::Prepare("count(select e from e in Employees)");
+  QueryStats miss, hit;
+  svc.Execute(*session, handle, &miss);
+  svc.Execute(*session, handle.oql, &hit);
+  ASSERT_FALSE(miss.plan_cached);
+  ASSERT_TRUE(hit.plan_cached);
+
+  auto compile_children = [&](uint64_t trace_id) {
+    obs::RequestTrace t;
+    EXPECT_TRUE(svc.trace_ring().Find(trace_id, &t));
+    const obs::TraceSpan* compile = SpanNamed(t, "compile");
+    std::set<std::string> names;
+    for (const obs::TraceSpan& s : t.spans) {
+      if (compile != nullptr && s.parent_span_id == compile->span_id)
+        names.insert(s.name);
+    }
+    return names;
+  };
+  const std::set<std::string> children = compile_children(miss.trace_id);
+  EXPECT_EQ(children.count("compile:unnest"), 1u);
+  EXPECT_EQ(children.count("compile:physical"), 1u);
+  EXPECT_EQ(children.count("compile:slot-compile"), 1u);
+  EXPECT_TRUE(compile_children(hit.trace_id).empty());
+
+  const CompileTrace& trace = *handle.plan->compiled.trace;
+  ASSERT_FALSE(trace.verify_stages.empty());
+  EXPECT_EQ(trace.verify_stages.back().stage, "slot-plan");
+}
+
 // A client-traced request without the force-sample flag runs the
 // uninstrumented engine: the slow-query log gets no profile and the
 // per-operator row counters do not move.

@@ -1,7 +1,6 @@
 // Tests for the static plan verifier (src/verify/, docs/VERIFIER.md):
 // deliberately corrupted IRs at each layer must be rejected with the right
-// stage/rule diagnostic, well-formed pipelines must pass every layer, and
-// the calculus pretty-printer must round-trip through ParseCalculus.
+// stage/rule diagnostic, and well-formed pipelines must pass every layer.
 
 #include <gtest/gtest.h>
 
@@ -527,108 +526,6 @@ TEST(VerifyPipelineTest, CompileThrowsVerifyErrorOnCorruptIR) {
     EXPECT_EQ(e.stage(), "calculus-input");
     EXPECT_EQ(e.rule(), "Fig3-typing");
   }
-}
-
-// ---------------------------------------------------------------------------
-// Pretty-printer round-trip (the plan-cache key soundness guard).
-
-TEST(CalcParserTest, RoundTripsHandmadeTerms) {
-  std::vector<ExprPtr> terms = {
-      Expr::Var("x"),
-      Expr::Param("min_age"),
-      Expr::Int(42),
-      Expr::Int(-7),
-      Expr::Real(1.5),
-      Expr::Str("hello world"),
-      Expr::True(),
-      Expr::Null(),
-      Expr::Zero(MonoidKind::kBag),
-      Expr::Proj(Expr::Proj(Expr::Var("e"), "manager"), "name"),
-      Expr::Bin(BinOpKind::kAdd, Expr::Int(1),
-                Expr::Bin(BinOpKind::kMul, Expr::Var("x"), Expr::Int(2))),
-      Expr::Bin(BinOpKind::kMod, Expr::Var("x"), Expr::Int(3)),
-      Expr::Un(UnOpKind::kNot, Expr::Var("p")),
-      Expr::Un(UnOpKind::kNeg, Expr::Var("x")),
-      Expr::Un(UnOpKind::kIsNull, Expr::Proj(Expr::Var("e"), "manager")),
-      Expr::If(Expr::Var("p"), Expr::Int(1), Expr::Int(2)),
-      Expr::Record({{"a", Expr::Var("x")}, {"b", Expr::Int(2)}}),
-      Expr::Lambda("v", Expr::Bin(BinOpKind::kGt, Expr::Var("v"),
-                                  Expr::Int(0))),
-      Expr::Apply(Expr::Var("f"), Expr::Var("x")),
-      Expr::Merge(MonoidKind::kSet, Expr::Var("a"), Expr::Var("b")),
-      Expr::Comp(MonoidKind::kSum, Expr::Proj(Expr::Var("e"), "salary"),
-                 {Qualifier::Generator("e", Expr::Var("Employees")),
-                  Qualifier::Filter(Expr::Bin(BinOpKind::kGe,
-                                              Expr::Proj(Expr::Var("e"), "age"),
-                                              Expr::Param("min_age")))}),
-      Expr::Singleton(MonoidKind::kList, Expr::Var("x")),
-      // Gensym-style names ('$' inside an identifier) must survive.
-      Expr::Comp(MonoidKind::kSet, Expr::Var("v$17"),
-                 {Qualifier::Generator("v$17", Expr::Var("Employees"))}),
-  };
-  for (const ExprPtr& t : terms) {
-    const std::string printed = PrintExpr(t);
-    ExprPtr reparsed = ParseCalculus(printed);
-    EXPECT_TRUE(ExprEqual(reparsed, t))
-        << "printed:  " << printed << "\nreparsed: " << PrintExpr(reparsed);
-    EXPECT_EQ(PrintExpr(reparsed), printed);
-  }
-}
-
-TEST(CalcParserTest, NormalizedCorpusPrintsAreStableCacheKeys) {
-  Schema schema = CompanySchema();
-  for (const char* oql : {
-           "select e.name from e in Employees where e.age > 30",
-           // Distinct labels: `e.name, c.name` would translate to a record
-           // with two `name` fields, which the verifier rejects as
-           // ill-formed (projection would be ambiguous).
-           "select distinct struct(E: e.name, C: c.name) "
-           "from e in Employees, c in e.children",
-           "select d.name, sum(select e.salary from e in Employees "
-           "where e.dno = d.dno) from d in Departments",
-           "select e.name from e in Employees "
-           "where exists c in e.children: c.age > 18",
-           "select e.name from e in Employees "
-           "where e.age > $min_age and e.salary < $cap",
-           "avg(select e.salary from e in Employees)",
-       }) {
-    CompiledQuery q = CompileOQL(schema, oql);
-    const std::string key = PrintExpr(q.normalized);
-    // The cache-key contract: print -> parse -> normalize -> print is the
-    // identity on normalized terms.
-    ExprPtr reparsed = ParseCalculus(key);
-    EXPECT_EQ(PrintExpr(reparsed), key) << oql;
-    EXPECT_EQ(PrintExpr(Normalize(reparsed)), key) << oql;
-    // And the reparsed term still typechecks.
-    EXPECT_NO_THROW(TypeCheck(reparsed, schema)) << oql;
-  }
-}
-
-TEST(CalcParserTest, RejectsWhatThePrinterCannotEmit) {
-  EXPECT_THROW(ParseCalculus(""), ParseError);
-  EXPECT_THROW(ParseCalculus("1 2"), ParseError);          // trailing input
-  EXPECT_THROW(ParseCalculus("(1 + 2"), ParseError);       // unbalanced
-  EXPECT_THROW(ParseCalculus("set{ x | }"), ParseError);   // empty qualifier
-  EXPECT_THROW(ParseCalculus("zero[nope]"), ParseError);   // unknown monoid
-  EXPECT_THROW(ParseCalculus("<a=>"), ParseError);         // missing field
-}
-
-// Terms and values nest by recursion, and a projection chain builds a
-// tall tree; past kMaxParseDepth levels each is a ParseError, not a stack
-// overflow.
-TEST(CalcParserTest, RejectsTermsNestedPastTheBound) {
-  const size_t kDeep = 100000;
-  EXPECT_THROW(ParseCalculus(std::string(kDeep, '(') + "1"), ParseError);
-  EXPECT_THROW(ParseCalculus(std::string(kDeep, '[')), ParseError);
-  std::string chain = "x";
-  for (size_t i = 0; i < kDeep; ++i) chain += ".a";
-  EXPECT_THROW(ParseCalculus(chain), ParseError);
-
-  // Inside the bound the same shapes parse.
-  std::string negs;
-  for (int i = 2; i < kMaxParseDepth; ++i) negs += "-(";
-  negs += "1" + std::string(kMaxParseDepth - 2, ')');
-  EXPECT_NO_THROW(ParseCalculus(negs));
 }
 
 }  // namespace

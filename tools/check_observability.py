@@ -285,10 +285,11 @@ def check_bench(path):
         fail(f"{path}: ldb_result_bytes histogram empty — it must be "
              "recorded for every successful query")
 
-    # Live-introspection probe: the active_queries capture must be present
-    # and each entry shaped like an ActiveQueryInfo.
+    # Live-introspection probe: the active_queries capture must hold at
+    # least one entry (the probe reruns its query until it captures one),
+    # and each entry must be shaped like an ActiveQueryInfo.
     active = metrics.get("active_queries")
-    if active is None:
+    if not active:
         fail(f"{path}: metrics block has no active_queries capture")
     for q in active:
         for key in ("query_id", "session", "phase", "elapsed_ms", "rows",
