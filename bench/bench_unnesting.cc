@@ -220,9 +220,12 @@ void RunMetricsProbe() {
   // spine-reduce parallel mode.
   session->options().n_threads = 2;
   session->options().morsel_size = 16;
+  // The profiled request is force-sampled, so its record carries the span
+  // tree the trace artifact renders.
   QueryProfiler prof;
-  QueryStats stats;
-  svc.Execute(*session, kTypeA.oql, &stats, &prof);
+  obs::QueryLogRecord traced;
+  traced.force_sample = true;
+  svc.Execute(*session, kTypeA.oql, &traced, &prof);
   svc.Execute(*session, kScan.oql);
 
   // Live-introspection probe: run one query on a worker thread and
@@ -258,14 +261,8 @@ void RunMetricsProbe() {
     prom << snap.ToPrometheusText();
   }
   {
-    obs::RequestTrace t;
-    t.trace_id = stats.trace_id;
-    t.status = "ok";
-    obs::BuildRequestTrace(
-        {0, stats.queue_ms, stats.compile_ms, stats.exec_ms}, 0, nullptr,
-        prof.run, &prof, &t);
     std::ofstream trace("bench_trace.json");
-    trace << obs::TraceToChromeJson(t);
+    trace << obs::TraceToChromeJson(traced);
   }
   std::printf("metrics: %zu series -> bench_metrics.prom; "
               "trace (%zu operators, %zu morsels) -> bench_trace.json\n",

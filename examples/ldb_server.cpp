@@ -179,7 +179,7 @@ int main(int argc, char** argv) {
         if (DumpTo(metrics_dump, svc.metrics().Snapshot().ToPrometheusText()))
           std::printf("ldb_server: SIGUSR1, metrics written to %s\n",
                       metrics_dump.c_str());
-        if (DumpTo(trace_dump, svc.trace_ring().ToJson()))
+        if (DumpTo(trace_dump, svc.query_log().KeptToJson()))
           std::printf("ldb_server: SIGUSR1, trace ring written to %s\n",
                       trace_dump.c_str());
         std::fflush(stdout);
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
 
     if (DumpTo(metrics_dump, svc.metrics().Snapshot().ToPrometheusText()))
       std::printf("ldb_server: metrics written to %s\n", metrics_dump.c_str());
-    if (DumpTo(trace_dump, svc.trace_ring().ToJson()))
+    if (DumpTo(trace_dump, svc.query_log().KeptToJson()))
       std::printf("ldb_server: trace ring written to %s\n", trace_dump.c_str());
 
     ldb::net::ServerStats st = server.stats();

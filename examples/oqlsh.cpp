@@ -23,16 +23,17 @@
 //   .metrics             dump the service metrics (Prometheus text format)
 //   .querylog [n]        last n query-log records (default 10); slow queries
 //                        additionally print their captured plan
-//   .trace <file> <oql>  execute with profiling and write a Chrome/Perfetto
-//                        trace (load via ui.perfetto.dev or chrome://tracing)
+//   .trace <file> <oql>  execute as a force-sampled (so profiled) request and
+//                        write its Chrome/Perfetto trace (load via
+//                        ui.perfetto.dev or chrome://tracing)
 //   .connect host:port   attach to an ldb_server; ad-hoc queries, .prepare,
 //                        and .exec then go over the wire (docs/WIRE.md).
 //                        .metrics then reads the SERVER registry (INTROSPECT)
 //   .stats               remote only: server active queries + query-log tail
 //                        fetched over INTROSPECT
 //   .fetch-trace [id] [file]  remote only: fetch a server-side trace from the
-//                        tail-sampling ring as Perfetto JSON. `id` is 16-hex
-//                        (default: the last executed query's trace id;
+//                        query log's trace ring as Perfetto JSON. `id` is
+//                        16-hex (default: the last executed query's trace id;
 //                        "slowest" = the slowest kept trace). Prints to the
 //                        terminal unless a file is given
 //   .disconnect          drop the server connection, back to in-process
@@ -169,6 +170,12 @@ void VerifyQuery(const Database& db, const std::string& oql) {
   std::printf("verdict: %s (%.3f ms)\n", all_ok ? "ok" : "FAILED", total_ms);
 }
 
+void PrintPhases(const obs::QueryLogRecord& rec) {
+  std::printf("(%s plan | queue %.2f ms | compile %.2f ms | exec %.2f ms)\n",
+              rec.plan_cached ? "cached" : "compiled", rec.queue_ms,
+              rec.compile_ms, rec.exec_ms);
+}
+
 double MsOf(const std::function<void()>& fn) {
   auto t0 = std::chrono::steady_clock::now();
   fn();
@@ -177,36 +184,28 @@ double MsOf(const std::function<void()>& fn) {
       .count();
 }
 
-// `.trace`: compiles with the optimizer trace on, executes with a profiler,
-// and writes the compile + execution timeline as Chrome trace-event JSON
-// (the request-trace span model: compile stages, morsels on one lane per
-// worker, one lane per operator; load in ui.perfetto.dev or
-// chrome://tracing).
-void TraceQuery(const Database& db, const std::string& file,
-                const std::string& oql) {
-  OptimizerOptions options;
-  options.trace = true;
-  Optimizer opt(db.schema(), options);
-  CompiledQuery q = opt.Compile(ParseOQL(oql));
-  PhysPtr phys = PlanPhysical(q.simplified, db, options.physical);
-  QueryProfiler prof;
-  ExecOptions exec;
-  exec.profiler = &prof;
-  Value result = ExecutePipelined(phys, db, exec);
+// `.trace`: runs the query through the service as a force-sampled request
+// (so it is profiled) and writes its record's span tree as Chrome
+// trace-event JSON — the span model of every served trace: phases, compile
+// stages on a plan-cache miss, morsels on one lane per worker, one lane per
+// operator. Load in ui.perfetto.dev or chrome://tracing.
+void TraceQuery(QueryService& service, Session& session,
+                const std::string& file, const std::string& oql) {
   std::ofstream out(file);
   if (!out) {
     std::printf("error: cannot write '%s'\n", file.c_str());
     return;
   }
-  obs::RequestTrace t;
-  t.trace_id = obs::MintTraceId();
-  t.status = "ok";
-  obs::BuildRequestTrace({0, 0, q.trace->total_ms, prof.run.wall_ns / 1e6}, 0,
-                         q.trace.get(), prof.run, &prof, &t);
-  out << obs::TraceToChromeJson(t);
-  std::printf("wrote %s (%zu operators, %zu morsels)\n", file.c_str(),
-              prof.Operators().size(), prof.run.morsels.size());
+  obs::QueryLogRecord rec;
+  rec.force_sample = true;
+  QueryProfiler prof;
+  Value result = service.Execute(session, oql, &rec, &prof);
+  out << obs::TraceToChromeJson(rec);
+  std::printf("wrote %s (%zu spans, %zu operators, %zu morsels)\n",
+              file.c_str(), rec.spans.size(), prof.Operators().size(),
+              prof.run.morsels.size());
   PrintResult(result);
+  PrintPhases(rec);
 }
 
 void ShowActiveQueries(const QueryService& service) {
@@ -265,12 +264,6 @@ Value ParseArgValue(const std::string& tok) {
   } catch (...) {
   }
   return Value::Str(tok);
-}
-
-void PrintQueryStats(const QueryStats& stats) {
-  std::printf("(%s plan | queue %.2f ms | compile %.2f ms | exec %.2f ms)\n",
-              stats.plan_cached ? "cached" : "compiled", stats.queue_ms,
-              stats.compile_ms, stats.exec_ms);
 }
 
 void PrintResult(const Value& v) {
@@ -341,7 +334,7 @@ int main(int argc, char** argv) {
                     "| .stats | .fetch-trace [id] [file] "
                     "| .disconnect | .quit | <oql>\n"
                     "(.explain prints the profiled plan inline; .trace writes "
-                    "the same execution as a Perfetto timeline; while "
+                    "a served execution's spans as a Perfetto timeline; while "
                     ".connect'ed, .metrics/.stats/.fetch-trace read the "
                     "server over INTROSPECT)\n");
       } else if (line == ".schema") {
@@ -405,9 +398,9 @@ int main(int argc, char** argv) {
         } else {
           session->ClearBindings();
           for (const auto& [pname, pval] : args) session->Bind(pname, pval);
-          QueryStats stats;
-          PrintResult(service.Execute(*session, it->second, &stats));
-          PrintQueryStats(stats);
+          obs::QueryLogRecord rec;
+          PrintResult(service.Execute(*session, it->second, &rec));
+          PrintPhases(rec);
         }
       } else if (line.rfind(".timeout ", 0) == 0) {
         session->options().deadline_ms = std::atoll(line.substr(9).c_str());
@@ -534,14 +527,14 @@ int main(int argc, char** argv) {
         if (file.empty() || start == std::string::npos) {
           std::printf("usage: .trace <file> <oql>\n");
         } else {
-          TraceQuery(db, file, oql.substr(start));
+          TraceQuery(service, *session, file, oql.substr(start));
         }
       } else if (remote.connected()) {
         PrintRemoteResult(remote.Execute(line, remote_deadline()));
       } else {
-        QueryStats stats;
-        PrintResult(service.Execute(*session, line, &stats));
-        PrintQueryStats(stats);
+        obs::QueryLogRecord rec;
+        PrintResult(service.Execute(*session, line, &rec));
+        PrintPhases(rec);
       }
     } catch (const Error& e) {
       std::printf("error: %s\n", e.what());

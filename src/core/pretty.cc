@@ -303,11 +303,6 @@ std::string ExplainAnalyze(const PhysPtr& plan, const QueryProfiler& profiler,
      << " threads=" << run.threads;
   if (run.morsel_size > 0) os << " morsel=" << run.morsel_size;
   os << " wall=" << FormatMs(run.wall_ns);
-  if (profiler.cache_hits + profiler.cache_misses > 0) {
-    os << " plan=" << (profiler.plan_cached ? "cached" : "compiled")
-       << " cache=" << profiler.cache_hits << "h/" << profiler.cache_misses
-       << "m/" << profiler.cache_evictions << "e";
-  }
   os << ")\n";
 
   std::vector<ExplainRow> rows;

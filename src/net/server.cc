@@ -810,24 +810,22 @@ void Server::DoExecute(const std::shared_ptr<Conn>& c, const Frame& f,
   }
 
   // The request's own trace context, else the connection default from
-  // PREPARE (fresh id per query). Set on the session even when empty: the
-  // pre-wait (wire read -> here) feeds queue_wait_ms either way, and the
-  // service mints an id itself for tail sampling.
-  obs::TraceContext tctx;
-  tctx.trace_id = req.trace_id;
-  tctx.parent_span_id = req.parent_span_id;
-  tctx.flags = req.trace_flags;
+  // PREPARE (fresh id per query); with neither, the service mints an id.
+  // The wait since the wire read feeds queue_wait_ms either way.
+  obs::QueryLogRecord rec;
+  obs::TraceContext tctx{req.trace_id, req.parent_span_id, req.trace_flags};
   if (!tctx.valid() && c->default_trace.valid()) {
+    tctx = c->default_trace;
     tctx.trace_id = obs::MintTraceId();
-    tctx.parent_span_id = c->default_trace.parent_span_id;
-    tctx.flags = c->default_trace.flags;
   }
-  session->set_trace(tctx, MsBetween(recv, Clock::now()));
+  rec.trace_id = tctx.trace_id;
+  rec.parent_span_id = tctx.parent_span_id;
+  rec.force_sample = (tctx.flags & obs::TraceContext::kForceSample) != 0;
+  rec.queue_wait_ms = MsBetween(recv, Clock::now());
 
-  QueryStats stats;
   Value result;
   try {
-    result = svc_.Execute(*session, *stmt, &stats);
+    result = svc_.Execute(*session, *stmt, &rec);
   } catch (...) {
     session->options().deadline_ms = saved_deadline;
     throw;
@@ -844,22 +842,22 @@ void Server::DoExecute(const std::shared_ptr<Conn>& c, const Frame& f,
                  ? 1
                  : static_cast<uint64_t>(c->result.AsElems().size());
   rep.scalar = c->cursor_scalar ? 1 : 0;
-  rep.plan_cached = stats.plan_cached ? 1 : 0;
-  rep.queue_ms = stats.queue_ms;
-  rep.compile_ms = stats.compile_ms;
-  rep.exec_ms = stats.exec_ms;
-  rep.queue_wait_ms = stats.queue_wait_ms;
-  rep.trace_id = stats.trace_id;
+  rep.plan_cached = rec.plan_cached ? 1 : 0;
+  rep.queue_ms = rec.queue_ms;
+  rep.compile_ms = rec.compile_ms;
+  rep.exec_ms = rec.exec_ms;
+  rep.queue_wait_ms = rec.queue_wait_ms;
+  rep.trace_id = rec.trace_id;
 
   if (req.fetch_hint > 0 && c->has_cursor) {
     // Serialize the immediate batch BEFORE encoding EXEC_OK so its timing
-    // rides the reply (and lands in the query log + trace post-hoc); the
+    // rides the reply (and lands on the query-log record post-hoc); the
     // frames still go out in EXEC_OK-then-ROWS order.
     Clock::time_point ser0 = Clock::now();
     std::string batch = NextBatch(c, req.fetch_hint);
     rep.serialize_ms = MsBetween(ser0, Clock::now());
-    svc_.RecordSerialize(stats.log_id, stats.trace_id, MsBetween(recv, ser0),
-                         rep.serialize_ms);
+    svc_.query_log().RecordSerialize(rec.id, MsBetween(recv, ser0),
+                                     rep.serialize_ms);
     EnqueueReply(c, rep.Encode());
     EnqueueReply(c, std::move(batch));
   } else {
@@ -894,8 +892,8 @@ void Server::DoIntrospect(const std::shared_ptr<Conn>& c, const Frame& f) {
       break;
     }
     case IntrospectRequest::kTrace: {
-      obs::RequestTrace t;
-      if (!svc_.trace_ring().Find(req.trace_id, &t)) {
+      obs::QueryLogRecord rec;
+      if (!svc_.query_log().Find(req.trace_id, &rec)) {
         EnqueueError(c, ErrorCode::kState,
                      req.trace_id == 0
                          ? "trace ring is empty"
@@ -903,7 +901,7 @@ void Server::DoIntrospect(const std::shared_ptr<Conn>& c, const Frame& f) {
                                " is not in the ring (sampled out or evicted)");
         return;
       }
-      rep.json = obs::TraceToChromeJson(t);
+      rep.json = obs::TraceToChromeJson(rec);
       break;
     }
     default:

@@ -26,30 +26,8 @@ std::string ActiveQueriesToJson(const std::vector<ActiveQueryInfo>& queries) {
 std::string QueryLogToJson(const std::vector<QueryLogRecord>& records) {
   std::string out = "[";
   for (size_t i = 0; i < records.size(); ++i) {
-    const QueryLogRecord& r = records[i];
     if (i > 0) out += ",\n";
-    out += "{\"id\": " + std::to_string(r.id);
-    out += ", \"session\": " + std::to_string(r.session);
-    out += ", \"remote\": " + JsonQuote(r.remote);
-    out += ", \"query_hash\": " + JsonQuote(Hex16(r.query_hash));
-    out += ", \"status\": " + JsonQuote(r.status);
-    out += ", \"error\": " + JsonQuote(r.error);
-    out += ", \"plan_cached\": ";
-    out += r.plan_cached ? "true" : "false";
-    out += ", \"trace_id\": " + JsonQuote(Hex16(r.trace_id));
-    out += ", \"queue_wait_ms\": " + JsonDouble(r.queue_wait_ms);
-    out += ", \"queue_ms\": " + JsonDouble(r.queue_ms);
-    out += ", \"compile_ms\": " + JsonDouble(r.compile_ms);
-    out += ", \"exec_ms\": " + JsonDouble(r.exec_ms);
-    out += ", \"serialize_ms\": " + JsonDouble(r.serialize_ms);
-    out += ", \"rows\": " + std::to_string(r.rows);
-    out += ", \"mem_peak_bytes\": " + std::to_string(r.mem_peak_bytes);
-    out += ", \"mem_op\": " + JsonQuote(r.mem_op);
-    out += ", \"threads\": " + std::to_string(r.threads);
-    out += ", \"verify\": " + JsonQuote(r.verify);
-    out += ", \"slow\": ";
-    out += r.slow ? "true" : "false";
-    out += "}";
+    out += QueryLogRecordToJson(records[i], /*with_spans=*/false);
   }
   out += "]";
   return out;

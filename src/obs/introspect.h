@@ -24,8 +24,8 @@ namespace obs {
 std::string ActiveQueriesToJson(const std::vector<ActiveQueryInfo>& queries);
 
 /// `[{"id": ..., "status": "...", "queue_wait_ms": ..., ...}, ...]`,
-/// oldest-first. Slow-query captures (plan text, profile JSON) are elided —
-/// they can be arbitrarily large and the wire view is a tail summary.
+/// oldest-first: QueryLogRecordToJson without spans, the same writer as the
+/// trace ring dump's.
 std::string QueryLogToJson(const std::vector<QueryLogRecord>& records);
 
 }  // namespace obs

@@ -6,8 +6,10 @@
 #include <functional>
 #include <thread>
 #include <utility>
+#include <vector>
 
 #include "src/core/optimizer.h"
+#include "src/obs/query_log.h"
 #include "src/runtime/profile.h"
 
 namespace ldb {
@@ -33,9 +35,9 @@ uint64_t MintTraceId() {
 namespace {
 
 // Span offsets print at nanosecond resolution whatever their size: as
-// milliseconds with 6 decimals in ring documents, as microseconds with 3 in
-// Chrome events. (Significant-digit formats round a late span's start past
-// its predecessor's end.)
+// milliseconds with 6 decimals in the query log's JSON, as microseconds
+// with 3 in Chrome events. (Significant-digit formats round a late span's
+// start past its predecessor's end.)
 std::string Fixed(double v, int decimals) {
   char buf[48];
   std::snprintf(buf, sizeof(buf), "%.*f", decimals, v);
@@ -56,7 +58,9 @@ int LaneTid(std::vector<std::string>* lanes, const std::string& lane) {
   return static_cast<int>(lanes->size());
 }
 
-std::string SpanJson(const TraceSpan& s) {
+}  // namespace
+
+std::string SpanToJson(const TraceSpan& s) {
   std::string out = "{\"span_id\":" + std::to_string(s.span_id);
   out += ",\"parent_span_id\":" + std::to_string(s.parent_span_id);
   out += ",\"name\":" + JsonQuote(s.name);
@@ -67,33 +71,13 @@ std::string SpanJson(const TraceSpan& s) {
   return out;
 }
 
-std::string TraceJson(const RequestTrace& t) {
-  std::string out = "{\"trace_id\":\"" + TraceIdHex(t.trace_id) + "\"";
-  out += ",\"session\":" + std::to_string(t.session);
-  out += ",\"query_hash\":\"" + Hex16(t.query_hash) + "\"";
-  out += ",\"status\":" + JsonQuote(t.status);
-  out += ",\"sample_reason\":" + JsonQuote(t.sample_reason);
-  out += ",\"client_context\":";
-  out += t.client_context ? "true" : "false";
-  out += ",\"total_ms\":" + Ms(t.total_ms);
-  out += ",\"spans\":[";
-  for (size_t i = 0; i < t.spans.size(); ++i) {
-    if (i > 0) out += ",";
-    out += SpanJson(t.spans[i]);
-  }
-  out += "]}";
-  return out;
-}
-
-}  // namespace
-
-void BuildRequestTrace(const RequestPhases& phases, double total_ms,
-                       const CompileTrace* compile, const ExecTotals& run,
-                       const QueryProfiler* profile, RequestTrace* t) {
-  t->spans.clear();
+void BuildRequestTrace(const CompileTrace* compile, const ExecTotals& run,
+                       const QueryProfiler* profile, QueryLogRecord* rec) {
+  std::vector<TraceSpan>& spans = rec->spans;
+  spans.clear();
   uint64_t next_id = 1;
-  auto add = [t, &next_id](uint64_t parent, std::string name,
-                           std::string lane, double start, double dur) {
+  auto add = [&spans, &next_id](uint64_t parent, std::string name,
+                                std::string lane, double start, double dur) {
     TraceSpan s;
     s.span_id = next_id++;
     s.parent_span_id = parent;
@@ -101,21 +85,20 @@ void BuildRequestTrace(const RequestPhases& phases, double total_ms,
     s.lane = std::move(lane);
     s.start_ms = start;
     s.dur_ms = dur;
-    t->spans.push_back(std::move(s));
-    return t->spans.back().span_id;
+    spans.push_back(std::move(s));
+    return spans.back().span_id;
   };
-  const double phases_ms = phases.wire_queue_ms + phases.admission_ms +
-                           phases.compile_ms + phases.exec_ms;
-  t->total_ms = std::max(total_ms, phases_ms);
-  t->root_span_id = add(0, "request", "worker", 0, t->total_ms);
-  const uint64_t root = t->root_span_id;
-  if (phases.wire_queue_ms > 0)
-    add(root, "wire-queue", "io", 0, phases.wire_queue_ms);
-  double at = phases.wire_queue_ms;
-  add(root, "admission", "worker", at, phases.admission_ms);
-  at += phases.admission_ms;
+  const double phases_ms =
+      rec->queue_wait_ms + rec->queue_ms + rec->compile_ms + rec->exec_ms;
+  rec->total_ms = std::max(rec->total_ms, phases_ms);
+  const uint64_t root = add(0, "request", "worker", 0, rec->total_ms);
+  if (rec->queue_wait_ms > 0)
+    add(root, "wire-queue", "io", 0, rec->queue_wait_ms);
+  double at = rec->queue_wait_ms;
+  add(root, "admission", "worker", at, rec->queue_ms);
+  at += rec->queue_ms;
   const uint64_t compile_id =
-      add(root, "compile", "worker", at, phases.compile_ms);
+      add(root, "compile", "worker", at, rec->compile_ms);
   if (compile != nullptr) {
     double stage_at = at;
     for (const StageTiming& stage : compile->stages) {
@@ -123,8 +106,8 @@ void BuildRequestTrace(const RequestPhases& phases, double total_ms,
       stage_at += stage.ms;
     }
   }
-  at += phases.compile_ms;
-  const uint64_t exec = add(root, "execute", "worker", at, phases.exec_ms);
+  at += rec->compile_ms;
+  const uint64_t exec = add(root, "execute", "worker", at, rec->exec_ms);
   if (run.prebuild_ns > 0)
     add(exec, "prebuild", "worker", at, run.prebuild_ns / 1e6);
   // Bounded, so a huge scan cannot bloat the ring; the remainder collapses
@@ -138,8 +121,9 @@ void BuildRequestTrace(const RequestPhases& phases, double total_ms,
         m.dur_ns / 1e6);
   }
   if (n > kMaxMorselSpans)
-    add(exec, "+" + std::to_string(n - kMaxMorselSpans) + " morsels",
-        "worker", at + phases.exec_ms, 0);
+    add(exec, std::to_string(n - kMaxMorselSpans).insert(0, 1, '+') +
+                  " morsels",
+        "worker", at + rec->exec_ms, 0);
   if (profile != nullptr) {
     for (const OperatorStats* op : profile->Operators()) {
       const std::string id = std::to_string(op->op_id);
@@ -149,7 +133,7 @@ void BuildRequestTrace(const RequestPhases& phases, double total_ms,
   }
 }
 
-std::string TraceToChromeJson(const RequestTrace& t) {
+std::string TraceToChromeJson(const QueryLogRecord& rec) {
   std::vector<std::string> lanes;
   std::string ev;
   auto emit = [&ev](const std::string& e) {
@@ -159,9 +143,10 @@ std::string TraceToChromeJson(const RequestTrace& t) {
   // Process + thread name metadata so Perfetto labels the rows.
   emit("{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"process_name\","
        "\"args\":{\"name\":" +
-       JsonQuote("request " + TraceIdHex(t.trace_id) + " (" + t.status + ")") +
+       JsonQuote("request " + TraceIdHex(rec.trace_id) + " (" + rec.status +
+                 ")") +
        "}}");
-  for (const TraceSpan& s : t.spans) {
+  for (const TraceSpan& s : rec.spans) {
     int tid = LaneTid(&lanes, s.lane);
     emit("{\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(tid) +
          ",\"name\":" + JsonQuote(s.name) + ",\"ts\":" + Us(s.start_ms) +
@@ -175,119 +160,6 @@ std::string TraceToChromeJson(const RequestTrace& t) {
          JsonQuote(lanes[i]) + "}}");
   }
   return "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[\n" + ev + "\n]}\n";
-}
-
-std::string TraceRingJson(const std::vector<RequestTrace>& traces,
-                          size_t capacity, uint64_t submitted, uint64_t kept,
-                          uint64_t dropped) {
-  std::string out = "{\"capacity\":" + std::to_string(capacity);
-  out += ",\"submitted\":" + std::to_string(submitted);
-  out += ",\"kept\":" + std::to_string(kept);
-  out += ",\"dropped\":" + std::to_string(dropped);
-  out += ",\"traces\":[";
-  for (size_t i = 0; i < traces.size(); ++i) {
-    if (i > 0) out += ",";
-    out += "\n";
-    out += TraceJson(traces[i]);
-  }
-  out += "]}\n";
-  return out;
-}
-
-#if LDB_METRICS_ENABLED
-
-bool TraceRing::Submit(RequestTrace t) {
-  if (opts_.capacity == 0) return false;
-  MutexLock lock(&mu_);
-  ++submitted_;
-  const char* reason = nullptr;
-  if (t.force_sample) {
-    reason = "forced";
-  } else if (!t.status.empty() && t.status != "ok") {
-    reason = "error";
-  } else if (opts_.slow_ms > 0 && t.total_ms >= opts_.slow_ms) {
-    reason = "slow";
-  } else if (opts_.head_every > 0 && (submitted_ - 1) % opts_.head_every == 0) {
-    reason = "head";
-  }
-  if (reason == nullptr) {
-    ++dropped_;
-    return false;
-  }
-  t.sample_reason = reason;
-  ++kept_;
-  if (traces_.size() >= opts_.capacity) traces_.pop_front();
-  traces_.push_back(std::move(t));
-  return true;
-}
-
-bool TraceRing::AppendSpan(uint64_t trace_id, const TraceSpan& span) {
-  if (trace_id == 0 || opts_.capacity == 0) return false;
-  MutexLock lock(&mu_);
-  for (auto it = traces_.rbegin(); it != traces_.rend(); ++it) {
-    if (it->trace_id != trace_id) continue;
-    TraceSpan s = span;
-    // Late spans may leave ids unset: number after the existing spans and
-    // hang off the root so the caller needs no knowledge of the numbering.
-    if (s.span_id == 0) {
-      uint64_t max_id = 0;
-      for (const TraceSpan& have : it->spans)
-        if (have.span_id > max_id) max_id = have.span_id;
-      s.span_id = max_id + 1;
-    }
-    if (s.parent_span_id == 0) s.parent_span_id = it->root_span_id;
-    double end_ms = s.start_ms + s.dur_ms;
-    it->spans.push_back(std::move(s));
-    if (end_ms > it->total_ms) {
-      // The root span carries the whole request, so it grows too.
-      it->total_ms = end_ms;
-      for (TraceSpan& have : it->spans)
-        if (have.span_id == it->root_span_id) have.dur_ms = end_ms;
-    }
-    return true;
-  }
-  return false;
-}
-
-bool TraceRing::Find(uint64_t trace_id, RequestTrace* out) const {
-  MutexLock lock(&mu_);
-  const RequestTrace* best = nullptr;
-  for (const RequestTrace& t : traces_) {
-    if (trace_id != 0 ? t.trace_id == trace_id
-                      : (best == nullptr || t.total_ms > best->total_ms)) {
-      best = &t;
-      if (trace_id != 0) break;
-    }
-  }
-  if (best == nullptr) return false;
-  *out = *best;
-  return true;
-}
-
-std::vector<RequestTrace> TraceRing::Snapshot() const {
-  MutexLock lock(&mu_);
-  return std::vector<RequestTrace>(traces_.begin(), traces_.end());
-}
-
-uint64_t TraceRing::submitted() const {
-  MutexLock lock(&mu_);
-  return submitted_;
-}
-
-uint64_t TraceRing::kept() const {
-  MutexLock lock(&mu_);
-  return kept_;
-}
-
-uint64_t TraceRing::dropped() const {
-  MutexLock lock(&mu_);
-  return dropped_;
-}
-
-#endif  // LDB_METRICS_ENABLED
-
-std::string TraceRing::ToJson() const {
-  return TraceRingJson(Snapshot(), capacity(), submitted(), kept(), dropped());
 }
 
 }  // namespace obs

@@ -93,11 +93,7 @@ std::string ProfileToJson(const QueryProfiler& prof) {
   os << "{\"threads\": " << run.threads
      << ", \"morsel_size\": " << run.morsel_size
      << ", \"mode\": " << JsonQuote(run.mode.empty() ? "serial" : run.mode)
-     << ", \"wall_ns\": " << JsonDouble(run.wall_ns)
-     << ", \"plan_cached\": " << prof.plan_cached
-     << ", \"cache_hits\": " << prof.cache_hits
-     << ", \"cache_misses\": " << prof.cache_misses
-     << ", \"cache_evictions\": " << prof.cache_evictions;
+     << ", \"wall_ns\": " << JsonDouble(run.wall_ns);
   os << ", \"operators\": [";
   bool first = true;
   for (const OperatorStats* s : prof.Operators()) {
@@ -152,14 +148,6 @@ QueryProfiler ProfileFromJson(const std::string& json) {
       prof.run.mode = r.ParseString();
     } else if (key == "wall_ns") {
       prof.run.wall_ns = r.ParseNumber();
-    } else if (key == "plan_cached") {
-      prof.plan_cached = r.ParseUint();
-    } else if (key == "cache_hits") {
-      prof.cache_hits = r.ParseUint();
-    } else if (key == "cache_misses") {
-      prof.cache_misses = r.ParseUint();
-    } else if (key == "cache_evictions") {
-      prof.cache_evictions = r.ParseUint();
     } else if (key == "operators") {
       r.ExpectArrayStart();
       while (r.NextElement()) {

@@ -97,12 +97,6 @@ class QueryProfiler {
   /// threads, wall time, workers, morsels; src/runtime/physical.h).
   ExecTotals run;
 
-  // -- plan-cache metadata (filled by the query service; docs/SERVICE.md) ----
-  uint64_t plan_cached = 0;       ///< 1 when this execution reused a cached plan
-  uint64_t cache_hits = 0;        ///< cache-wide hit total at execute time
-  uint64_t cache_misses = 0;      ///< cache-wide miss (compile) total
-  uint64_t cache_evictions = 0;   ///< cache-wide LRU eviction total
-
  private:
   std::deque<OperatorStats> ops_;  // deque: stable addresses across growth
   std::unordered_map<int, OperatorStats*> by_id_;

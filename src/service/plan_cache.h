@@ -13,10 +13,10 @@
 // Cached plans are immutable and handed out as shared_ptr<const ...>: an
 // eviction never invalidates a plan that a concurrent execution still
 // holds (or that a Statement handle is bound to). All counters are
-// cache-wide totals of lookups, surfaced through the profiler JSON
-// (plan_cached / cache_hits / cache_misses / cache_evictions) and
-// `EXPLAIN ANALYZE`; executing a bound, current Statement performs no
-// lookup and moves none of them.
+// cache-wide totals of lookups, read through QueryService::cache_stats()
+// and the ldb_plan_cache_* metrics; whether one request compiled is its
+// query-log record's plan_cached. Executing a bound, current Statement
+// performs no lookup and moves none of them.
 
 #ifndef LAMBDADB_SERVICE_PLAN_CACHE_H_
 #define LAMBDADB_SERVICE_PLAN_CACHE_H_

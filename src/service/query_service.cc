@@ -121,10 +121,8 @@ QueryService::QueryService(const Database& db, ServiceOptions options)
     : db_(db),
       options_(std::move(options)),
       cache_(options_.plan_cache_capacity),
-      query_log_(kQueryLogCapacity, options_.slow_query_ms),
-      trace_ring_(obs::TraceRing::Options{kTraceRingCapacity,
-                                          options_.slow_query_ms,
-                                          options_.trace_head_every}) {
+      query_log_(kQueryLogCapacity, options_.slow_query_ms,
+                 kTraceRingCapacity, options_.trace_head_every) {
   if (options_.max_concurrent < 1) options_.max_concurrent = 1;
   config_ = std::make_shared<const PlanningConfig>(PlanningConfig{
       options_.optimizer,
@@ -252,32 +250,21 @@ Statement QueryService::Prepare(const std::string& oql) {
 }
 
 Value QueryService::Execute(Session& session, Statement& stmt,
-                            QueryStats* stats, QueryProfiler* profiler) {
-  return Run(session, stmt, stats, profiler);
+                            obs::QueryLogRecord* rec,
+                            QueryProfiler* profiler) {
+  return Run(session, stmt, rec, profiler);
 }
 
 Value QueryService::Execute(Session& session, const std::string& oql,
-                            QueryStats* stats, QueryProfiler* profiler) {
+                            obs::QueryLogRecord* rec,
+                            QueryProfiler* profiler) {
   Statement adhoc{oql, nullptr};
-  return Run(session, adhoc, stats, profiler);
+  return Run(session, adhoc, rec, profiler);
 }
 
 int QueryService::running() const {
   MutexLock lock(&admission_mu_);
   return running_;
-}
-
-void QueryService::RecordSerialize(uint64_t log_id, uint64_t trace_id,
-                                   double start_ms, double dur_ms) {
-  if (log_id != 0) query_log_.SetSerializeMs(log_id, dur_ms);
-  if (trace_id != 0 && trace_ring_.capacity() > 0) {
-    obs::TraceSpan s;  // span/parent ids assigned by AppendSpan (root child)
-    s.name = "serialize";
-    s.lane = "worker";
-    s.start_ms = start_ms;
-    s.dur_ms = dur_ms;
-    trace_ring_.AppendSpan(trace_id, s);
-  }
 }
 
 std::shared_ptr<const QueryService::PlanningConfig>
@@ -323,7 +310,7 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   // Stage wall times become "compile:<stage>" child spans in request traces.
   // Compiles happen once per distinct plan, so the counting rewriter's
   // overhead stays off the cached (steady-state) path.
-  if (obs::TraceRing::Enabled()) compile_opts.trace = true;
+  if (obs::QueryLog::KeepsTraces()) compile_opts.trace = true;
   Optimizer opt(db_.schema(), compile_opts);
   auto plan = std::make_shared<PreparedPlan>();
   plan->compiled = opt.Compile(q.comp, key.term);  // normalizes nothing
@@ -335,8 +322,8 @@ std::shared_ptr<const PreparedPlan> QueryService::GetOrCompile(
   return plan;
 }
 
-Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
-                        QueryProfiler* profiler) {
+Value QueryService::Run(Session& session, Statement& stmt,
+                        obs::QueryLogRecord* out, QueryProfiler* profiler) {
   CancelToken& token = session.token();
   token.Reset();
   if (session.options().deadline_ms > 0)
@@ -350,34 +337,30 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
   rec.query_hash = std::hash<std::string>{}(stmt.oql);
   rec.threads = session.options().n_threads;
 
-  // Adopt the wire-propagated trace context — or mint an id, so slow and
-  // failing requests land in the trace ring (and histogram exemplars) even
-  // when the client did not ask to be traced. The context is consumed here:
-  // a later query on this session cannot inherit it.
-  obs::TraceContext tctx = session.trace_context();
-  const double pre_wait_ms = session.trace_pre_wait_ms();
-  const bool client_traced = obs::TraceRing::Enabled() && tctx.valid();
-  session.clear_trace();
-  if (!obs::TraceRing::Enabled()) {
-    // Compiled-out tracer: drop even a client-sent context so the id the
-    // wire reports (EXEC_OK, query log) is honestly 0, not an id no ring
-    // will ever resolve.
-    tctx = obs::TraceContext{};
-  } else if (!client_traced) {
-    tctx.trace_id = obs::MintTraceId();
+  // Adopt the caller's trace context — or mint an id, so slow and failing
+  // requests land in the trace ring (and histogram exemplars) even when the
+  // client did not ask to be traced. With tracing compiled out even a
+  // client-sent context is dropped, so the id the wire reports (EXEC_OK,
+  // query log) is honestly 0, not an id nothing will ever resolve.
+  if (out != nullptr) {
+    rec.queue_wait_ms = out->queue_wait_ms;
+    if (obs::QueryLog::KeepsTraces()) {
+      rec.trace_id = out->trace_id;
+      rec.parent_span_id = out->parent_span_id;
+      rec.force_sample = out->force_sample;
+    }
   }
-  rec.trace_id = tctx.trace_id;
-  rec.queue_wait_ms = pre_wait_ms;
+  rec.client_context = rec.trace_id != 0;
+  if (obs::QueryLog::KeepsTraces() && !rec.client_context)
+    rec.trace_id = obs::MintTraceId();
 
   // Per-operator timing costs a decorator call per row, so only a request
   // that asks for it pays it: a force-sampled one, whose trace the ring
   // keeps. Every other request, client-traced or not, runs the
   // uninstrumented iterator tree; its trace's morsel spans come from the
   // run record, which the executor fills on every run.
-  const bool force_sample =
-      (tctx.flags & obs::TraceContext::kForceSample) != 0;
   QueryProfiler local_profiler;
-  if (profiler == nullptr && force_sample) profiler = &local_profiler;
+  if (profiler == nullptr && rec.force_sample) profiler = &local_profiler;
   ExecTotals run;
 
   // One resource context per query, shared by every thread that executes it
@@ -391,20 +374,28 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
   Clock::time_point t0 = Clock::now();
   std::shared_ptr<const PreparedPlan> plan;
 
-  // Classifies the outcome, flushes the per-query metrics, captures the
-  // slow-query plan/profile, and appends the log record — on every exit
-  // path, including the unwinds.
+  // Classifies the outcome, flushes the per-query metrics, builds the span
+  // tree, decides slowness once (plan/profile capture, the slow counter and
+  // the trace ring all read rec.slow), and appends the record — on every
+  // exit path, including the unwinds. Offsets and total_ms run from the
+  // trace origin: the wire read for served requests (queue_wait_ms before
+  // t0), t0 itself for in-process calls.
   auto finalize = [&](const char* status, const std::string& error) {
-    double total_ms = MsBetween(t0, Clock::now());
     rec.status = status;
     rec.error = error;
-    rec.slow = query_log_.IsSlow(total_ms);
+    rec.total_ms = rec.queue_wait_ms + MsBetween(t0, Clock::now());
+    if (obs::QueryLog::KeepsTraces()) {
+      const bool compiled = !rec.plan_cached && plan != nullptr;
+      obs::BuildRequestTrace(compiled ? plan->compiled.trace.get() : nullptr,
+                             run, profiler, &rec);
+    }
+    rec.slow = query_log_.IsSlow(rec.total_ms);
     rec.mem_peak_bytes = resource->PeakBytes();
     int dominant = resource->DominantOp();
     if (dominant >= 0) rec.mem_op = PhysKindName(static_cast<PhysKind>(dominant));
     active_.Unregister(active_id);
     if (ins_.enabled) {
-      ins_.total_ms->Observe(total_ms, tctx.trace_id);
+      ins_.total_ms->Observe(rec.total_ms, rec.trace_id);
       ins_.query_mem_peak->Observe(static_cast<double>(rec.mem_peak_bytes));
       ins_.mem_in_use->Set(static_cast<int64_t>(active_.SumInUseBytes()));
       ins_.active_queries->Set(static_cast<int64_t>(active_.Count()));
@@ -426,39 +417,12 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
       if (plan != nullptr) rec.plan_text = PrintPhysicalPlan(plan->physical);
       if (profiler != nullptr) rec.profile_json = ProfileToJson(*profiler);
     }
-
-    // Assemble the span tree from the timings gathered above and offer it
-    // to the tail-sampling ring (which decides keep/drop from the outcome).
-    // Offsets are from the trace origin: the wire read for served requests
-    // (pre_wait_ms before t0), t0 itself for in-process calls.
-    if (obs::TraceRing::Enabled() && trace_ring_.capacity() > 0 &&
-        tctx.trace_id != 0) {
-      obs::RequestTrace t;
-      t.trace_id = tctx.trace_id;
-      t.client_parent_span_id = tctx.parent_span_id;
-      t.client_context = client_traced;
-      t.force_sample = force_sample;
-      t.session = rec.session;
-      t.query_hash = rec.query_hash;
-      t.status = rec.status;
-      const bool compiled = !rec.plan_cached && plan != nullptr;
-      obs::BuildRequestTrace(
-          {pre_wait_ms, rec.queue_ms, rec.compile_ms, rec.exec_ms},
-          pre_wait_ms + total_ms,
-          compiled ? plan->compiled.trace.get() : nullptr, run, profiler, &t);
-      trace_ring_.Submit(std::move(t));
-    }
-
-    uint64_t log_id = query_log_.Append(std::move(rec));
-    if (stats != nullptr) {
-      stats->trace_id = tctx.trace_id;
-      stats->log_id = log_id;
-      stats->queue_wait_ms = pre_wait_ms;
-    }
+    query_log_.Append(&rec);
+    if (out != nullptr) *out = std::move(rec);
   };
 
   try {
-    Value result = RunAdmitted(session, stmt, stats, profiler, &run, t0, &rec,
+    Value result = RunAdmitted(session, stmt, profiler, &run, t0, &rec,
                                &plan, resource.get(), active_id);
     if (ins_.enabled) ins_.queries_ok->Inc();
     finalize("ok", "");
@@ -487,8 +451,8 @@ Value QueryService::Run(Session& session, Statement& stmt, QueryStats* stats,
 }
 
 Value QueryService::RunAdmitted(Session& session, Statement& stmt,
-                                QueryStats* stats, QueryProfiler* profiler,
-                                ExecTotals* run, Clock::time_point t0,
+                                QueryProfiler* profiler, ExecTotals* run,
+                                Clock::time_point t0,
                                 obs::QueryLogRecord* rec,
                                 std::shared_ptr<const PreparedPlan>* plan_out,
                                 obs::QueryResourceContext* resource,
@@ -581,21 +545,6 @@ Value QueryService::RunAdmitted(Session& session, Statement& stmt,
     if (budget > 0 && estimate > budget) {
       throw obs::QueryMemoryExceeded(estimate, budget);
     }
-  }
-
-  PlanCacheStats cs = cache_.Stats();
-  if (profiler != nullptr) {
-    profiler->plan_cached = cached ? 1 : 0;
-    profiler->cache_hits = cs.hits;
-    profiler->cache_misses = cs.misses;
-    profiler->cache_evictions = cs.evictions;
-  }
-  if (stats != nullptr) {
-    stats->plan_cached = cached;
-    stats->queue_ms = rec->queue_ms;
-    stats->compile_ms = rec->compile_ms;
-    stats->exec_ms = rec->exec_ms;
-    stats->cache = cs;
   }
   return result;
 }

@@ -15,8 +15,9 @@
 //     `max_queue` more wait on a condition variable (deadline-aware), and
 //     anything beyond that is rejected with AdmissionError;
 //   * observability — a MetricsRegistry (counters/gauges/histograms over
-//     every query the service runs) and a structured query log with
-//     slow-query plan/profile capture (src/obs/, docs/OBSERVABILITY.md).
+//     every query the service runs) and a structured query log, one record
+//     per query, with slow-query plan/profile capture and tail-sampled
+//     request traces (src/obs/, docs/OBSERVABILITY.md).
 //
 // The Database is shared read-only: every execution builds its own iterator
 // tree / frames, so any number of sessions may run against it concurrently.
@@ -36,7 +37,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/query_log.h"
 #include "src/obs/resource.h"
-#include "src/obs/trace.h"
 #include "src/runtime/database.h"
 #include "src/runtime/error.h"
 #include "src/runtime/profile.h"
@@ -55,8 +55,8 @@ class AdmissionError : public Error {
 
 /// Query-log ring size (records kept before the oldest is overwritten).
 constexpr size_t kQueryLogCapacity = 256;
-/// Completed request traces kept in the tail-sampling ring (0 when metrics
-/// are compiled out, docs/OBSERVABILITY.md).
+/// Tail-sampled records the query log keeps with their spans, its trace
+/// ring (0 when metrics are compiled out, docs/OBSERVABILITY.md).
 constexpr size_t kTraceRingCapacity = 64;
 
 struct ServiceOptions {
@@ -70,12 +70,14 @@ struct ServiceOptions {
   /// Compile-side knobs (normalize/simplify/physical selection/catalog).
   /// The exec member is ignored — execution knobs come from each session.
   OptimizerOptions optimizer;
-  /// Queries whose total wall time reaches this threshold additionally log
-  /// their rendered plan and profiler snapshot; <= 0 disables slow capture.
-  /// The same threshold marks a request trace as "slow" for tail sampling.
+  /// Queries whose total wall time from the trace origin (the wire read for
+  /// served requests) reaches this threshold are slow: their log record
+  /// captures the rendered plan and profiler snapshot, and the trace ring
+  /// keeps them. <= 0 disables slow capture.
   double slow_query_ms = 50;
-  /// Head-sample every Nth submitted trace in addition to the tail policy
-  /// (slow / errored / forced always kept); 0 disables head sampling.
+  /// Head-sample every Nth finished query into the trace ring in addition
+  /// to the tail policy (slow / errored / forced always kept); 0 disables
+  /// head sampling.
   uint32_t trace_head_every = 128;
 };
 
@@ -87,22 +89,6 @@ struct ServiceOptions {
 struct Statement {
   std::string oql;
   std::shared_ptr<const PreparedPlan> plan;
-};
-
-/// Per-query service-level timings and cache outcome. Complements the
-/// per-operator QueryProfiler (which the service also fills with the cache
-/// counters, so they reach the profile JSON and EXPLAIN ANALYZE).
-struct QueryStats {
-  bool plan_cached = false;  ///< this request compiled nothing
-  double queue_ms = 0;       ///< time spent waiting for admission
-  double compile_ms = 0;     ///< plan resolution: a stamp compare for a
-                             ///< bound handle, else parse + key build
-                             ///< (+ compile on a miss)
-  double exec_ms = 0;        ///< execution proper (incl. ordered-sort)
-  PlanCacheStats cache;      ///< cache-wide counters after this query
-  uint64_t trace_id = 0;     ///< trace identity (client-sent or minted)
-  uint64_t log_id = 0;       ///< query-log record id (for post-hoc updates)
-  double queue_wait_ms = 0;  ///< wire-read -> worker pickup (server fronts)
 };
 
 class QueryService {
@@ -128,18 +114,28 @@ class QueryService {
   /// token: admission -> plan resolution -> execute. A bound handle whose
   /// plan carries the current version stamp runs that plan with no parse
   /// and no cache lookup; an unbound or stale one goes through the plan
-  /// cache and is rebound to the result. The execution is profiled when
-  /// `profiler` is given or the session's trace context carries
-  /// TraceContext::kForceSample (the service then profiles into its own);
-  /// every other query runs the uninstrumented engine.
+  /// cache and is rebound to the result.
+  ///
+  /// `rec`, when given, is a fresh record on which the caller sets the
+  /// request's trace context (trace_id, parent_span_id, force_sample) and
+  /// the wait it spent before reaching the service (queue_wait_ms); the
+  /// service reads nothing else from it. On return, and when Execute
+  /// throws, it holds the record as the query log appended it: its id,
+  /// outcome, phase times, plan_cached and span tree. Without a trace id
+  /// the service mints one; with metrics compiled out it drops the trace
+  /// context, and the id stays 0.
+  ///
+  /// The execution is profiled when `profiler` is given or the record asks
+  /// for force sampling (the service then profiles into its own); every
+  /// other query runs the uninstrumented engine.
   Value Execute(Session& session, Statement& stmt,
-                QueryStats* stats = nullptr,
+                obs::QueryLogRecord* rec = nullptr,
                 QueryProfiler* profiler = nullptr);
 
   /// One-shot: runs `oql` as an unbound temporary Statement (one parse, one
   /// cache lookup, a compile on a miss).
   Value Execute(Session& session, const std::string& oql,
-                QueryStats* stats = nullptr,
+                obs::QueryLogRecord* rec = nullptr,
                 QueryProfiler* profiler = nullptr);
 
   PlanCacheStats cache_stats() const { return cache_.Stats(); }
@@ -158,23 +154,11 @@ class QueryService {
   /// Service-wide metrics (docs/OBSERVABILITY.md has the catalog). The
   /// registry exists even with metrics disabled; it then renders zeros.
   obs::MetricsRegistry& metrics() const { return metrics_; }
-  /// The structured query log (bounded ring; slow queries carry plan +
-  /// profile snapshots).
+  /// The structured query log: one record per finished query, the recent
+  /// ones plus the tail-sampled trace ring (slow queries carry plan +
+  /// profile snapshots; kept ones their spans). The network server patches
+  /// reply serialization in with RecordSerialize.
   obs::QueryLog& query_log() const { return query_log_; }
-
-  /// The tail-sampling trace ring: every query assembles a span tree and
-  /// submits it here; the ring keeps slow / errored / forced / head-sampled
-  /// traces up to kTraceRingCapacity (docs/OBSERVABILITY.md, Tracing).
-  obs::TraceRing& trace_ring() const { return trace_ring_; }
-
-  /// Post-hoc reply-serialization accounting, called by the network server
-  /// after it has encoded the first result batch (which happens after the
-  /// query-log record and trace were finalized): patches `serialize_ms`
-  /// into query-log record `log_id` and appends a "serialize" span (at
-  /// `start_ms` from request arrival, `dur_ms` long) to trace `trace_id`
-  /// if the ring kept it. Both ids come from QueryStats.
-  void RecordSerialize(uint64_t log_id, uint64_t trace_id, double start_ms,
-                       double dur_ms);
 
   /// Live snapshot of every accepted-but-unfinished query (session, query
   /// hash, phase, elapsed, rows and bytes so far) — the service's
@@ -253,16 +237,16 @@ class QueryService {
 
   /// Admission + plan resolution + execution + ordered-sort + budget check;
   /// classifies the outcome into metrics and the query log (status ok /
-  /// failed / cancelled / rejected, slow-query plan + profile capture).
-  Value Run(Session& session, Statement& stmt, QueryStats* stats,
+  /// failed / cancelled / rejected, slow-query plan + profile capture, span
+  /// tree).
+  Value Run(Session& session, Statement& stmt, obs::QueryLogRecord* out,
             QueryProfiler* profiler);
 
   /// The admitted part of Run (everything inside the admission slot).
   /// `*plan_out` receives the plan as soon as it is known so the caller can
   /// render it for the slow-query log even when execution throws; `*run`
   /// receives the executor's run record, partial on an unwind.
-  Value RunAdmitted(Session& session, Statement& stmt,
-                    QueryStats* stats, QueryProfiler* profiler,
+  Value RunAdmitted(Session& session, Statement& stmt, QueryProfiler* profiler,
                     ExecTotals* run, std::chrono::steady_clock::time_point t0,
                     obs::QueryLogRecord* rec,
                     std::shared_ptr<const PreparedPlan>* plan_out,
@@ -279,7 +263,6 @@ class QueryService {
 
   mutable obs::MetricsRegistry metrics_;
   mutable obs::QueryLog query_log_;
-  mutable obs::TraceRing trace_ring_;
   mutable obs::ActiveQueryRegistry active_;
   Instruments ins_;
   std::atomic<uint64_t> next_session_id_{0};

@@ -17,7 +17,6 @@
 #include <string>
 #include <utility>
 
-#include "src/obs/trace.h"
 #include "src/runtime/cancel.h"
 #include "src/runtime/value.h"
 
@@ -78,32 +77,12 @@ class Session {
   void set_peer(std::string peer) { peer_ = std::move(peer); }
   const std::string& peer() const { return peer_; }
 
-  /// Trace context for the NEXT query on this session, plus the wall time
-  /// the request already spent server-side before the service saw it
-  /// (wire read -> worker pickup). Set by the server worker right before
-  /// Execute — same single-threaded discipline as bindings — and consumed
-  /// by the service, which clears it when the query finishes so a later
-  /// untraced query cannot inherit it. In-process callers (tests, embedded
-  /// use) may set a context the same way to force-trace one query.
-  void set_trace(const obs::TraceContext& ctx, double pre_wait_ms = 0) {
-    trace_ctx_ = ctx;
-    trace_pre_wait_ms_ = pre_wait_ms;
-  }
-  void clear_trace() {
-    trace_ctx_ = obs::TraceContext();
-    trace_pre_wait_ms_ = 0;
-  }
-  const obs::TraceContext& trace_context() const { return trace_ctx_; }
-  double trace_pre_wait_ms() const { return trace_pre_wait_ms_; }
-
  private:
   SessionOptions options_;
   std::map<std::string, Value> bindings_;
   CancelToken token_;
   uint64_t id_ = 0;
   std::string peer_;
-  obs::TraceContext trace_ctx_;
-  double trace_pre_wait_ms_ = 0;
 };
 
 }  // namespace ldb

@@ -224,8 +224,12 @@ TEST(ConcurrencyStress, ActiveQueryRegistryRegisterSnapshotUnregister) {
 
 // ------------------------------------------------------------------ QueryLog
 
+// Appends race Tail, Find and RecordSerialize under the log's one mutex. A
+// small trace ring with head sampling keeps every third record, so kept
+// records are evicted, found and patched while others are appended.
 TEST(ConcurrencyStress, QueryLogAppendRacesTail) {
-  obs::QueryLog log(/*capacity=*/64, /*slow_ms=*/1.0);
+  obs::QueryLog log(/*capacity=*/64, /*slow_ms=*/0, /*kept_capacity=*/4,
+                    /*head_every=*/3);
   constexpr int kOpsPerThread = 2000;
 
   RunThreads(kThreads, [&](int t) {
@@ -235,21 +239,63 @@ TEST(ConcurrencyStress, QueryLogAppendRacesTail) {
       obs::QueryLogRecord rec;
       rec.session = uint64_t(t);
       rec.status = "ok";
+      rec.trace_id = uint64_t(t % 2) + 1;  // threads share two trace ids
       rec.exec_ms = double(i % 7);
-      log.Append(rec);
-      if (op_dist(rng) == 0) {
-        std::vector<obs::QueryLogRecord> tail = log.Tail(16);
-        EXPECT_LE(tail.size(), 16u);
-        for (const obs::QueryLogRecord& r : tail) {
-          EXPECT_EQ(r.status, "ok");  // never a half-written record
+      rec.total_ms = rec.exec_ms;
+      obs::TraceSpan root;
+      root.span_id = 1;
+      root.name = "request";
+      root.dur_ms = rec.total_ms;
+      rec.spans.push_back(root);
+      log.Append(&rec);
+      switch (op_dist(rng)) {
+        case 0: {
+          std::vector<obs::QueryLogRecord> tail = log.Tail(16);
+          EXPECT_LE(tail.size(), 16u);
+          for (const obs::QueryLogRecord& r : tail) {
+            EXPECT_EQ(r.status, "ok");  // never a half-written record
+            EXPECT_TRUE(r.spans.empty());
+          }
+          break;
         }
+        case 1: {
+          obs::QueryLogRecord found;
+          if (log.Find(rec.trace_id, &found)) {
+            EXPECT_EQ(found.trace_id, rec.trace_id);
+            EXPECT_EQ(found.sample_reason, "head");
+            EXPECT_FALSE(found.spans.empty());
+          }
+          break;
+        }
+        case 2:
+        case 3:
+          log.RecordSerialize(rec.id, rec.total_ms, 0.25);
+          break;
+        default:
+          break;
       }
     }
   });
 
-  EXPECT_EQ(log.appended(), uint64_t{kThreads} * kOpsPerThread);
+  const uint64_t total = uint64_t{kThreads} * kOpsPerThread;
+  EXPECT_EQ(log.appended(), total);
   EXPECT_EQ(log.dropped(), log.appended() - log.capacity());
   EXPECT_EQ(log.Tail(1000).size(), log.capacity());
+  if (!obs::QueryLog::KeepsTraces()) return;
+  EXPECT_EQ(log.kept_count(), (total + 2) / 3);  // ids 1, 4, 7, ...
+  std::vector<obs::QueryLogRecord> kept = log.KeptRecords();
+  ASSERT_EQ(kept.size(), 4u);
+  for (size_t i = 0; i < kept.size(); ++i) {
+    EXPECT_EQ(kept[i].id % 3, 1u);
+    if (i > 0) {
+      EXPECT_GT(kept[i].id, kept[i - 1].id);
+    }
+    // A patched record got exactly one serialize span, an unpatched none.
+    const size_t serialize_spans = static_cast<size_t>(std::count_if(
+        kept[i].spans.begin(), kept[i].spans.end(),
+        [](const obs::TraceSpan& s) { return s.name == "serialize"; }));
+    EXPECT_EQ(serialize_spans, kept[i].serialize_ms > 0 ? 1u : 0u);
+  }
 }
 
 // ---------------------------------------------------------------- ClassNames

@@ -214,7 +214,11 @@ QueryLogRecord MakeRecord(const std::string& status) {
 
 TEST(QueryLogTest, RingWraparoundKeepsNewestRecords) {
   QueryLog log(/*capacity=*/4, /*slow_ms=*/0);
-  for (int i = 0; i < 10; ++i) log.Append(MakeRecord("ok"));
+  for (int i = 0; i < 10; ++i) {
+    QueryLogRecord rec = MakeRecord("ok");
+    log.Append(&rec);
+    EXPECT_EQ(rec.id, static_cast<uint64_t>(i + 1));
+  }
   EXPECT_EQ(log.appended(), 10u);
   EXPECT_EQ(log.dropped(), 6u);
 
@@ -434,9 +438,11 @@ TEST_F(MetricsServiceTest, TraceExportIsWellFormedAndCoversWorkers) {
   EXPECT_EQ(result, RunOQL(db_, query_));
   ASSERT_EQ(prof.run.mode, "spine-reduce");
 
-  obs::RequestTrace t;
-  obs::BuildRequestTrace({0, 0, q.trace->total_ms, prof.run.wall_ns / 1e6}, 0,
-                         q.trace.get(), prof.run, &prof, &t);
+  QueryLogRecord t;
+  t.compile_ms = q.trace->total_ms;
+  t.exec_ms = prof.run.wall_ns / 1e6;
+  obs::BuildRequestTrace(q.trace.get(), prof.run, &prof, &t);
+  EXPECT_DOUBLE_EQ(t.total_ms, t.compile_ms + t.exec_ms);
   std::string json = obs::TraceToChromeJson(t);
   EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"X\""), std::string::npos);

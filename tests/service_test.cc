@@ -109,23 +109,22 @@ TEST_F(ServiceTest, SecondExecutionHitsCacheWithIdenticalResult) {
   QueryService svc(db_);
   auto session = svc.OpenSession();
 
-  QueryStats s1, s2;
-  QueryProfiler p1, p2;
-  Value r1 = svc.Execute(*session, kHashJoinQuery, &s1, &p1);
-  Value r2 = svc.Execute(*session, kHashJoinQuery, &s2, &p2);
+  obs::QueryLogRecord s1, s2;
+  Value r1 = svc.Execute(*session, kHashJoinQuery, &s1);
+  Value r2 = svc.Execute(*session, kHashJoinQuery, &s2);
 
   EXPECT_FALSE(s1.plan_cached);
   EXPECT_TRUE(s2.plan_cached);
-  EXPECT_GE(s2.cache.hits, 1u);
+  EXPECT_EQ(svc.cache_stats().hits, 1u);
   EXPECT_EQ(r1, r2);
   EXPECT_EQ(r1, RunOQL(db_, kHashJoinQuery));
 
-  // The cache outcome reaches the profile JSON.
-  EXPECT_EQ(p1.plan_cached, 0u);
-  EXPECT_EQ(p2.plan_cached, 1u);
-  std::string json = ProfileToJson(p2);
-  EXPECT_NE(json.find("\"plan_cached\": 1"), std::string::npos) << json;
-  EXPECT_NE(json.find("\"cache_hits\": "), std::string::npos) << json;
+  // The cache outcome is the request record's, as the query log holds it.
+  std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(2);
+  ASSERT_EQ(tail.size(), 2u);
+  EXPECT_EQ(tail[1].id, s2.id);
+  EXPECT_FALSE(tail[0].plan_cached);
+  EXPECT_TRUE(tail[1].plan_cached);
 }
 
 TEST_F(ServiceTest, PreparedStatementSecondExecutionHitsCache) {
@@ -135,7 +134,7 @@ TEST_F(ServiceTest, PreparedStatementSecondExecutionHitsCache) {
   EXPECT_THROW(QueryService::Prepare("select from where"), ParseError);
   auto session = svc.OpenSession();
 
-  QueryStats s1, s2;
+  obs::QueryLogRecord s1, s2;
   Value r1 = svc.Execute(*session, q, &s1);
   ASSERT_NE(q.plan, nullptr);
   Value r2 = svc.Execute(*session, q, &s2);
@@ -145,7 +144,7 @@ TEST_F(ServiceTest, PreparedStatementSecondExecutionHitsCache) {
   EXPECT_EQ(r1, RunOQL(db_, kNestQuery));
 
   // An ad-hoc text with the same normal form finds the handle's plan.
-  QueryStats s3;
+  obs::QueryLogRecord s3;
   svc.Execute(*session, kNestQuery, &s3);
   EXPECT_TRUE(s3.plan_cached);
 }
@@ -161,20 +160,18 @@ TEST_F(ServiceTest, BoundHandleRepeatDoesNoCacheLookup) {
   EXPECT_EQ(before.hits + before.misses, 1u);
   const auto bound = q.plan;
 
-  QueryStats s;
-  QueryProfiler prof;
-  Value r = svc.Execute(*session, q, &s, &prof);
+  obs::QueryLogRecord s;
+  Value r = svc.Execute(*session, q, &s);
   const PlanCacheStats after = svc.cache_stats();
   EXPECT_EQ(after.hits, before.hits);
   EXPECT_EQ(after.misses, before.misses);
   EXPECT_TRUE(s.plan_cached);
-  EXPECT_EQ(prof.plan_cached, 1u);
   EXPECT_EQ(q.plan, bound);  // still the same plan object
   EXPECT_EQ(r, RunOQL(db_, kHashJoinQuery));
 
   // The handle keeps its plan alive even after the cache drops it.
   svc.ClearCache();
-  QueryStats s2;
+  obs::QueryLogRecord s2;
   EXPECT_EQ(svc.Execute(*session, q, &s2), r);
   EXPECT_TRUE(s2.plan_cached);
   EXPECT_EQ(svc.cache_stats().misses, before.misses);
@@ -196,7 +193,7 @@ TEST_F(ServiceTest, BoundHandleReresolvesOnceAfterUpdateCatalog) {
   svc.UpdateCatalog(cat);
   const PlanCacheStats before = svc.cache_stats();
 
-  QueryStats s1, s2;
+  obs::QueryLogRecord s1, s2;
   EXPECT_EQ(svc.Execute(*session, q, &s1), expected);
   EXPECT_FALSE(s1.plan_cached);  // re-resolved: recompiled under the new stamp
   EXPECT_NE(q.plan, old_plan);
@@ -263,7 +260,7 @@ TEST_F(ServiceTest, OrderDirectionIsPartOfTheCacheKey) {
   QueryService svc(db_);
   auto session = svc.OpenSession();
 
-  QueryStats s_asc, s_desc;
+  obs::QueryLogRecord s_asc, s_desc;
   Value asc = svc.Execute(
       *session, "select b.id from b in BaseAssemblies order by b.id", &s_asc);
   Value desc = svc.Execute(
@@ -295,7 +292,7 @@ TEST_F(ServiceTest, PrintAlikeQueriesDoNotSharePlans) {
       QueryService svc(db_);
       auto session = svc.OpenSession();
       EXPECT_EQ(svc.Execute(*session, first), RunOQL(db_, first)) << first;
-      QueryStats s;
+      obs::QueryLogRecord s;
       EXPECT_EQ(svc.Execute(*session, second, &s), RunOQL(db_, second))
           << second << " after " << first;
       EXPECT_FALSE(s.plan_cached) << second << " after " << first;
@@ -320,7 +317,7 @@ TEST_F(ServiceTest, RepeatedTextsWithFreshNamedVariablesHit) {
       "Employees where e.age > 30)",
   };
   for (const char* text : texts) {
-    QueryStats first, second;
+    obs::QueryLogRecord first, second;
     const Value r1 = svc.Execute(*session, text, &first);
     const Value r2 = svc.Execute(*session, text, &second);
     EXPECT_FALSE(first.plan_cached) << text;
@@ -337,7 +334,7 @@ TEST_F(ServiceTest, AlphaVariantTextsShareOnePlan) {
   const Database db = testing::TinyCompany();
   QueryService svc(db);
   auto session = svc.OpenSession();
-  QueryStats s1, s2, s3, s4;
+  obs::QueryLogRecord s1, s2, s3, s4;
   const char* e_text = "select e.name from e in Employees order by e.name";
   const char* x_text = "select x.name from x in Employees order by x.name";
   const Value r1 = svc.Execute(*session, e_text, &s1);
@@ -603,7 +600,7 @@ TEST_F(ServiceTest, MissNormalizesOnceForKeyAndCompile) {
   QueryService svc(db_);
   auto session = svc.OpenSession();
   Statement handle = QueryService::Prepare(kNestQuery);
-  QueryStats stats;
+  obs::QueryLogRecord stats;
   Value r = svc.Execute(*session, handle, &stats);
   EXPECT_FALSE(stats.plan_cached);
   EXPECT_EQ(r, RunOQLBaseline(db_, kNestQuery));
@@ -632,9 +629,10 @@ TEST_F(ServiceTest, NonComprehensionTopLevelRunsAsOneVerifiedSlotPlan) {
       "struct(N: count(select p from p in AtomicParts), "
       "B: count(select b from b in BaseAssemblies))";
   Statement handle = QueryService::Prepare(q);
-  QueryStats s1, s2;
+  obs::QueryLogRecord s1, s2;
   Value r1 = svc.Execute(*session, handle, &s1);
   EXPECT_FALSE(s1.plan_cached);
+  const uint64_t misses = svc.cache_stats().misses;
   std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_EQ(tail[0].verify, "ok");
@@ -646,7 +644,7 @@ TEST_F(ServiceTest, NonComprehensionTopLevelRunsAsOneVerifiedSlotPlan) {
   // The bound handle runs its plan again: nothing compiles, nothing verifies.
   Value r2 = svc.Execute(*session, handle, &s2);
   EXPECT_TRUE(s2.plan_cached);
-  EXPECT_EQ(s2.cache.misses, s1.cache.misses);
+  EXPECT_EQ(svc.cache_stats().misses, misses);
   tail = svc.query_log().Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_TRUE(tail[0].plan_cached);

@@ -1,5 +1,6 @@
-// Tests for end-to-end request tracing (src/obs/trace.h, docs/WIRE.md v2):
-// the trace-id codec, the tail-sampling ring's keep/drop policy, the wire
+// Tests for end-to-end request tracing (src/obs/trace.h, the trace ring in
+// src/obs/query_log.h, docs/WIRE.md v2): the trace-id codec, the trace
+// ring's keep/drop policy and post-hoc serialize patch, the wire
 // extensions that carry trace context and the server phase breakdown,
 // histogram exemplars in the Prometheus exposition, span parenting across
 // concurrent connections, and remote introspection (INTROSPECT) parity
@@ -9,6 +10,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -60,23 +62,30 @@ TEST(TraceIdTest, HexRoundTrip) {
 }
 
 // ---------------------------------------------------------------------------
-// Tail-sampling ring
+// The trace ring: the query log's tail-sampled records
 // ---------------------------------------------------------------------------
 
-obs::RequestTrace MakeTrace(uint64_t id, const std::string& status,
-                            double total_ms) {
-  obs::RequestTrace t;
-  t.trace_id = id;
-  t.root_span_id = 1;
-  t.status = status;
-  t.total_ms = total_ms;
+obs::QueryLogRecord MakeRecord(uint64_t trace_id, const std::string& status,
+                               double total_ms) {
+  obs::QueryLogRecord rec;
+  rec.trace_id = trace_id;
+  rec.status = status;
+  rec.total_ms = total_ms;
   obs::TraceSpan root;
   root.span_id = 1;
   root.name = "request";
   root.lane = "worker";
   root.dur_ms = total_ms;
-  t.spans.push_back(root);
-  return t;
+  rec.spans.push_back(root);
+  return rec;
+}
+
+// Appends as the service does, with the log's own slow verdict; returns
+// whether the trace ring kept the record.
+bool Submit(obs::QueryLog* log, obs::QueryLogRecord rec) {
+  rec.slow = log->IsSlow(rec.total_ms);
+  log->Append(&rec);
+  return !rec.sample_reason.empty();
 }
 
 #if LDB_METRICS_ENABLED
@@ -84,126 +93,140 @@ obs::RequestTrace MakeTrace(uint64_t id, const std::string& status,
 TEST(TraceRingTest, TailSamplingIsDeterministic) {
   // slow_ms unreachable, head sampling off: fast ok requests are dropped,
   // errors and forced traces are kept.
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/8, /*slow_ms=*/1e9,
-                              /*head_every=*/0});
-  EXPECT_FALSE(ring.Submit(MakeTrace(1, "ok", 0.5)));
-  EXPECT_TRUE(ring.Submit(MakeTrace(2, "failed", 0.5)));
-  EXPECT_TRUE(ring.Submit(MakeTrace(3, "cancelled", 0.5)));
-  obs::RequestTrace forced = MakeTrace(4, "ok", 0.5);
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/1e9, /*kept_capacity=*/8,
+                    /*head_every=*/0);
+  EXPECT_FALSE(Submit(&log, MakeRecord(1, "ok", 0.5)));
+  EXPECT_TRUE(Submit(&log, MakeRecord(2, "failed", 0.5)));
+  EXPECT_TRUE(Submit(&log, MakeRecord(3, "cancelled", 0.5)));
+  obs::QueryLogRecord forced = MakeRecord(4, "ok", 0.5);
   forced.force_sample = true;
-  EXPECT_TRUE(ring.Submit(forced));
+  EXPECT_TRUE(Submit(&log, forced));
 
-  EXPECT_EQ(ring.submitted(), 4u);
-  EXPECT_EQ(ring.kept(), 3u);
-  EXPECT_EQ(ring.dropped(), 1u);
+  EXPECT_EQ(log.appended(), 4u);
+  EXPECT_EQ(log.kept_count(), 3u);
+  EXPECT_NE(log.KeptToJson().find(
+                "\"capacity\":8,\"submitted\":4,\"kept\":3,\"dropped\":1,"),
+            std::string::npos)
+      << log.KeptToJson();
 
-  obs::RequestTrace out;
-  EXPECT_FALSE(ring.Find(1, &out));  // dropped
-  ASSERT_TRUE(ring.Find(2, &out));
+  obs::QueryLogRecord out;
+  EXPECT_FALSE(log.Find(1, &out));  // dropped
+  ASSERT_TRUE(log.Find(2, &out));
   EXPECT_EQ(out.sample_reason, "error");
-  ASSERT_TRUE(ring.Find(4, &out));
+  ASSERT_TRUE(log.Find(4, &out));
   EXPECT_EQ(out.sample_reason, "forced");  // forced outranks ok-drop
+  // Every record stays among the recent ones, kept or not, without spans.
+  std::vector<obs::QueryLogRecord> tail = log.Tail(4);
+  ASSERT_EQ(tail.size(), 4u);
+  EXPECT_EQ(tail[0].sample_reason, "");
+  EXPECT_EQ(tail[3].sample_reason, "forced");
+  for (const obs::QueryLogRecord& r : tail) EXPECT_TRUE(r.spans.empty());
 }
 
 TEST(TraceRingTest, SlowAndHeadReasons) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/8, /*slow_ms=*/10,
-                              /*head_every=*/1});
-  // head_every=1: every submission is head-sampled; slow outranks head.
-  ASSERT_TRUE(ring.Submit(MakeTrace(1, "ok", 50)));
-  ASSERT_TRUE(ring.Submit(MakeTrace(2, "ok", 0.5)));
-  obs::RequestTrace out;
-  ASSERT_TRUE(ring.Find(1, &out));
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/10, /*kept_capacity=*/8,
+                    /*head_every=*/1);
+  // head_every=1: every record is head-sampled; slow outranks head.
+  ASSERT_TRUE(Submit(&log, MakeRecord(1, "ok", 50)));
+  ASSERT_TRUE(Submit(&log, MakeRecord(2, "ok", 0.5)));
+  obs::QueryLogRecord out;
+  ASSERT_TRUE(log.Find(1, &out));
   EXPECT_EQ(out.sample_reason, "slow");
-  ASSERT_TRUE(ring.Find(2, &out));
+  EXPECT_TRUE(out.slow);
+  ASSERT_TRUE(log.Find(2, &out));
   EXPECT_EQ(out.sample_reason, "head");
+  EXPECT_EQ(log.slow_count(), 1u);
 }
 
 TEST(TraceRingTest, EvictsOldestWhenFull) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/2, /*slow_ms=*/1,
-                              /*head_every=*/0});
-  ASSERT_TRUE(ring.Submit(MakeTrace(1, "ok", 5)));
-  ASSERT_TRUE(ring.Submit(MakeTrace(2, "ok", 5)));
-  ASSERT_TRUE(ring.Submit(MakeTrace(3, "ok", 5)));
-  EXPECT_EQ(ring.kept(), 3u);
-  std::vector<obs::RequestTrace> kept = ring.Snapshot();
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/1, /*kept_capacity=*/2,
+                    /*head_every=*/0);
+  ASSERT_TRUE(Submit(&log, MakeRecord(1, "ok", 5)));
+  ASSERT_TRUE(Submit(&log, MakeRecord(2, "ok", 5)));
+  ASSERT_TRUE(Submit(&log, MakeRecord(3, "ok", 5)));
+  EXPECT_EQ(log.kept_count(), 3u);
+  std::vector<obs::QueryLogRecord> kept = log.KeptRecords();
   ASSERT_EQ(kept.size(), 2u);
   EXPECT_EQ(kept[0].trace_id, 2u);  // oldest-first, 1 evicted
   EXPECT_EQ(kept[1].trace_id, 3u);
-  obs::RequestTrace out;
-  EXPECT_FALSE(ring.Find(1, &out));
+  EXPECT_EQ(kept[1].spans.size(), 1u);  // kept records carry their spans
+  obs::QueryLogRecord out;
+  EXPECT_FALSE(log.Find(1, &out));
 }
 
 TEST(TraceRingTest, FindZeroSelectsSlowest) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/4, /*slow_ms=*/1,
-                              /*head_every=*/0});
-  ASSERT_TRUE(ring.Submit(MakeTrace(1, "ok", 5)));
-  ASSERT_TRUE(ring.Submit(MakeTrace(2, "ok", 50)));
-  ASSERT_TRUE(ring.Submit(MakeTrace(3, "ok", 20)));
-  obs::RequestTrace out;
-  ASSERT_TRUE(ring.Find(0, &out));
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/1, /*kept_capacity=*/4,
+                    /*head_every=*/0);
+  ASSERT_TRUE(Submit(&log, MakeRecord(1, "ok", 5)));
+  ASSERT_TRUE(Submit(&log, MakeRecord(2, "ok", 50)));
+  ASSERT_TRUE(Submit(&log, MakeRecord(3, "ok", 20)));
+  obs::QueryLogRecord out;
+  ASSERT_TRUE(log.Find(0, &out));
   EXPECT_EQ(out.trace_id, 2u);
 }
 
-TEST(TraceRingTest, AppendSpanAssignsIdsAndExtendsTotal) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/4, /*slow_ms=*/1,
-                              /*head_every=*/0});
-  ASSERT_TRUE(ring.Submit(MakeTrace(7, "ok", 5)));
+TEST(TraceRingTest, RecordSerializeAppendsSpanAndExtendsTotal) {
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/1, /*kept_capacity=*/4,
+                    /*head_every=*/0);
+  obs::QueryLogRecord rec = MakeRecord(7, "ok", 5);
+  rec.slow = log.IsSlow(rec.total_ms);
+  log.Append(&rec);
+  ASSERT_EQ(rec.sample_reason, "slow");
 
-  obs::TraceSpan late;  // span/parent ids left 0: auto-assigned
-  late.name = "serialize";
-  late.lane = "worker";
-  late.start_ms = 5.5;
-  late.dur_ms = 2.0;
-  EXPECT_TRUE(ring.AppendSpan(7, late));
-  EXPECT_FALSE(ring.AppendSpan(999, late));  // not in the ring
+  EXPECT_TRUE(log.RecordSerialize(rec.id, /*start_ms=*/5.5, /*dur_ms=*/2.0));
+  EXPECT_FALSE(log.RecordSerialize(999, 5.5, 2.0));  // never appended
 
-  obs::RequestTrace out;
-  ASSERT_TRUE(ring.Find(7, &out));
+  obs::QueryLogRecord out;
+  ASSERT_TRUE(log.Find(7, &out));
+  EXPECT_DOUBLE_EQ(out.serialize_ms, 2.0);
   ASSERT_EQ(out.spans.size(), 2u);
+  EXPECT_EQ(out.spans[1].name, "serialize");
   EXPECT_EQ(out.spans[1].span_id, 2u);
-  EXPECT_EQ(out.spans[1].parent_span_id, out.root_span_id);
+  EXPECT_EQ(out.spans[1].parent_span_id, out.spans[0].span_id);
   EXPECT_DOUBLE_EQ(out.total_ms, 7.5);  // extended to cover the late span
   EXPECT_DOUBLE_EQ(out.spans[0].dur_ms, 7.5);  // and so is the root span
+  // The recent copy agrees on the times.
+  std::vector<obs::QueryLogRecord> tail = log.Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_DOUBLE_EQ(tail[0].serialize_ms, 2.0);
+  EXPECT_DOUBLE_EQ(tail[0].total_ms, 7.5);
 }
 
 TEST(TraceRingTest, ZeroCapacityKeepsNothing) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/0, /*slow_ms=*/0,
-                              /*head_every=*/1});
-  EXPECT_FALSE(ring.Submit(MakeTrace(1, "failed", 100)));
-  EXPECT_EQ(ring.kept(), 0u);
-  EXPECT_TRUE(ring.Snapshot().empty());
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/0, /*kept_capacity=*/0,
+                    /*head_every=*/1);
+  EXPECT_FALSE(Submit(&log, MakeRecord(1, "failed", 100)));
+  EXPECT_EQ(log.kept_count(), 0u);
+  EXPECT_TRUE(log.KeptRecords().empty());
+  EXPECT_EQ(log.Tail(1).size(), 1u);
 }
 
 #else  // !LDB_METRICS_ENABLED
 
-// With metrics compiled out the ring must be a zero-size no-op: Submit and
-// Find compile and return false, the capacity is pinned at 0 regardless of
-// the configured option, and the JSON dump is the empty document.
+// With metrics compiled out the trace ring must be a zero-size no-op: the
+// capacity is pinned at 0 regardless of the configured one, nothing is
+// sampled or found, and the JSON dump is the empty document. The recent
+// records are kept as usual.
 TEST(TraceRingTest, MetricsOffRingIsCompiledOut) {
-  obs::TraceRing ring(
-      obs::TraceRing::Options{/*capacity=*/64, /*slow_ms=*/0,
-                              /*head_every=*/1});
-  static_assert(!obs::TraceRing::Enabled());
-  EXPECT_EQ(ring.capacity(), 0u);
-  EXPECT_FALSE(ring.Submit(MakeTrace(1, "failed", 100)));
-  obs::RequestTrace out;
-  EXPECT_FALSE(ring.Find(0, &out));
-  EXPECT_TRUE(ring.Snapshot().empty());
-  EXPECT_EQ(ring.submitted(), 0u);
-  EXPECT_EQ(ring.ToJson(),
-            obs::TraceRingJson({}, 0, 0, 0, 0));
+  obs::QueryLog log(/*capacity=*/16, /*slow_ms=*/0, /*kept_capacity=*/64,
+                    /*head_every=*/1);
+  static_assert(!obs::QueryLog::KeepsTraces());
+  EXPECT_EQ(log.kept_capacity(), 0u);
+  EXPECT_FALSE(Submit(&log, MakeRecord(1, "failed", 100)));
+  obs::QueryLogRecord out;
+  EXPECT_FALSE(log.Find(0, &out));
+  EXPECT_TRUE(log.KeptRecords().empty());
+  EXPECT_EQ(log.kept_count(), 0u);
+  EXPECT_EQ(log.KeptToJson(),
+            "{\"capacity\":0,\"submitted\":0,\"kept\":0,\"dropped\":0,"
+            "\"traces\":[]}\n");
+  EXPECT_EQ(log.Tail(1).size(), 1u);
 }
 
 #endif  // LDB_METRICS_ENABLED
 
 TEST(TraceJsonTest, ChromeJsonHasMetadataAndSpans) {
-  obs::RequestTrace t = MakeTrace(0xabc, "ok", 5);
+  obs::QueryLogRecord t = MakeRecord(0xabc, "ok", 5);
   obs::TraceSpan child;
   child.span_id = 2;
   child.parent_span_id = 1;
@@ -224,7 +247,7 @@ TEST(TraceJsonTest, ChromeJsonHasMetadataAndSpans) {
 // significant digits, a compile span at 12.345678 ms lasting 1.234567 ms
 // rendered as ending after the execute span that follows it began.
 TEST(TraceJsonTest, AdjacentSpansStayAdjacentPastTenMilliseconds) {
-  obs::RequestTrace t = MakeTrace(0xabc, "ok", 20);
+  obs::QueryLogRecord t = MakeRecord(0xabc, "ok", 20);
   obs::TraceSpan compile;
   compile.span_id = 2;
   compile.parent_span_id = 1;
@@ -245,7 +268,7 @@ TEST(TraceJsonTest, AdjacentSpansStayAdjacentPastTenMilliseconds) {
             std::string::npos)
       << chrome;
   EXPECT_NE(chrome.find("\"ts\":13580.245,"), std::string::npos) << chrome;
-  std::string ring = obs::TraceRingJson({t}, 1, 1, 1, 0);
+  std::string ring = obs::QueryLogRecordToJson(t, /*with_spans=*/true);
   EXPECT_NE(ring.find("\"start_ms\":12.345678,\"dur_ms\":1.234567}"),
             std::string::npos)
       << ring;
@@ -449,8 +472,8 @@ TEST(TraceEndToEndTest, SpanParentingAcrossConcurrentConnections) {
   for (const auto& conn_ids : ids) {
     for (uint64_t id : conn_ids) {
       distinct.insert(id);
-      obs::RequestTrace t;
-      ASSERT_TRUE(h.svc.trace_ring().Find(id, &t)) << obs::TraceIdHex(id);
+      obs::QueryLogRecord t;
+      ASSERT_TRUE(h.svc.query_log().Find(id, &t)) << obs::TraceIdHex(id);
       EXPECT_TRUE(t.client_context);
       EXPECT_EQ(t.status, "ok");
 
@@ -471,7 +494,7 @@ TEST(TraceEndToEndTest, SpanParentingAcrossConcurrentConnections) {
               << "span " << s.name << " has dangling parent";
           EXPECT_NE(s.parent_span_id, s.span_id);
         } else {
-          EXPECT_EQ(s.span_id, t.root_span_id);
+          EXPECT_EQ(s.span_id, 1u);
           EXPECT_EQ(s.name, "request");
         }
       }
@@ -520,9 +543,9 @@ TEST(TraceEndToEndTest, PrepareContextIsInheritedWithFreshIds) {
   EXPECT_NE(r1.exec.trace_id, r2.exec.trace_id);  // fresh id per query
   EXPECT_NE(r1.exec.trace_id, prep.trace_id);
 
-  obs::RequestTrace t;
-  ASSERT_TRUE(h.svc.trace_ring().Find(r1.exec.trace_id, &t));
-  EXPECT_EQ(t.client_parent_span_id, 777u);  // inherited parent
+  obs::QueryLogRecord t;
+  ASSERT_TRUE(h.svc.query_log().Find(r1.exec.trace_id, &t));
+  EXPECT_EQ(t.parent_span_id, 777u);  // inherited parent
   EXPECT_TRUE(t.force_sample);               // inherited flags
   client.Close();
 }
@@ -551,8 +574,8 @@ TEST(TraceEndToEndTest, IntrospectMatchesInProcessAccessors) {
             obs::ActiveQueriesToJson(h.svc.ActiveQueries()));
 
   // Trace by id: byte-for-byte the ring's Chrome JSON.
-  obs::RequestTrace t;
-  ASSERT_TRUE(h.svc.trace_ring().Find(last, &t));
+  obs::QueryLogRecord t;
+  ASSERT_TRUE(h.svc.query_log().Find(last, &t));
   EXPECT_EQ(client.Introspect(IntrospectRequest::kTrace, 0, last),
             obs::TraceToChromeJson(t));
 
@@ -576,24 +599,53 @@ TEST(TraceEndToEndTest, IntrospectMatchesInProcessAccessors) {
   client.Close();
 }
 
-// The query log's new first-class columns: queue_wait_ms measured from the
-// wire read and serialize_ms patched in after the reply went out.
+// One request, one record: EXEC_OK, the recent query-log record and the
+// kept trace agree on the trace id, the cache outcome and every phase time
+// (queue_wait_ms measured from the wire read, serialize_ms patched in after
+// the reply went out), and the kept trace's phase spans last those times.
 TEST(TraceEndToEndTest, QueryLogRecordsWaitAndSerialize) {
-  ServiceOptions sopts;
-  sopts.trace_head_every = 1;
-  Harness h(/*scale=*/200, sopts);
+  Harness h(/*scale=*/200);
 
   net::Client client;
   client.Connect("127.0.0.1", h.port());
-  client.Execute("select e.name from e in Employees");
+  client.set_trace_flags(obs::TraceContext::kForceSample);
+  net::ClientResult r = client.Execute("select e.name from e in Employees");
   client.Close();
+  const net::ExecReply& exec = r.exec;
 
   std::vector<obs::QueryLogRecord> tail = h.svc.query_log().Tail(1);
   ASSERT_EQ(tail.size(), 1u);
-  EXPECT_NE(tail[0].trace_id, 0u);
-  EXPECT_GE(tail[0].queue_wait_ms, 0.0);
+  obs::QueryLogRecord kept;
+  ASSERT_TRUE(h.svc.query_log().Find(exec.trace_id, &kept));
+  EXPECT_EQ(kept.sample_reason, "forced");
+  EXPECT_NE(exec.trace_id, 0u);
+  EXPECT_GE(exec.queue_wait_ms, 0.0);
   // The result set is non-empty, so serializing it took measurable time.
-  EXPECT_GT(tail[0].serialize_ms, 0.0);
+  EXPECT_GT(exec.serialize_ms, 0.0);
+  for (const obs::QueryLogRecord& rec : {tail[0], kept}) {
+    EXPECT_EQ(rec.id, kept.id);
+    EXPECT_EQ(rec.trace_id, exec.trace_id);
+    EXPECT_EQ(rec.plan_cached, exec.plan_cached != 0);
+    EXPECT_DOUBLE_EQ(rec.queue_wait_ms, exec.queue_wait_ms);
+    EXPECT_DOUBLE_EQ(rec.queue_ms, exec.queue_ms);
+    EXPECT_DOUBLE_EQ(rec.compile_ms, exec.compile_ms);
+    EXPECT_DOUBLE_EQ(rec.exec_ms, exec.exec_ms);
+    EXPECT_DOUBLE_EQ(rec.serialize_ms, exec.serialize_ms);
+    EXPECT_DOUBLE_EQ(rec.total_ms, kept.total_ms);
+  }
+  const std::pair<const char*, double> phases[] = {
+      {"wire-queue", exec.queue_wait_ms}, {"admission", exec.queue_ms},
+      {"compile", exec.compile_ms},       {"execute", exec.exec_ms},
+      {"serialize", exec.serialize_ms}};
+  for (const auto& [name, ms] : phases) {
+    const obs::TraceSpan* span = nullptr;
+    for (const obs::TraceSpan& s : kept.spans) {
+      if (s.name == name) span = &s;
+    }
+    ASSERT_NE(span, nullptr) << name;
+    EXPECT_DOUBLE_EQ(span->dur_ms, ms) << name;
+  }
+  EXPECT_DOUBLE_EQ(kept.spans.front().dur_ms, kept.total_ms);
 }
 
 #endif  // LDB_METRICS_ENABLED
@@ -608,7 +660,7 @@ bool HasPrefix(const std::string& s, const std::string& prefix) {
   return s.compare(0, prefix.size(), prefix) == 0;
 }
 
-const obs::TraceSpan* SpanNamed(const obs::RequestTrace& t,
+const obs::TraceSpan* SpanNamed(const obs::QueryLogRecord& t,
                                 const std::string& name) {
   for (const obs::TraceSpan& s : t.spans) {
     if (s.name == name) return &s;
@@ -636,14 +688,14 @@ TEST(ServedTraceTest, UntracedParallelRequestHasMorselSpans) {
   so.n_threads = 4;
   so.morsel_size = 256;
   auto session = svc.OpenSession(so);
-  QueryStats stats;
+  obs::QueryLogRecord rec;
   svc.Execute(*session,
               "count(select e1 from e1 in Employees, e2 in Employees "
               "where e1.name = e2.name)",
-              &stats);
+              &rec);
 
-  obs::RequestTrace t;
-  ASSERT_TRUE(svc.trace_ring().Find(stats.trace_id, &t));
+  obs::QueryLogRecord t;
+  ASSERT_TRUE(svc.query_log().Find(rec.trace_id, &t));
   EXPECT_FALSE(t.client_context);
   const obs::TraceSpan* exec = SpanNamed(t, "execute");
   const obs::TraceSpan* prebuild = SpanNamed(t, "prebuild");
@@ -675,15 +727,15 @@ TEST(ServedTraceTest, CacheMissCompileSpanCoversLowering) {
   auto session = svc.OpenSession();
   Statement handle =
       QueryService::Prepare("count(select e from e in Employees)");
-  QueryStats miss, hit;
+  obs::QueryLogRecord miss, hit;
   svc.Execute(*session, handle, &miss);
   svc.Execute(*session, handle.oql, &hit);
   ASSERT_FALSE(miss.plan_cached);
   ASSERT_TRUE(hit.plan_cached);
 
   auto compile_children = [&](uint64_t trace_id) {
-    obs::RequestTrace t;
-    EXPECT_TRUE(svc.trace_ring().Find(trace_id, &t));
+    obs::QueryLogRecord t;
+    EXPECT_TRUE(svc.query_log().Find(trace_id, &t));
     const obs::TraceSpan* compile = SpanNamed(t, "compile");
     std::set<std::string> names;
     for (const obs::TraceSpan& s : t.spans) {
@@ -712,20 +764,20 @@ TEST(ServedTraceTest, ClientTracedRequestIsNotProfiled) {
   Database db = MakeDb(200);
   QueryService svc(db, sopts);
   auto session = svc.OpenSession();
-  obs::TraceContext ctx;
-  ctx.trace_id = obs::MintTraceId();
-  session->set_trace(ctx);
-  QueryStats stats;
-  svc.Execute(*session, "count(select e from e in Employees)", &stats);
-  EXPECT_EQ(stats.trace_id, ctx.trace_id);
+  const uint64_t trace_id = obs::MintTraceId();
+  obs::QueryLogRecord rec;
+  rec.trace_id = trace_id;
+  svc.Execute(*session, "count(select e from e in Employees)", &rec);
+  EXPECT_EQ(rec.trace_id, trace_id);
+  EXPECT_TRUE(rec.client_context);
 
   std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
   ASSERT_EQ(tail.size(), 1u);
   EXPECT_TRUE(tail[0].slow);
   EXPECT_TRUE(tail[0].profile_json.empty()) << tail[0].profile_json;
   EXPECT_EQ(OperatorRowsTotal(svc), 0);
-  obs::RequestTrace t;
-  ASSERT_TRUE(svc.trace_ring().Find(ctx.trace_id, &t));
+  obs::QueryLogRecord t;
+  ASSERT_TRUE(svc.query_log().Find(trace_id, &t));
   EXPECT_TRUE(t.client_context);
 }
 
@@ -746,13 +798,12 @@ TEST(ServedTraceTest, ForceSampledRequestCarriesOperatorSpans) {
   ASSERT_FALSE(prof.Operators().empty());
   const double rows_before = OperatorRowsTotal(svc);
 
-  obs::TraceContext ctx;
-  ctx.trace_id = obs::MintTraceId();
-  ctx.flags = obs::TraceContext::kForceSample;
-  session->set_trace(ctx);
-  svc.Execute(*session, oql);
-  obs::RequestTrace t;
-  ASSERT_TRUE(svc.trace_ring().Find(ctx.trace_id, &t));
+  obs::QueryLogRecord rec;
+  rec.trace_id = obs::MintTraceId();
+  rec.force_sample = true;
+  svc.Execute(*session, oql, &rec);
+  obs::QueryLogRecord t;
+  ASSERT_TRUE(svc.query_log().Find(rec.trace_id, &t));
   EXPECT_EQ(t.sample_reason, "forced");
   const obs::TraceSpan* exec = SpanNamed(t, "execute");
   ASSERT_NE(exec, nullptr);
@@ -765,6 +816,67 @@ TEST(ServedTraceTest, ForceSampledRequestCarriesOperatorSpans) {
   EXPECT_EQ(lanes.size(), prof.Operators().size());
   EXPECT_FALSE(svc.query_log().Tail(1)[0].profile_json.empty());
   EXPECT_GT(OperatorRowsTotal(svc), rows_before);
+}
+
+// All requests of one W3C Trace Context trace share its trace id. Two kept
+// requests with one id stay two records: reply serialization is patched in
+// by record id, so it lands on its own request, and Find returns the newest.
+TEST(ServedTraceTest, SharedTraceIdSerializeLandsOnItsOwnRecord) {
+  Database db = MakeDb(200);
+  QueryService svc(db);
+  auto session = svc.OpenSession();
+  const uint64_t trace_id = obs::MintTraceId();
+  obs::QueryLogRecord first, second;
+  for (obs::QueryLogRecord* rec : {&first, &second}) {
+    rec->trace_id = trace_id;
+    rec->force_sample = true;
+    svc.Execute(*session, "count(select e from e in Employees)", rec);
+  }
+  ASSERT_NE(first.id, second.id);
+  ASSERT_TRUE(svc.query_log().RecordSerialize(first.id, first.total_ms, 0.5));
+
+  std::vector<obs::QueryLogRecord> kept = svc.query_log().KeptRecords();
+  ASSERT_EQ(kept.size(), 2u);
+  EXPECT_EQ(kept[0].id, first.id);
+  EXPECT_DOUBLE_EQ(kept[0].serialize_ms, 0.5);
+  const obs::TraceSpan* serialize = SpanNamed(kept[0], "serialize");
+  ASSERT_NE(serialize, nullptr);
+  EXPECT_DOUBLE_EQ(serialize->dur_ms, 0.5);
+  EXPECT_EQ(kept[1].id, second.id);
+  EXPECT_EQ(kept[1].serialize_ms, 0.0);
+  EXPECT_EQ(SpanNamed(kept[1], "serialize"), nullptr);
+
+  obs::QueryLogRecord found;
+  ASSERT_TRUE(svc.query_log().Find(trace_id, &found));
+  EXPECT_EQ(found.id, second.id);
+}
+
+// A request that waited 60 ms before reaching the service is slow under the
+// default 50 ms threshold, which applies to the total from the trace origin:
+// the log record (with its plan), the slow counter and the trace ring all
+// read the one verdict.
+TEST(ServedTraceTest, WireQueueWaitCountsTowardSlow) {
+  Database db = MakeDb(200);
+  QueryService svc(db);
+  ASSERT_EQ(svc.options().slow_query_ms, 50);
+  auto session = svc.OpenSession();
+  obs::QueryLogRecord rec;
+  rec.queue_wait_ms = 60;
+  svc.Execute(*session, "count(select e from e in Employees)", &rec);
+  EXPECT_GE(rec.total_ms, 60.0);
+
+  std::vector<obs::QueryLogRecord> tail = svc.query_log().Tail(1);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_TRUE(tail[0].slow);
+  EXPECT_FALSE(tail[0].plan_text.empty());
+  double slow_total = 0;
+  for (const obs::MetricSample& s : svc.metrics().Snapshot().samples) {
+    if (s.name == "ldb_slow_queries_total") slow_total += s.value;
+  }
+  EXPECT_EQ(slow_total, 1);
+  obs::QueryLogRecord kept;
+  ASSERT_TRUE(svc.query_log().Find(rec.trace_id, &kept));
+  EXPECT_EQ(kept.sample_reason, "slow");
 }
 
 #endif  // LDB_METRICS_ENABLED

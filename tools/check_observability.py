@@ -14,8 +14,9 @@ The first form checks what bench_unnesting --quick --metrics --json writes:
     histogram buckets, _count == +Inf bucket, well-formed OpenMetrics
     exemplar suffixes on bucket lines);
   * the Chrome trace-event JSON (bench_trace.json: TraceToChromeJson's
-    rendering of one profiled parallel request, built by the same span
-    builder as every served trace) is loadable, its events are well-formed,
+    rendering of one force-sampled, so profiled, parallel request's record,
+    built by the same span builder as every served trace) is loadable, its
+    events are well-formed,
     its spans form one tree (the span-tree rule below, read from each
     event's args), and spans within one (pid, tid) lane nest properly (a
     worker lane never has two morsels overlapping halfway).
@@ -26,10 +27,12 @@ The first form checks what bench_unnesting --quick --metrics --json writes:
     HELLO and EXECUTE frames were counted, everything the server accepted
     was counted, and the latency histograms carry at least one exemplar
     linking a bucket to a trace id;
-  * ring.json — its --trace-dump / SIGUSR1 trace-ring snapshot: counters
-    consistent, at least one kept trace, and every kept trace carries a
-    valid sample_reason, 16-hex trace id, and a span tree that obeys the
-    span-tree rule;
+  * ring.json — its --trace-dump / SIGUSR1 trace-ring snapshot (the query
+    log's tail-sampled records): counters consistent, at least one kept
+    trace, and every kept trace is a whole query-log record — the fields
+    the INTROSPECT query-log tail carries (id, session, plan_cached, phase
+    times, rows, slow) — with a valid sample_reason, a 16-hex trace id, and
+    a span tree that obeys the span-tree rule;
   * trace.json — one trace fetched over INTROSPECT (oqlsh .fetch-trace),
     as Chrome trace-event JSON: the checks above, plus `request` and
     `execute` spans.
@@ -372,6 +375,11 @@ def check_server(path):
 
 
 VALID_SAMPLE_REASONS = ("slow", "error", "head", "forced")
+# What every kept trace shares with the query-log tail: the ring dump and
+# INTROSPECT's tail are written by one record writer.
+RECORD_FIELDS = (("id", int), ("session", int), ("plan_cached", bool),
+                 ("queue_ms", (int, float)), ("compile_ms", (int, float)),
+                 ("exec_ms", (int, float)), ("rows", int), ("slow", bool))
 
 
 def check_trace_ring(path, expect_empty=False):
@@ -411,6 +419,15 @@ def check_trace_ring(path, expect_empty=False):
                  f"{t.get('sample_reason')!r}")
         if not t.get("status"):
             fail(f"{path}: trace {tid} has no status")
+        for key, kind in RECORD_FIELDS:
+            value = t.get(key)
+            # bool is an int in Python: only a bool field may hold one.
+            if not isinstance(value, kind) or (
+                    kind is not bool and isinstance(value, bool)):
+                fail(f"{path}: trace {tid} lacks record field {key!r} "
+                     f"(got {value!r})")
+        if t["id"] <= 0:
+            fail(f"{path}: trace {tid} has record id {t['id']}")
         total = t.get("total_ms", -1)
         if not isinstance(total, (int, float)) or total < 0:
             fail(f"{path}: trace {tid} has bad total_ms {total!r}")
